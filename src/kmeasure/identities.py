@@ -21,7 +21,6 @@ from time import perf_counter
 from .partitions import (
     durfee_gf,
     enumerate_partitions,
-    kmeasure,
     measure_gf,
     sylvester_counts,
 )
@@ -306,16 +305,16 @@ def parity_check(qcap: int, name=None) -> IdentityReport:
     """Three-way signed-count agreement, coefficient by coefficient:
 
     (i) the excess of partitions of n with len + 2-measure even over odd,
+        read from the 2-measure series at y = z = -1,
     (ii) the number of partitions of n into distinct odd parts,
     (iii) the q^n coefficient of (-q;q^2)_inf.
     """
     started = perf_counter()
+    signs = measure_gf(qcap, 2).set_y(-1).set_z(-1)
     product = pochhammer_infinite(Monomial(-1, q=1), 2, qcap)
     fail = None
     for n in range(qcap + 1):
-        signed = 0
-        for parts in enumerate_partitions(n):
-            signed += -1 if (len(parts) + kmeasure(parts, 2)) % 2 else 1
+        signed = signs.coefficient(n)
         odd_distinct = sum(1 for _ in enumerate_partitions(n, "distinct-odd"))
         coeff = product.coefficient(n)
         if signed != odd_distinct:

@@ -1,4 +1,4 @@
-"""Integer partitions, their statistics, and enumerated generating functions.
+"""Integer partitions, their statistics, and counted generating functions.
 
 A partition is a weakly decreasing tuple of positive integers; the empty
 tuple is the unique partition of 0.  Besides the classical statistics
@@ -7,15 +7,18 @@ k-measure: the maximum length of a subsequence of parts whose consecutive
 entries differ by at least k.  The 1-measure is the number of distinct part
 values.
 
-Enumeration is exhaustive and deterministic, which makes the generating
-functions assembled here independent oracles for the closed-form series in
-:mod:`kmeasure.identities`: they are sums of y^length z^statistic q^size
-over every partition, with no algebra involved.
+The generating functions built here, sums of y^length z^statistic q^size
+over every partition of n <= qcap, are the oracles for the closed-form
+series in :mod:`kmeasure.identities`.  They count partitions by a
+transfer-matrix scan over part values, in time polynomial in qcap and with
+no algebra on closed forms involved.  Exhaustive, deterministic
+enumeration stays as the reference they are tested against, and it still
+backs Sylvester's histograms and the per-partition statistics.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .series import TriSeries
@@ -181,29 +184,99 @@ def format_partition(parts) -> str:
     return ",".join(str(p) for p in parts)
 
 
-# ------------------------------------------------- enumerated series
+# ------------------------------------------------- generating functions
+#
+# The series are built by transfer-matrix counting (Stanley, Enumerative
+# Combinatorics vol. 1, sec. 4.7): part values are scanned one at a time,
+# and a state is a layered series, list index the size, with
+# {(length, statistic): count} layers.  Each value is absent or present with
+# some multiplicity, so a partition is counted once, by the path of its
+# multiplicities.  The cost is polynomial in qcap, not proportional to the
+# number of partitions.
+
+
+def _check_oracle_args(qcap, family):
+    if qcap < 0:
+        raise ValueError("qcap must be nonnegative")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+
+
+def _unit(qcap):
+    """The state of the empty partition."""
+    layers = [{} for _ in range(qcap + 1)]
+    layers[0][(0, 0)] = 1
+    return layers
+
+
+def _accumulate(tgt, layer, dl=0, dz=0):
+    """tgt += layer, raising each length by dl and each statistic by dz."""
+    for (ell, stat), c in layer.items():
+        key = (ell + dl, stat + dz)
+        tgt[key] = tgt.get(key, 0) + c
+
+
+def _add_into(target, layers, dz=0):
+    for tgt, layer in zip(target, layers):
+        _accumulate(tgt, layer, dz=dz)
+
+
+def _with_value(layers, v, once):
+    """Partitions of ``layers`` with value v added: once, or m >= 1 times.
+
+    The m >= 1 sum is y q^v / (1 - y q^v) times the state, computed by the
+    recurrence out[j] = y * (layers[j - v] + out[j - v]).
+    """
+    out = [{} for _ in layers]
+    for j in range(v, len(layers)):
+        _accumulate(out[j], layers[j - v], dl=1)
+        if not once:
+            _accumulate(out[j], out[j - v], dl=1)
+    return out
+
+
+def _measure_series(qcap, k, family):
+    """Sum y^length z^{k-measure} q^size by counting over part values.
+
+    Values are scanned in ascending order, following the greedy rule of
+    :func:`kmeasure`.  The state is keyed by the gap since the last value
+    the greedy took, capped at k; gap k also means nothing taken yet.  A
+    present value at gap k is taken (measure + 1, gap back to 1).
+    """
+    distinct = family in ("distinct", "distinct-odd")
+    odd = family in ("odd", "distinct-odd")
+    states = {k: _unit(qcap)}
+    for v in range(1, qcap + 1):
+        new = defaultdict(lambda: [{} for _ in range(qcap + 1)])
+        for gap, layers in states.items():
+            after = min(k, gap + 1)
+            _add_into(new[after], layers)
+            if odd and v % 2 == 0:
+                continue
+            present = _with_value(layers, v, distinct)
+            if gap == k:
+                _add_into(new[1], present, dz=1)
+            else:
+                _add_into(new[after], present)
+        states = new
+    total = [{} for _ in range(qcap + 1)]
+    for layers in states.values():
+        _add_into(total, layers)
+    return TriSeries._make(qcap, None, total)
 
 
 def measure_gfs(qcap: int, ks, family: str = "all") -> dict[int, TriSeries]:
     """Sum y^length z^{k-measure} q^size over all partitions of n <= qcap.
 
-    Enumerates once and accumulates every requested k, which is the cheap
-    way to build the whole family of generating functions.
+    One series per requested k, counted over part values; equal, term for
+    term, to summing over :func:`enumerate_partitions`.
     """
+    _check_oracle_args(qcap, family)
     ks = list(ks)
     for k in ks:
         if k <= 0:
             raise ValueError("k must be positive")
-    layers = {k: [{} for _ in range(qcap + 1)] for k in ks}
-    for n in range(qcap + 1):
-        for parts in enumerate_partitions(n, family):
-            ell = len(parts)
-            values = _values_of(parts)
-            for k in ks:
-                key = (ell, _measure_of_values(values, k))
-                layer = layers[k][n]
-                layer[key] = layer.get(key, 0) + 1
-    return {k: TriSeries._make(qcap, None, layers[k]) for k in ks}
+    return {k: _measure_series(qcap, k, family) for k in ks}
 
 
 def measure_gf(qcap: int, k: int, family: str = "all") -> TriSeries:
@@ -212,12 +285,24 @@ def measure_gf(qcap: int, k: int, family: str = "all") -> TriSeries:
 
 
 def durfee_gf(qcap: int) -> TriSeries:
-    """Sum y^length z^{durfee side} q^size over all partitions of n <= qcap."""
-    layers = [{} for _ in range(qcap + 1)]
-    for n in range(qcap + 1):
-        for parts in enumerate_partitions(n, "all"):
-            key = (len(parts), durfee(parts))
-            layers[n][key] = layers[n].get(key, 0) + 1
+    """Sum y^length z^{durfee side} q^size over all partitions of n <= qcap.
+
+    Values are scanned in descending order, so m copies of a value v become
+    parts L + 1 .. L + m of a partition of length L.  Part i widens the
+    Durfee square when i <= v, so the m copies add max(0, min(L + m, v) - L)
+    to the side.  The state is updated in place
+    from the largest size down, so each size is read before anything is
+    added to it.
+    """
+    _check_oracle_args(qcap, "all")
+    layers = _unit(qcap)
+    for v in range(qcap, 0, -1):
+        for s in range(qcap - v, -1, -1):
+            for (ell, side), c in list(layers[s].items()):
+                for m in range(1, (qcap - s) // v + 1):
+                    key = (ell + m, side + max(0, min(ell + m, v) - ell))
+                    tgt = layers[s + m * v]
+                    tgt[key] = tgt.get(key, 0) + c
     return TriSeries._make(qcap, None, layers)
 
 

@@ -59,6 +59,16 @@ def test_verify_identity_filter(capsys):
     assert all(row.startswith("qdiff[") for row in rows)
 
 
+def test_verify_durfee_equidistribution_at_order_80(capsys):
+    # q-order 80 is reachable only by the counting oracle, not by enumeration
+    code, out, _ = run(
+        capsys, "verify", "--qcap", "80", "--k", "2", "--jobs", "1",
+        "--identity", "durfee-equidistribution",
+    )
+    assert code == 0
+    assert out.strip().splitlines()[-1].split()[0] == "1/1"
+
+
 def test_verify_unknown_identity_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--identity", "nosuch")
     assert code == 2

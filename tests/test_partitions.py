@@ -157,11 +157,12 @@ def test_measure_gf_z_marginal_independent_of_k():
 
 
 def test_measure_gf_total_mass_is_partition_count():
-    gf = measure_gf(12, 2).set_z(1).set_y(1)
-    product = pochhammer_infinite(Q, 1, 12).invert()
+    # q-order 80: about 10^8 partitions, out of reach of enumeration
+    gf = measure_gf(80, 2).set_z(1).set_y(1)
+    product = pochhammer_infinite(Q, 1, 80).invert()
     assert gf == product
-    gfd = measure_gf(12, 2, "distinct").set_z(1).set_y(1)
-    distinct_product = pochhammer_infinite(Monomial(-1, q=1), 1, 12)
+    gfd = measure_gf(80, 2, "distinct").set_z(1).set_y(1)
+    distinct_product = pochhammer_infinite(Monomial(-1, q=1), 1, 80)
     assert gfd == distinct_product
 
 
@@ -170,6 +171,49 @@ def test_durfee_gf_layers():
     assert [(j, e, f, c) for (j, e, f, c) in gf.terms() if j == 1] == [(1, 1, 1, 1)]
     assert gf.coefficient(4, 2, 2) == 1  # only (2,2) has a 2x2 square with 2 parts
     assert gf.coefficient(0, 0, 0) == 1
+
+
+def _enumerated_gf(qcap, statistic, family="all"):
+    """Reference series: sum y^length z^statistic q^size by enumeration."""
+    terms = [
+        (n, len(parts), statistic(parts), 1)
+        for n in range(qcap + 1)
+        for parts in enumerate_partitions(n, family)
+    ]
+    return TriSeries.from_terms(terms, qcap)
+
+
+@pytest.mark.parametrize("family", ["all", "distinct", "odd", "distinct-odd"])
+def test_measure_gfs_match_enumeration(family):
+    ks = range(1, 8)
+    for qcap in range(21):
+        gfs = measure_gfs(qcap, ks, family)
+        for k in ks:
+            expected = _enumerated_gf(qcap, lambda parts: kmeasure(parts, k), family)
+            assert gfs[k] == expected, (family, k, qcap)
+
+
+def test_durfee_gf_matches_enumeration():
+    for qcap in range(26):
+        assert durfee_gf(qcap) == _enumerated_gf(qcap, durfee), qcap
+
+
+def test_durfee_gf_total_mass_at_order_80():
+    assert durfee_gf(80).set_y(1).set_z(1) == pochhammer_infinite(Q, 1, 80).invert()
+
+
+def test_oracles_reject_negative_order():
+    with pytest.raises(ValueError, match="qcap must be nonnegative"):
+        measure_gf(-1, 2)
+    with pytest.raises(ValueError, match="qcap must be nonnegative"):
+        measure_gfs(-2, [1, 2])
+    with pytest.raises(ValueError, match="qcap must be nonnegative"):
+        durfee_gf(-1)
+
+
+def test_measure_gfs_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown family"):
+        measure_gfs(3, [], "bogus")
 
 
 def test_sylvester_counts_examples():
