@@ -51,6 +51,16 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
 def _default_jobs() -> int:
     env = os.environ.get("KMEASURE_JOBS")
     if env:
@@ -77,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only run checks whose name contains this substring")
     verify.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"),
                         default="plain")
-    verify.add_argument("--jobs", type=int, default=None,
+    verify.add_argument("--jobs", type=_positive_int, default=None,
                         help="worker processes (default: KMEASURE_JOBS or cpu count)")
 
     stats = sub.add_parser("stats", help="statistics of one partition")
@@ -89,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--n-max", type=int, required=True)
     table.add_argument("--pair", choices=("mu2-durfee", "muk-length", "sylvester"),
                        default="mu2-durfee")
-    table.add_argument("--k", type=int, default=2, help="k for the muk-length pair")
+    table.add_argument("--k", type=_positive_int, default=2, help="k for the muk-length pair")
     table.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"),
                        default="plain")
     return parser

@@ -5,9 +5,13 @@ values and reports whether their difference is identically zero under the
 caps.  Because the arithmetic is exact, a passing check proves the identity
 for every retained coefficient; there is no tolerance anywhere.
 
-Truncation bounds for the infinite sums are derived from the least q-order
-(or exact z-degree) of the n-th summand and are noted where each sum is
-assembled.
+Every infinite sum is built by :func:`_qsum`, which derives summand n+1
+from summand n by one monomial and a few binomial multiply/divide steps
+(Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1-3).  Since each
+summand is a multiple of the one before it, the sum stops exactly at the
+first summand that vanishes under the caps; no builder needs a truncation
+bound of its own.  Infinite Pochhammer prefactors are applied the same way,
+one binomial factor at a time.
 """
 
 from __future__ import annotations
@@ -31,11 +35,36 @@ from .series import (
     YQ,
     Z,
     _fmt_coeff,
-    pochhammer_finite,
+    _pochhammer_apply,
     pochhammer_infinite,
 )
 
 FAMILIES = ("all", "distinct")
+MINUS_YQ = Monomial(-1, q=1, y=1)
+
+
+def _qsum(qcap, zcap, ratio, ups=(), downs=()) -> TriSeries:
+    """sum_{n>=0} T_n under the caps, where T_0 = 1 and
+
+        T_{n+1} = T_n * ratio(n) * prod_{(a,h,L) in ups} (a q^{hLn};q^h)_L
+                                 / prod_{(a,h,L) in downs} (a q^{hLn};q^h)_L
+
+    so that each (a;q^h) in ``ups`` contributes (a;q^h)_{Ln} to T_n and each
+    one in ``downs`` divides by it.  Every later summand is a multiple of
+    T_n, so the first T_n that vanishes under the caps ends the sum exactly.
+    """
+    term = total = TriSeries.one(qcap, zcap)
+    n = 0
+    while True:
+        term = term.times_monomial(ratio(n))
+        for factors, divide in ((ups, False), (downs, True)):
+            for a, h, length in factors:
+                shifted = a.shift_q(h * length * n)
+                term = _pochhammer_apply(term, shifted, h, length, divide)
+        if term.is_zero():
+            return total
+        total = total + term
+        n += 1
 
 
 # ------------------------------------------------------------ closed forms
@@ -47,19 +76,16 @@ def partition_measure_gf_sum(k: int, qcap: int) -> TriSeries:
 
         1/(yq;q)_inf * sum_n (-1)^n y^n q^{n(n+1)/2} (z;q^{k-1})_n / (q;q)_n
 
-    The n-th summand has least q-order n(n+1)/2, which bounds the sum.
+    The q^{n(n+1)/2} factor makes the summands vanish under the q-cap.
     k = 1 uses the step-0 product (z;q^0)_n = (1-z)^n.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    total = TriSeries.zero(qcap)
-    n = 0
-    while n * (n + 1) // 2 <= qcap:
-        front = Monomial(1 if n % 2 == 0 else -1, q=n * (n + 1) // 2, y=n)
-        term = pochhammer_finite(Z, k - 1, n, qcap).times_monomial(front)
-        total = total + term / pochhammer_finite(Q, 1, n, qcap)
-        n += 1
-    return total / pochhammer_infinite(YQ, 1, qcap)
+    total = _qsum(
+        qcap, None, lambda n: Monomial(-1, q=n + 1, y=1),
+        ups=((Z, k - 1, 1),), downs=((Q, 1, 1),),
+    )
+    return _pochhammer_apply(total, YQ, 1, divide=True)
 
 
 def partition_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
@@ -67,22 +93,19 @@ def partition_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
 
         (z;q^{k-1})_inf * sum_n z^n / ((q^{k-1};q^{k-1})_n (yq;q)_{(k-1)n})
 
-    Each summand carries exactly z^n, so n <= zcap exhausts the z-cap and
-    every coefficient with z-exponent <= zcap is exact.  k = 1 is rejected:
-    the base q^0 makes both Pochhammers degenerate.
+    Each summand carries exactly z^n, so the summands vanish past the
+    z-cap and every coefficient with z-exponent <= zcap is exact.  k = 1 is
+    rejected: the base q^0 makes both Pochhammers degenerate.
     """
     if k < 2:
         raise ValueError("degenerate base q^0")
     if zcap is None:
         raise ValueError("a bounded zcap is required")
-    base = Monomial(1, q=k - 1)
-    total = TriSeries.zero(qcap, zcap)
-    for n in range(zcap + 1):
-        term = TriSeries.from_monomial(Monomial(1, z=n), qcap, zcap)
-        term = term / pochhammer_finite(base, k - 1, n, qcap, zcap)
-        term = term / pochhammer_finite(YQ, 1, (k - 1) * n, qcap, zcap)
-        total = total + term
-    return total * pochhammer_infinite(Z, k - 1, qcap, zcap)
+    total = _qsum(
+        qcap, zcap, lambda n: Z,
+        downs=((Monomial(1, q=k - 1), k - 1, 1), (YQ, 1, k - 1)),
+    )
+    return _pochhammer_apply(total, Z, k - 1)
 
 
 def distinct_measure_gf_sum(k: int, qcap: int) -> TriSeries:
@@ -91,16 +114,14 @@ def distinct_measure_gf_sum(k: int, qcap: int) -> TriSeries:
 
         (-yq;q)_inf * sum_n (-1)^n y^n q^n (z;q^k)_n / (q;q)_n
 
-    The n-th summand has least q-order n, which bounds the sum.
+    The q^n factor makes the summands vanish under the q-cap.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    total = TriSeries.zero(qcap)
-    for n in range(qcap + 1):
-        front = Monomial(1 if n % 2 == 0 else -1, q=n, y=n)
-        term = pochhammer_finite(Z, k, n, qcap).times_monomial(front)
-        total = total + term / pochhammer_finite(Q, 1, n, qcap)
-    return total * pochhammer_infinite(Monomial(-1, q=1, y=1), 1, qcap)
+    total = _qsum(
+        qcap, None, lambda n: MINUS_YQ, ups=((Z, k, 1),), downs=((Q, 1, 1),)
+    )
+    return _pochhammer_apply(total, MINUS_YQ, 1)
 
 
 def distinct_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
@@ -108,37 +129,32 @@ def distinct_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
 
         (z;q^k)_inf * sum_n (-yq;q)_{kn} z^n / (q^k;q^k)_n
 
-    As in the partition case, the summand carries exactly z^n, so the sum
-    stops at n = zcap.
+    As in the partition case, the summand carries exactly z^n, so the
+    summands vanish past the z-cap.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if zcap is None:
         raise ValueError("a bounded zcap is required")
-    total = TriSeries.zero(qcap, zcap)
-    for n in range(zcap + 1):
-        term = pochhammer_finite(Monomial(-1, q=1, y=1), 1, k * n, qcap, zcap)
-        term = term.times_monomial(Monomial(1, z=n))
-        term = term / pochhammer_finite(Monomial(1, q=k), k, n, qcap, zcap)
-        total = total + term
-    return total * pochhammer_infinite(Z, k, qcap, zcap)
+    total = _qsum(
+        qcap, zcap, lambda n: Z,
+        ups=((MINUS_YQ, 1, k),), downs=((Monomial(1, q=k), k, 1),),
+    )
+    return _pochhammer_apply(total, Z, k)
 
 
-def durfee_gf_closed(qcap: int) -> TriSeries:
+def durfee_gf_closed(qcap: int, zcap: int | None = None) -> TriSeries:
     """Closed form of sum y^len z^{durfee side} q^size over all partitions:
 
         sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n)
 
-    A square of side n contributes q-order n^2, which bounds the sum.
+    A square of side n contributes q-order n^2 (and z^n, which a bounded
+    zcap also truncates), so the summands vanish under the caps.
     """
-    total = TriSeries.zero(qcap)
-    n = 0
-    while n * n <= qcap:
-        term = TriSeries.from_monomial(Monomial(1, q=n * n, y=n, z=n), qcap)
-        term = term / pochhammer_finite(YQ, 1, n, qcap)
-        total = total + term / pochhammer_finite(Q, 1, n, qcap)
-        n += 1
-    return total
+    return _qsum(
+        qcap, zcap, lambda n: Monomial(1, q=2 * n + 1, y=1, z=1),
+        downs=((YQ, 1, 1), (Q, 1, 1)),
+    )
 
 
 def qdiff_residual(k: int, qcap: int, family: str = "all") -> TriSeries:
@@ -157,12 +173,11 @@ def qdiff_residual(k: int, qcap: int, family: str = "all") -> TriSeries:
         raise ValueError(f"unknown family {family!r}")
     g = measure_gf(qcap, k, family)
     advanced = g.scale_y(k)
-    yzq = Monomial(1, q=1, y=1, z=1)
     if family == "all":
-        rhs = (advanced / pochhammer_finite(YQ, 1, k, qcap)).times_monomial(yzq)
+        advanced = _pochhammer_apply(advanced, YQ, 1, k, divide=True)
     else:
-        ear = pochhammer_finite(Monomial(-1, q=2, y=1), 1, k - 1, qcap)
-        rhs = (advanced * ear).times_monomial(yzq)
+        advanced = _pochhammer_apply(advanced, Monomial(-1, q=2, y=1), 1, k - 1)
+    rhs = advanced.times_monomial(Monomial(1, q=1, y=1, z=1))
     return g - g.scale_y(1) - rhs
 
 
@@ -379,20 +394,14 @@ def sylvester_check(n_max: int, name=None) -> IdentityReport:
 def euler_first_sides(t: Monomial, qcap: int, zcap=None):
     """Both sides of sum_m t^m/(q;q)_m = 1/(t;q)_inf.
 
-    The m-th summand has least q-order m*t.q and z-degree at least m*t.z,
-    so t must carry a positive q-exponent, or carry z under a bounded zcap.
+    The summands vanish under the caps only if t carries a positive
+    q-exponent, or carries z under a bounded zcap.  The right side inverts
+    the dense product on purpose: it is an independent route to the
+    binomial division steps of the left side.
     """
     if not (t.q >= 1 or (t.q == 0 and t.z >= 1 and zcap is not None)):
         raise ValueError("sum does not terminate: parameter needs q-order or a z-cap")
-    lhs = TriSeries.zero(qcap, zcap)
-    m = 0
-    while True:
-        mono = t.pow(m)
-        if mono.q > qcap or (t.q == 0 and mono.z > zcap):
-            break
-        term = TriSeries.from_monomial(mono, qcap, zcap)
-        lhs = lhs + term / pochhammer_finite(Q, 1, m, qcap, zcap)
-        m += 1
+    lhs = _qsum(qcap, zcap, lambda m: t, downs=((Q, 1, 1),))
     rhs = pochhammer_infinite(t, 1, qcap, zcap).invert()
     return lhs, rhs
 
@@ -406,20 +415,15 @@ def euler_first(t: Monomial, qcap: int, zcap=None, name=None) -> IdentityReport:
 def euler_second_sides(t: Monomial, qcap: int, zcap=None):
     """Both sides of sum_m (-t)^m q^{m(m-1)/2}/(q;q)_m = (t;q)_inf.
 
-    Here the q^{m(m-1)/2} factor bounds the sum for any non-constant t.
+    Here the q^{m(m-1)/2} factor makes the summands vanish for any
+    non-constant t.
     """
     if t.q == 0 and t.y == 0 and t.z == 0:
         raise ValueError("constant parameter")
-    lhs = TriSeries.zero(qcap, zcap)
-    m = 0
-    while m * (m - 1) // 2 + m * t.q <= qcap:
-        base = t.pow(m)
-        mono = Monomial(
-            Fraction(-1) ** m * base.coeff, base.q + m * (m - 1) // 2, base.y, base.z
-        )
-        term = TriSeries.from_monomial(mono, qcap, zcap)
-        lhs = lhs + term / pochhammer_finite(Q, 1, m, qcap, zcap)
-        m += 1
+    lhs = _qsum(
+        qcap, zcap, lambda m: Monomial(-t.coeff, t.q + m, t.y, t.z),
+        downs=((Q, 1, 1),),
+    )
     rhs = pochhammer_infinite(t, 1, qcap, zcap)
     return lhs, rhs
 
@@ -435,17 +439,13 @@ def bailey_daum_sides(a: Monomial, qcap: int, zcap=None):
 
         sum_n (a;q)_n q^{n(n+1)/2} / (q;q)_n = (-q;q)_inf (aq;q^2)_inf
 
-    The q^{n(n+1)/2} factor bounds the sum regardless of a.
+    The q^{n(n+1)/2} factor makes the summands vanish regardless of a.
     """
-    lhs = TriSeries.zero(qcap, zcap)
-    n = 0
-    while n * (n + 1) // 2 <= qcap:
-        term = pochhammer_finite(a, 1, n, qcap, zcap)
-        term = term.times_monomial(Monomial(1, q=n * (n + 1) // 2))
-        lhs = lhs + term / pochhammer_finite(Q, 1, n, qcap, zcap)
-        n += 1
+    lhs = _qsum(
+        qcap, zcap, lambda n: Monomial(1, q=n + 1), ups=((a, 1, 1),), downs=((Q, 1, 1),)
+    )
     rhs = pochhammer_infinite(Monomial(-1, q=1), 1, qcap, zcap)
-    rhs = rhs * pochhammer_infinite(a.shift_q(1), 2, qcap, zcap)
+    rhs = _pochhammer_apply(rhs, a.shift_q(1), 2)
     return lhs, rhs
 
 
@@ -461,25 +461,14 @@ def heine_limit_sides(qcap: int, zcap: int):
         (z;q)_inf sum_n z^n/((q;q)_n (yq;q)_n)
             = sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n)
 
-    The left sum's n-th summand carries exactly z^n (n <= zcap); the right
-    sum is bounded by q-order n^2.
+    The left sum's n-th summand carries exactly z^n, so its summands vanish
+    past the z-cap; the right side is :func:`durfee_gf_closed`.
     """
     if zcap is None:
         raise ValueError("a bounded zcap is required")
-    lhs = TriSeries.zero(qcap, zcap)
-    for n in range(zcap + 1):
-        term = TriSeries.from_monomial(Monomial(1, z=n), qcap, zcap)
-        term = term / pochhammer_finite(Q, 1, n, qcap, zcap)
-        lhs = lhs + term / pochhammer_finite(YQ, 1, n, qcap, zcap)
-    lhs = lhs * pochhammer_infinite(Z, 1, qcap, zcap)
-    rhs = TriSeries.zero(qcap, zcap)
-    n = 0
-    while n * n <= qcap:
-        term = TriSeries.from_monomial(Monomial(1, q=n * n, y=n, z=n), qcap, zcap)
-        term = term / pochhammer_finite(YQ, 1, n, qcap, zcap)
-        rhs = rhs + term / pochhammer_finite(Q, 1, n, qcap, zcap)
-        n += 1
-    return lhs, rhs
+    lhs = _qsum(qcap, zcap, lambda n: Z, downs=((Q, 1, 1), (YQ, 1, 1)))
+    lhs = _pochhammer_apply(lhs, Z, 1)
+    return lhs, durfee_gf_closed(qcap, zcap)
 
 
 def heine_limit(qcap: int, zcap: int, name=None) -> IdentityReport:
@@ -498,10 +487,10 @@ def generalized_heine_sides(
               * sum_n (c/b;q)_n (t;q^h)_n b^n / ((q;q)_n (at;q^h)_n)
 
     Monomial parameters only: c/b must again be a monomial with
-    nonnegative exponents.  t and c need positive q-order so the left sum
-    terminates (least q-order n*t.q) and every divisor is a formal unit;
-    b needs positive q-order, or a z-exponent under a bounded zcap, to
-    bound the right sum.
+    nonnegative exponents.  t and c need positive q-order so the left
+    summands vanish (t^n) and every divisor is a formal unit; b needs
+    positive q-order, or a z-exponent under a bounded zcap, for the right
+    summands to vanish.
     """
     if h < 1:
         raise ValueError("step must be positive")
@@ -516,35 +505,20 @@ def generalized_heine_sides(
     except ValueError:
         raise ValueError("parameter specialization unsupported") from None
     at = a * t
-    step = Monomial(1, q=h)
 
-    lhs = TriSeries.zero(qcap, zcap)
-    n = 0
-    while n * t.q <= qcap:  # t^n gives the least q-order of the summand
-        term = pochhammer_finite(a, h, n, qcap, zcap)
-        term = term * pochhammer_finite(b, 1, h * n, qcap, zcap)
-        term = term.times_monomial(t.pow(n))
-        term = term / pochhammer_finite(step, h, n, qcap, zcap)
-        term = term / pochhammer_finite(c, 1, h * n, qcap, zcap)
-        lhs = lhs + term
-        n += 1
-
-    prefactor = pochhammer_infinite(b, 1, qcap, zcap)
-    if at.coeff != 0:
-        prefactor = prefactor * pochhammer_infinite(at, h, qcap, zcap)
-    prefactor = prefactor / pochhammer_infinite(c, 1, qcap, zcap)
-    prefactor = prefactor / pochhammer_infinite(t, h, qcap, zcap)
-    tail = TriSeries.zero(qcap, zcap)
-    n = 0
-    while n * b.q <= qcap and (b.q >= 1 or n * b.z <= zcap):
-        term = pochhammer_finite(ratio, 1, n, qcap, zcap)
-        term = term * pochhammer_finite(t, h, n, qcap, zcap)
-        term = term.times_monomial(b.pow(n))
-        term = term / pochhammer_finite(Q, 1, n, qcap, zcap)
-        term = term / pochhammer_finite(at, h, n, qcap, zcap)
-        tail = tail + term
-        n += 1
-    return lhs, prefactor * tail
+    lhs = _qsum(
+        qcap, zcap, lambda n: t,
+        ups=((a, h, 1), (b, 1, h)), downs=((Monomial(1, q=h), h, 1), (c, 1, h)),
+    )
+    rhs = _qsum(
+        qcap, zcap, lambda n: b,
+        ups=((ratio, 1, 1), (t, h, 1)), downs=((Q, 1, 1), (at, h, 1)),
+    )
+    rhs = _pochhammer_apply(rhs, b, 1)
+    rhs = _pochhammer_apply(rhs, at, h)
+    rhs = _pochhammer_apply(rhs, c, 1, divide=True)
+    rhs = _pochhammer_apply(rhs, t, h, divide=True)
+    return lhs, rhs
 
 
 def generalized_heine(

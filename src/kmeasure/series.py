@@ -17,7 +17,8 @@ Storage is dense in the q-exponent and sparse per layer: layer ``j`` is a
 ``{(y_exp, z_exp): coefficient}`` dict for the coefficient polynomial of
 ``q^j``.  Every operation iterates q-layers, so truncation is a cheap index
 bound rather than a filter.  Series are immutable once built; all operations
-return new objects and are safe to run concurrently.
+return new objects (or the operand itself when it is unchanged) and are safe
+to run concurrently.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _KEEP = object()  # sentinel: "keep the current cap" in truncate()
 
 def _norm_coeff(c: Coeff) -> Coeff:
     """Collapse denominator-1 fractions to plain ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -122,31 +123,19 @@ YQ = Monomial(1, q=1, y=1)
 
 def _poly_mul_acc(acc, pa, pb, zcap, negate=False):
     """acc += pa * pb (as (y,z)-polynomial dicts), dropping z-exponents > zcap."""
-    if zcap is None:
-        for (e1, f1), c1 in pa.items():
-            if negate:
-                c1 = -c1
-            for (e2, f2), c2 in pb.items():
-                key = (e1 + e2, f1 + f2)
-                v = acc.get(key, 0) + c1 * c2
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
-    else:
-        for (e1, f1), c1 in pa.items():
-            if negate:
-                c1 = -c1
-            for (e2, f2), c2 in pb.items():
-                f = f1 + f2
-                if f > zcap:
-                    continue
-                key = (e1 + e2, f)
-                v = acc.get(key, 0) + c1 * c2
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
+    for (e1, f1), c1 in pa.items():
+        if negate:
+            c1 = -c1
+        for (e2, f2), c2 in pb.items():
+            f = f1 + f2
+            if zcap is not None and f > zcap:
+                continue
+            key = (e1 + e2, f)
+            v = acc.get(key, 0) + c1 * c2
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
 
 
 class TriSeries:
@@ -306,10 +295,10 @@ class TriSeries:
         qcap, zcap = self._merged_caps(other)
         layers = []
         for la, lb in zip(self._layers, other._layers):
-            layer = {}
-            for (e, f), c in la.items():
-                if zcap is None or f <= zcap:
-                    layer[(e, f)] = c
+            if zcap == self.zcap:
+                layer = dict(la)
+            else:
+                layer = {key: c for key, c in la.items() if key[1] <= zcap}
             for (e, f), c in lb.items():
                 if zcap is not None and f > zcap:
                     continue
@@ -367,23 +356,41 @@ class TriSeries:
 
     def times_one_minus(self, m: Monomial) -> "TriSeries":
         """Multiply by the binomial (1 - m) in O(terms)."""
+        return self._binomial_step(m, divide=False)
+
+    def divide_one_minus(self, m: Monomial) -> "TriSeries":
+        """Divide by the binomial (1 - m) in O(terms).
+
+        Solves out = self + m*out layer by layer, which needs m.q >= 1;
+        a divisor with q-order 0 goes through :meth:`invert`.  A factor that
+        is 1 under the caps returns this series unchanged.
+        """
+        if m.q == 0:
+            raise ValueError("divide_one_minus needs a positive q-exponent")
+        return self._binomial_step(m, divide=True)
+
+    def _binomial_step(self, m, divide):
+        # out = self - m*self, or out = self + m*out read from the layers
+        # already solved (m.q >= 1 keeps the read below the write)
+        zcap = self.zcap
+        if m.coeff == 0 or m.q > self.qcap or (zcap is not None and m.z > zcap):
+            return self
         out = [dict(layer) for layer in self._layers]
-        c0 = m.coeff
-        if c0 != 0:
-            zcap = self.zcap
-            for j in range(self.qcap - m.q + 1):
-                tgt = out[j + m.q]
-                for (e, f), c in self._layers[j].items():
-                    f2 = f + m.z
-                    if zcap is not None and f2 > zcap:
-                        continue
-                    key = (e + m.y, f2)
-                    v = tgt.get(key, 0) - c0 * c
-                    if v:
-                        tgt[key] = _norm_coeff(v)
-                    else:
-                        tgt.pop(key, None)
-        return TriSeries._make(self.qcap, self.zcap, out)
+        src = out if divide else self._layers
+        c0 = m.coeff if divide else -m.coeff
+        for j in range(m.q, self.qcap + 1):
+            tgt = out[j]
+            for (e, f), c in src[j - m.q].items():
+                f2 = f + m.z
+                if zcap is not None and f2 > zcap:
+                    continue
+                key = (e + m.y, f2)
+                v = tgt.get(key, 0) + c0 * c
+                if v:
+                    tgt[key] = _norm_coeff(v)
+                else:
+                    tgt.pop(key, None)
+        return TriSeries._make(self.qcap, zcap, out)
 
     def invert(self) -> "TriSeries":
         """Multiplicative inverse under the caps.
@@ -505,6 +512,25 @@ class TriSeries:
 # ------------------------------------------------------------ Pochhammer
 
 
+def _pochhammer_apply(
+    s: TriSeries, a: Monomial, h: int, n: int | None = None, divide=False
+) -> TriSeries:
+    """Multiply s by (a;q^h)_n, or divide it by that product, one binomial
+    factor (1 - a*q^{h*i}) at a time.
+
+    ``n = None`` takes every factor under the q-cap and needs h >= 1.
+    Factors that reduce to 1 under the caps are skipped.
+    """
+    if a.coeff == 0 or (s.zcap is not None and a.z > s.zcap):
+        return s
+    i = 0
+    while (n is None or i < n) and a.q + h * i <= s.qcap:
+        factor = Monomial(a.coeff, a.q + h * i, a.y, a.z)
+        s = s.divide_one_minus(factor) if divide else s.times_one_minus(factor)
+        i += 1
+    return s
+
+
 def pochhammer_finite(
     a: Monomial, h: int, n: int, qcap: int, zcap: int | None = None
 ) -> TriSeries:
@@ -519,15 +545,7 @@ def pochhammer_finite(
         raise ValueError("pochhammer step must be nonnegative")
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    result = TriSeries.one(qcap, zcap)
-    if a.coeff == 0 or a.q > qcap or (zcap is not None and a.z > zcap):
-        return result
-    for i in range(n):
-        e = a.q + h * i
-        if e > qcap:
-            break
-        result = result.times_one_minus(Monomial(a.coeff, e, a.y, a.z))
-    return result
+    return _pochhammer_apply(TriSeries.one(qcap, zcap), a, h, n)
 
 
 def pochhammer_infinite(
@@ -542,15 +560,6 @@ def pochhammer_infinite(
     """
     if h < 1:
         raise ValueError("divergent infinite product")
-    if a.coeff == 0:
-        return TriSeries.one(qcap, zcap)
-    if a.q == 0 and a.y == 0 and a.z == 0:
+    if a.coeff != 0 and a.q == 0 and a.y == 0 and a.z == 0:
         raise ValueError("divergent infinite product")
-    result = TriSeries.one(qcap, zcap)
-    if zcap is not None and a.z > zcap:
-        return result
-    i = 0
-    while a.q + h * i <= qcap:
-        result = result.times_one_minus(Monomial(a.coeff, a.q + h * i, a.y, a.z))
-        i += 1
-    return result
+    return _pochhammer_apply(TriSeries.one(qcap, zcap), a, h)

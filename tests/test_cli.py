@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kmeasure.cli import main
 
 
@@ -160,6 +162,20 @@ def test_table_csv_deterministic(capsys):
 def test_table_negative_nmax_is_usage_error(capsys):
     code, _, err = run(capsys, "table", "--n-max", "-1")
     assert code == 2
+
+
+def test_table_nonpositive_k_is_usage_error(capsys):
+    code, _, err = run(capsys, "table", "--n-max", "3", "--pair", "muk-length", "--k", "0")
+    assert code == 2
+    assert "error: argument --k: must be a positive integer" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_verify_nonpositive_jobs_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--qcap", "2", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "error: argument --jobs: must be a positive integer" in err
 
 
 def test_verify_exit_one_on_failing_check(monkeypatch, capsys):

@@ -40,7 +40,15 @@ from kmeasure.identities import (
     sylvester_check,
 )
 from kmeasure.partitions import durfee_gf, enumerate_partitions, kmeasure, measure_gf
-from kmeasure.series import Monomial, Q, TriSeries, YQ, Z, pochhammer_infinite
+from kmeasure.series import (
+    Monomial,
+    Q,
+    TriSeries,
+    YQ,
+    Z,
+    pochhammer_finite,
+    pochhammer_infinite,
+)
 
 
 # ----------------------------------------------------------- sum forms
@@ -135,6 +143,85 @@ def test_durfee_closed_form_square_coefficient():
 
 def test_durfee_closed_form_matches_enumeration():
     assert durfee_gf_closed(12) == durfee_gf(12)
+
+
+# ------------------------------- reference: every summand from scratch
+#
+# The builders derive summand n+1 from summand n and stop at the first
+# summand that vanishes.  These references rebuild each summand's
+# Pochhammer products from scratch, divide through the dense inverse, and
+# sum to explicit bounds on the summands' q-order or z-degree.
+
+
+def _reference_partition_sum(k, qcap):
+    total = TriSeries.zero(qcap)
+    n = 0
+    while n * (n + 1) // 2 <= qcap:
+        front = Monomial((-1) ** n, q=n * (n + 1) // 2, y=n)
+        term = pochhammer_finite(Z, k - 1, n, qcap).times_monomial(front)
+        total = total + term / pochhammer_finite(Q, 1, n, qcap)
+        n += 1
+    return total / pochhammer_infinite(YQ, 1, qcap)
+
+
+def _reference_partition_product(k, qcap, zcap):
+    base = Monomial(1, q=k - 1)
+    total = TriSeries.zero(qcap, zcap)
+    for n in range(zcap + 1):
+        term = TriSeries.from_monomial(Monomial(1, z=n), qcap, zcap)
+        term = term / pochhammer_finite(base, k - 1, n, qcap, zcap)
+        term = term / pochhammer_finite(YQ, 1, (k - 1) * n, qcap, zcap)
+        total = total + term
+    return total * pochhammer_infinite(Z, k - 1, qcap, zcap)
+
+
+def _reference_distinct_sum(k, qcap):
+    total = TriSeries.zero(qcap)
+    for n in range(qcap + 1):
+        front = Monomial((-1) ** n, q=n, y=n)
+        term = pochhammer_finite(Z, k, n, qcap).times_monomial(front)
+        total = total + term / pochhammer_finite(Q, 1, n, qcap)
+    return total * pochhammer_infinite(Monomial(-1, q=1, y=1), 1, qcap)
+
+
+def _reference_distinct_product(k, qcap, zcap):
+    total = TriSeries.zero(qcap, zcap)
+    for n in range(zcap + 1):
+        term = pochhammer_finite(Monomial(-1, q=1, y=1), 1, k * n, qcap, zcap)
+        term = term.times_monomial(Monomial(1, z=n))
+        term = term / pochhammer_finite(Monomial(1, q=k), k, n, qcap, zcap)
+        total = total + term
+    return total * pochhammer_infinite(Z, k, qcap, zcap)
+
+
+def _reference_durfee(qcap, zcap):
+    total = TriSeries.zero(qcap, zcap)
+    n = 0
+    while n * n <= qcap:
+        term = TriSeries.from_monomial(Monomial(1, q=n * n, y=n, z=n), qcap, zcap)
+        term = term / pochhammer_finite(YQ, 1, n, qcap, zcap)
+        total = total + term / pochhammer_finite(Q, 1, n, qcap, zcap)
+        n += 1
+    return total
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_closed_forms_match_summands_built_from_scratch(k):
+    for qcap in range(13):
+        assert partition_measure_gf_sum(k, qcap) == _reference_partition_sum(k, qcap)
+        assert distinct_measure_gf_sum(k, qcap) == _reference_distinct_sum(k, qcap)
+        for zcap in range(13):
+            if k >= 2:
+                got = partition_measure_gf_product(k, qcap, zcap)
+                assert got == _reference_partition_product(k, qcap, zcap)
+            got = distinct_measure_gf_product(k, qcap, zcap)
+            assert got == _reference_distinct_product(k, qcap, zcap)
+
+
+def test_durfee_closed_form_matches_summands_built_from_scratch():
+    for qcap in range(13):
+        for zcap in (None, *range(13)):
+            assert durfee_gf_closed(qcap, zcap) == _reference_durfee(qcap, zcap)
 
 
 # ----------------------------------------------------- q-difference

@@ -110,6 +110,41 @@ def test_pochhammer_infinite_splits(a, h, n):
     assert whole == split
 
 
+q_monomials = small_monomials.map(lambda m: m.shift_q(1))
+
+
+@given(series(), q_monomials)
+def test_divide_one_minus_undoes_times_one_minus(s, m):
+    assert s.times_one_minus(m).divide_one_minus(m) == s
+
+
+@given(series(), q_monomials)
+@settings(max_examples=60)
+def test_divide_one_minus_matches_invert(s, m):
+    divisor = TriSeries.one(QCAP, ZCAP).times_one_minus(m)
+    assert s.divide_one_minus(m) == s * divisor.invert()
+
+
+@given(small_monomials, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=4))
+def test_pochhammer_finite_is_binomial_fold(a, h, n):
+    fold = TriSeries.one(QCAP, ZCAP)
+    for i in range(n):
+        fold = fold.times_one_minus(a.shift_q(h * i))
+    assert pochhammer_finite(a, h, n, QCAP, ZCAP) == fold
+
+
+@given(
+    small_monomials.filter(lambda m: m.q + m.y + m.z > 0),
+    st.integers(min_value=1, max_value=3),
+)
+def test_pochhammer_infinite_is_binomial_fold(a, h):
+    # factors past the q-cap are 1, so QCAP + 1 of them cover the product
+    fold = TriSeries.one(QCAP, ZCAP)
+    for i in range(QCAP + 1):
+        fold = fold.times_one_minus(a.shift_q(h * i))
+    assert pochhammer_infinite(a, h, QCAP, ZCAP) == fold
+
+
 @given(series(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
 def test_scale_y_composes(s, i, j):
     assert s.scale_y(i).scale_y(j) == s.scale_y(i + j)

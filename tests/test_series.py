@@ -141,6 +141,25 @@ def test_invert_z_layer_needs_bounded_zcap():
     assert bounded * bounded.invert() == TriSeries.one(4, 3)
 
 
+def test_divide_one_minus_geometric():
+    # 1/(1 - 2yq^2) = sum (2yq^2)^i
+    expected = S([(0, 0, 0, 1), (2, 1, 0, 2), (4, 2, 0, 4)], 5)
+    assert TriSeries.one(5).divide_one_minus(Monomial(2, q=2, y=1)) == expected
+
+
+def test_divide_one_minus_trivial_factor_is_identity():
+    s = pochhammer_finite(YQ, 1, 3, 4, 2)
+    assert s.divide_one_minus(Monomial(0, q=1)) is s
+    assert s.divide_one_minus(Monomial(1, q=5)) is s
+    assert s.divide_one_minus(Monomial(1, q=1, z=3)) is s
+
+
+def test_divide_one_minus_rejects_q_order_zero():
+    for m in (Z, Y):
+        with pytest.raises(ValueError, match="positive q-exponent"):
+            TriSeries.one(4, 2).divide_one_minus(m)
+
+
 def test_pochhammer_finite_z_two_factors():
     expected = S([(0, 0, 0, 1), (0, 0, 1, -1), (1, 0, 1, -1), (1, 0, 2, 1)], 6)
     assert pochhammer_finite(Z, 1, 2, 6) == expected
