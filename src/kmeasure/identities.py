@@ -52,8 +52,10 @@ def _qsum(qcap, zcap, ratio, ups=(), downs=()) -> TriSeries:
     so that each (a;q^h) in ``ups`` contributes (a;q^h)_{Ln} to T_n and each
     one in ``downs`` divides by it.  Every later summand is a multiple of
     T_n, so the first T_n that vanishes under the caps ends the sum exactly.
+    The sum is accumulated in place in layers of its own.
     """
-    term = total = TriSeries.one(qcap, zcap)
+    term = TriSeries.one(qcap, zcap)
+    total = [dict(layer) for layer in term._layers]
     n = 0
     while True:
         term = term.times_monomial(ratio(n))
@@ -62,8 +64,14 @@ def _qsum(qcap, zcap, ratio, ups=(), downs=()) -> TriSeries:
                 shifted = a.shift_q(h * length * n)
                 term = _pochhammer_apply(term, shifted, h, length, divide)
         if term.is_zero():
-            return total
-        total = total + term
+            return TriSeries._make(qcap, zcap, total)
+        for layer, summand in zip(total, term._layers):
+            for key, c in summand.items():
+                v = layer.get(key, 0) + c
+                if v:
+                    layer[key] = v
+                else:
+                    layer.pop(key, None)
         n += 1
 
 
@@ -167,11 +175,17 @@ def qdiff_residual(k: int, qcap: int, family: str = "all") -> TriSeries:
     The equation encodes removing all parts of size at most k from a
     partition with smallest part 1.  The residual must be the zero series.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_family(family)
+    return _qdiff_residual(measure_gf(qcap, k, family), k, family)
+
+
+def _check_family(family):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    g = measure_gf(qcap, k, family)
+
+
+def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
+    """:func:`qdiff_residual` of the enumerated series ``g``."""
     advanced = g.scale_y(k)
     if family == "all":
         advanced = _pochhammer_apply(advanced, YQ, 1, k, divide=True)
@@ -225,9 +239,10 @@ class IdentityReport:
     passed: bool
     first_failure: Mismatch | None
     elapsed: float
+    error: str | None = None  # "<ExceptionType>: <message>" if the check raised
 
     def to_dict(self):
-        return {
+        out = {
             "name": self.name,
             "k": self.k,
             "qcap": self.qcap,
@@ -238,6 +253,15 @@ class IdentityReport:
             ),
             "elapsed_ms": round(self.elapsed * 1000, 3),
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
+
+    def failure_text(self) -> str:
+        """The first failure, or the error of a check that raised."""
+        if self.error is not None:
+            return self.error
+        return "" if self.first_failure is None else str(self.first_failure)
 
 
 def _verdict(name, k, lhs, rhs, qcap, zcap, started) -> IdentityReport:
@@ -258,65 +282,98 @@ def _value_verdict(name, k, qcap, zcap, fail, started) -> IdentityReport:
     )
 
 
+# ---------------------------------------------------------- shared series
+
+
+class _Artifacts:
+    """The series that several checks compare against, each built once on
+    first use and kept for one unit of work.
+
+    Builders are looked up by their module-level names at call time.
+    Series are immutable, so the checks of a unit share one object each.
+    A memo key is the getter's name followed by its arguments.
+    """
+
+    def __init__(self):
+        self._built = {}
+
+    def _get(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def measure(self, qcap: int, k: int, family: str) -> TriSeries:
+        return self._get(("measure", qcap, k, family), lambda: measure_gf(qcap, k, family))
+
+    def closed_sum(self, k: int, qcap: int, family: str) -> TriSeries:
+        build = partition_measure_gf_sum if family == "all" else distinct_measure_gf_sum
+        return self._get(("closed_sum", k, qcap, family), lambda: build(k, qcap))
+
+    def durfee(self, qcap: int) -> TriSeries:
+        return self._get(("durfee", qcap), lambda: durfee_gf(qcap))
+
+
 # --------------------------------------------------- theorem-level checks
 
 
-def sum_form_check(k: int, qcap: int, family: str = "all", name=None) -> IdentityReport:
+def sum_form_check(
+    k: int, qcap: int, family: str = "all", name=None, artifacts=None
+) -> IdentityReport:
     """Alternating-sum closed form against the enumerated generating function."""
     started = perf_counter()
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if family == "all":
-        lhs = partition_measure_gf_sum(k, qcap)
-    else:
-        lhs = distinct_measure_gf_sum(k, qcap)
-    rhs = measure_gf(qcap, k, family)
+    _check_family(family)
+    memo = artifacts or _Artifacts()
+    lhs = memo.closed_sum(k, qcap, family)
+    rhs = memo.measure(qcap, k, family)
     return _verdict(name or f"sum-form[{family}]", k, lhs, rhs, qcap, None, started)
 
 
 def product_form_check(
-    k: int, qcap: int, zcap: int, family: str = "all", name=None
+    k: int, qcap: int, zcap: int, family: str = "all", name=None, artifacts=None
 ) -> IdentityReport:
     """Product form against the sum form, on z-exponents up to zcap."""
     started = perf_counter()
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     if family == "all":
         lhs = partition_measure_gf_product(k, qcap, zcap)
-        rhs = partition_measure_gf_sum(k, qcap)
     else:
         lhs = distinct_measure_gf_product(k, qcap, zcap)
-        rhs = distinct_measure_gf_sum(k, qcap)
+    rhs = (artifacts or _Artifacts()).closed_sum(k, qcap, family)
     return _verdict(
         name or f"product-form[{family}]", k, lhs, rhs, qcap, zcap, started
     )
 
 
-def qdiff_check(k: int, qcap: int, family: str = "all", name=None) -> IdentityReport:
+def qdiff_check(
+    k: int, qcap: int, family: str = "all", name=None, artifacts=None
+) -> IdentityReport:
     """q-difference equation residual must vanish identically."""
     started = perf_counter()
-    residual = qdiff_residual(k, qcap, family)
+    _check_family(family)
+    g = (artifacts or _Artifacts()).measure(qcap, k, family)
+    residual = _qdiff_residual(g, k, family)
     zero = TriSeries.zero(qcap)
     return _verdict(name or f"qdiff[{family}]", k, residual, zero, qcap, None, started)
 
 
-def equidistribution_check(qcap: int, name=None) -> IdentityReport:
+def equidistribution_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
     """Joint (length, 2-measure) distribution equals joint (length, Durfee)."""
     started = perf_counter()
-    lhs = measure_gf(qcap, 2, "all")
-    rhs = durfee_gf(qcap)
+    memo = artifacts or _Artifacts()
+    lhs = memo.measure(qcap, 2, "all")
+    rhs = memo.durfee(qcap)
     return _verdict(name or "durfee-equidistribution", None, lhs, rhs, qcap, None, started)
 
 
-def durfee_closed_check(qcap: int, name=None) -> IdentityReport:
+def durfee_closed_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
     """Durfee-square closed form against the enumerated Durfee series."""
     started = perf_counter()
     lhs = durfee_gf_closed(qcap)
-    rhs = durfee_gf(qcap)
+    rhs = (artifacts or _Artifacts()).durfee(qcap)
     return _verdict(name or "durfee-closed-form", None, lhs, rhs, qcap, None, started)
 
 
-def parity_check(qcap: int, name=None) -> IdentityReport:
+def parity_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
     """Three-way signed-count agreement, coefficient by coefficient:
 
     (i) the excess of partitions of n with len + 2-measure even over odd,
@@ -325,7 +382,7 @@ def parity_check(qcap: int, name=None) -> IdentityReport:
     (iii) the q^n coefficient of (-q;q^2)_inf.
     """
     started = perf_counter()
-    signs = measure_gf(qcap, 2).set_y(-1).set_z(-1)
+    signs = (artifacts or _Artifacts()).measure(qcap, 2, "all").set_y(-1).set_z(-1)
     product = pochhammer_infinite(Monomial(-1, q=1), 2, qcap)
     fail = None
     for n in range(qcap + 1):
@@ -342,7 +399,7 @@ def parity_check(qcap: int, name=None) -> IdentityReport:
 
 
 def nonnegativity_check(
-    k: int, qcap: int, family: str = "all", name=None
+    k: int, qcap: int, family: str = "all", name=None, artifacts=None
 ) -> IdentityReport:
     """Every coefficient of the closed-form series is a nonnegative integer.
 
@@ -351,15 +408,12 @@ def nonnegativity_check(
     same family at parameter k+1.
     """
     started = perf_counter()
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
+    memo = artifacts or _Artifacts()
     if family == "all":
-        series_list = [
-            partition_measure_gf_sum(k, qcap),
-            partition_measure_gf_sum(k + 1, qcap),
-        ]
+        series_list = [memo.closed_sum(k, qcap, family), memo.closed_sum(k + 1, qcap, family)]
     else:
-        series_list = [distinct_measure_gf_sum(k, qcap)]
+        series_list = [memo.closed_sum(k, qcap, family)]
     fail = None
     for series in series_list:
         for j, e, f, c in series.terms():
@@ -606,18 +660,62 @@ def default_tasks(qcap: int, zcap: int, ks) -> list[tuple[str, str, dict]]:
     return tasks
 
 
-def run_task(task) -> IdentityReport:
-    name, key, kwargs = task
-    return _CHECK_FUNCS[key](name=name, **kwargs)
+# The checks that read shared series from an _Artifacts memo.  The Durfee
+# checks read the 2-measure series, so they join the ("all", 2) unit.
+_DURFEE_UNIT = ("durfee-equidistribution", "durfee-closed-form", "parity-distinct-odd")
+_READS_ARTIFACTS = frozenset(
+    ("sum-form", "product-form", "qdiff", "nonnegative") + _DURFEE_UNIT
+)
+
+
+def _unit_key(index, task):
+    """Tasks that read the same shared series share a key."""
+    _, key, kwargs = task
+    if key in _DURFEE_UNIT:
+        return ("all", 2)
+    if "family" in kwargs and "k" in kwargs:
+        return (kwargs["family"], kwargs["k"])
+    return index
+
+
+def _run_unit(unit) -> list[IdentityReport]:
+    """Run the tasks of one unit against one memo of shared series.
+
+    A check that raises becomes a failed report carrying the error, so its
+    unit-mates still report.
+    """
+    artifacts = _Artifacts()
+    reports = []
+    for name, key, kwargs in unit:
+        extra = {"artifacts": artifacts} if key in _READS_ARTIFACTS else {}
+        started = perf_counter()
+        try:
+            reports.append(_CHECK_FUNCS[key](name=name, **kwargs, **extra))
+        except Exception as exc:
+            reports.append(IdentityReport(
+                name, kwargs.get("k"), kwargs.get("qcap", kwargs.get("n_max")),
+                kwargs.get("zcap"), False, None, perf_counter() - started,
+                f"{type(exc).__name__}: {exc}",
+            ))
+    return reports
 
 
 def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:
-    """Run checks (in parallel when jobs > 1) and sort deterministically."""
-    if jobs > 1 and len(tasks) > 1:
+    """Run checks (in parallel when jobs > 1) and sort deterministically.
+
+    Tasks are grouped into units by the shared series they read, and units
+    run longest first, one per worker task.
+    """
+    units = {}
+    for index, task in enumerate(tasks):
+        units.setdefault(_unit_key(index, task), []).append(task)
+    plan = sorted(units.values(), key=len, reverse=True)
+    if jobs > 1 and len(plan) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_task, tasks))
+            batches = list(pool.map(_run_unit, plan))
     else:
-        reports = [run_task(task) for task in tasks]
+        batches = [_run_unit(unit) for unit in plan]
+    reports = [report for batch in batches for report in batch]
     return sorted(reports, key=lambda r: (r.name, r.k if r.k is not None else 0))
 
 
@@ -631,7 +729,7 @@ def reports_json(reports) -> str:
 def reports_csv(reports) -> str:
     lines = ["name,k,qcap,zcap,passed,first_failure"]
     for r in reports:
-        ff = "" if r.first_failure is None else str(r.first_failure)
+        ff = r.failure_text().replace('"', '""')
         k = "" if r.k is None else str(r.k)
         zcap = "" if r.zcap is None else str(r.zcap)
         lines.append(f'{r.name},{k},{r.qcap},{zcap},{r.passed},"{ff}"')
@@ -649,7 +747,7 @@ def reports_table(reports) -> str:
                 str(r.qcap),
                 "-" if r.zcap is None else str(r.zcap),
                 "pass" if r.passed else "FAIL",
-                "" if r.first_failure is None else str(r.first_failure),
+                r.failure_text(),
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(5)]

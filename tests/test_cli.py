@@ -211,3 +211,45 @@ def test_bad_flag_is_usage_error(capsys):
 
 def test_bad_k_list_is_usage_error(capsys):
     assert main(["verify", "--k", "1,0"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_raising_check_fails_alone(monkeypatch, capsys, jobs):
+    import kmeasure.identities as identities
+
+    real_tasks = identities.default_tasks(4, 4, [1, 2])
+    raising = [
+        ("sum-form[weird]", "sum-form", dict(k=1, qcap=4, family="weird")),
+        # members of the ("all", 2) unit whose shared series cannot be built
+        ("durfee-equidistribution[q=-1]", "durfee-equidistribution", dict(qcap=-1)),
+        ("parity-distinct-odd[q=-1]", "parity-distinct-odd", dict(qcap=-1)),
+    ]
+    monkeypatch.setattr(
+        identities, "default_tasks", lambda qcap, zcap, ks: real_tasks + raising
+    )
+    code, out, err = run(capsys, "verify", "--jobs", jobs, "--format", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    reports = {r["name"] + str(r["k"]): r for r in json.loads(out)}
+    assert len(reports) == len(real_tasks) + len(raising)
+    errors = {
+        "sum-form[weird]1": "ValueError: unknown family 'weird'",
+        "durfee-equidistribution[q=-1]None": "ValueError: qcap must be nonnegative",
+        "parity-distinct-odd[q=-1]None": "ValueError: qcap must be nonnegative",
+    }
+    for key, report in reports.items():
+        if key in errors:
+            assert not report["passed"] and report["first_failure"] is None
+            assert report["error"] == errors[key]
+        else:
+            assert report["passed"] and "error" not in report
+
+    code, out, err = run(capsys, "verify", "--jobs", jobs)
+    assert code == 1 and "Traceback" not in err
+    row = next(line for line in out.splitlines() if line.startswith("sum-form[weird]"))
+    assert "FAIL" in row and row.endswith("ValueError: unknown family 'weird'")
+    assert f"{len(real_tasks)}/{len(reports)} checks passed" in out
+
+    code, out, err = run(capsys, "verify", "--jobs", jobs, "--format", "csv")
+    assert code == 1 and "Traceback" not in err
+    assert "sum-form[weird],1,4,,False,\"ValueError: unknown family 'weird'\"" in out

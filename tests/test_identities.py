@@ -437,3 +437,67 @@ def test_suite_parallel_matches_serial():
     assert [(r.name, r.k, r.passed) for r in serial] == [
         (r.name, r.k, r.passed) for r in parallel
     ]
+
+
+# ------------------------------------------------------ shared series
+
+
+def _without_elapsed(reports):
+    return [{k: v for k, v in r.to_dict().items() if k != "elapsed_ms"} for r in reports]
+
+
+def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
+    builds = {}
+
+    def counting(fname):
+        real = getattr(identities, fname)
+
+        def fake(*args):
+            builds.setdefault(fname, []).append(args)
+            return real(*args)
+
+        monkeypatch.setattr(identities, fname, fake)
+
+    for fname in ("measure_gf", "durfee_gf", "partition_measure_gf_sum",
+                  "distinct_measure_gf_sum"):
+        counting(fname)
+    reports = run_suite(default_tasks(8, 8, [1, 2, 3]), jobs=1)
+    assert all(r.passed for r in reports)
+
+    def counts(fname):
+        keys = builds[fname]
+        return {key: keys.count(key) for key in keys}
+
+    assert set(counts("measure_gf").values()) == {1}
+    assert len(counts("measure_gf")) == 6
+    assert counts("durfee_gf") == {(8,): 1}
+    assert set(counts("distinct_measure_gf_sum").values()) == {1}
+    # nonnegative[all] at k also reads the sum form at k + 1, which is the
+    # sum form of the unit at k + 1
+    assert max(counts("partition_measure_gf_sum").values()) <= 2
+
+
+def test_sharing_changes_no_report():
+    tasks = default_tasks(10, 10, [1, 2, 3, 4])
+    alone = [identities._CHECK_FUNCS[key](name=name, **kwargs) for name, key, kwargs in tasks]
+    alone.sort(key=lambda r: (r.name, r.k if r.k is not None else 0))
+    expected = _without_elapsed(alone)
+    assert all(r.passed for r in alone)
+    assert _without_elapsed(run_suite(tasks, jobs=1)) == expected
+    assert _without_elapsed(run_suite(tasks, jobs=2)) == expected
+
+
+def test_checks_leave_shared_series_unchanged(monkeypatch):
+    memos = []
+
+    class Recording(identities._Artifacts):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(identities, "_Artifacts", Recording)
+    run_suite(default_tasks(10, 10, [1, 2, 3]), jobs=1)
+    shared = [(key, series) for memo in memos for key, series in memo._built.items()]
+    assert {key[0] for key, _ in shared} == {"measure", "closed_sum", "durfee"}
+    for (getter, *args), series in shared:
+        assert getattr(identities._Artifacts(), getter)(*args) == series
