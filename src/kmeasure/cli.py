@@ -22,7 +22,7 @@ from .partitions import (
     kmeasure,
     parse_partition,
     partition_stats,
-    sylvester_counts,
+    sylvester_table,
 )
 
 USAGE_ERROR = 2
@@ -62,13 +62,17 @@ def _positive_int(text: str) -> int:
 
 
 def _default_jobs() -> int:
+    """KMEASURE_JOBS when set and not empty, else the cpu count.
+
+    Raises ValueError unless the variable is a positive integer.
+    """
     env = os.environ.get("KMEASURE_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError:
+        raise ValueError("KMEASURE_JOBS must be a positive integer") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,9 +171,10 @@ def _table_rows(n_max: int, pair: str, k: int):
     are equal; muk-length is informational (no equality claimed).
     """
     rows = []
+    sylvester = sylvester_table(n_max) if pair == "sylvester" else None
     for n in range(n_max + 1):
-        if pair == "sylvester":
-            lhs, rhs = sylvester_counts(n)
+        if sylvester is not None:
+            lhs, rhs = sylvester[n]
         else:
             lhs, rhs = Counter(), Counter()
             for parts in enumerate_partitions(n):
@@ -215,13 +220,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize and re-raise
         return USAGE_ERROR if exc.code else 0
     if args.command == "verify":
+        try:
+            jobs = args.jobs if args.jobs is not None else _default_jobs()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         config = RunConfig(
             qcap=args.qcap,
             zcap=args.zcap,
             ks=args.k,
             identity=args.identity,
             fmt=args.fmt,
-            jobs=args.jobs if args.jobs is not None else _default_jobs(),
+            jobs=jobs,
         )
         if config.qcap < 0 or (config.zcap is not None and config.zcap < 0):
             print("error: caps must be nonnegative", file=sys.stderr)

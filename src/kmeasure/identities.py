@@ -17,7 +17,6 @@ one binomial factor at a time.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
@@ -26,7 +25,7 @@ from .partitions import (
     durfee_gf,
     enumerate_partitions,
     measure_gf,
-    sylvester_counts,
+    sylvester_table,
 )
 from .series import (
     Monomial,
@@ -430,8 +429,7 @@ def sylvester_check(n_max: int, name=None) -> IdentityReport:
     """Sylvester's histogram equality for every n <= n_max."""
     started = perf_counter()
     fail = None
-    for n in range(n_max + 1):
-        by_distinct, by_runs = sylvester_counts(n)
+    for n, (by_distinct, by_runs) in enumerate(sylvester_table(n_max)):
         if by_distinct != by_runs:
             r = min(
                 v for v in set(by_distinct) | set(by_runs)
@@ -711,6 +709,8 @@ def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:
         units.setdefault(_unit_key(index, task), []).append(task)
     plan = sorted(units.values(), key=len, reverse=True)
     if jobs > 1 and len(plan) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never pay for it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(_run_unit, plan))
     else:

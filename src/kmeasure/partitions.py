@@ -11,14 +11,15 @@ The generating functions built here, sums of y^length z^statistic q^size
 over every partition of n <= qcap, are the oracles for the closed-form
 series in :mod:`kmeasure.identities`.  They count partitions by a
 transfer-matrix scan over part values, in time polynomial in qcap and with
-no algebra on closed forms involved.  Exhaustive, deterministic
-enumeration stays as the reference they are tested against, and it still
-backs Sylvester's histograms and the per-partition statistics.
+no algebra on closed forms involved; Sylvester's histograms are counted
+the same way.  Exhaustive, deterministic enumeration stays as the
+reference they are tested against, and it still backs the per-partition
+statistics.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .series import TriSeries
@@ -216,51 +217,53 @@ def _accumulate(tgt, layer, dl=0, dz=0):
         tgt[key] = tgt.get(key, 0) + c
 
 
-def _add_into(target, layers, dz=0):
+def _add_into(target, layers):
     for tgt, layer in zip(target, layers):
-        _accumulate(tgt, layer, dz=dz)
+        _accumulate(tgt, layer)
 
 
-def _with_value(layers, v, once):
-    """Partitions of ``layers`` with value v added: once, or m >= 1 times.
+def _times_value(layers, v, once):
+    """Multiply by 1 + y q^v (once) or 1/(1 - y q^v) in place.
 
-    The m >= 1 sum is y q^v / (1 - y q^v) times the state, computed by the
-    recurrence out[j] = y * (layers[j - v] + out[j - v]).
+    One pass of layers[j] += y * layers[j - v]: descending j reads each
+    layer before it is updated, ascending j reads it after, which adds the
+    copies of v one at a time.
     """
-    out = [{} for _ in layers]
-    for j in range(v, len(layers)):
-        _accumulate(out[j], layers[j - v], dl=1)
-        if not once:
-            _accumulate(out[j], out[j - v], dl=1)
-    return out
+    n = len(layers)
+    for j in range(n - 1, v - 1, -1) if once else range(v, n):
+        _accumulate(layers[j], layers[j - v], dl=1)
 
 
 def _measure_series(qcap, k, family):
     """Sum y^length z^{k-measure} q^size by counting over part values.
 
     Values are scanned in ascending order, following the greedy rule of
-    :func:`kmeasure`.  The state is keyed by the gap since the last value
-    the greedy took, capped at k; gap k also means nothing taken yet.  A
-    present value at gap k is taken (measure + 1, gap back to 1).
+    :func:`kmeasure`.  The state is one layered series per gap since the
+    last value the greedy took, capped at k; gap k also means nothing taken
+    yet.  A present value at gap k is taken (measure + 1, gap back to 1);
+    at a smaller gap it only adds to the length, so absent and present
+    together multiply that state by one factor, in place.
     """
     distinct = family in ("distinct", "distinct-odd")
     odd = family in ("odd", "distinct-odd")
-    states = {k: _unit(qcap)}
+    gaps = [[{} for _ in range(qcap + 1)] for _ in range(k - 1)] + [_unit(qcap)]
     for v in range(1, qcap + 1):
-        new = defaultdict(lambda: [{} for _ in range(qcap + 1)])
-        for gap, layers in states.items():
-            after = min(k, gap + 1)
-            _add_into(new[after], layers)
-            if odd and v % 2 == 0:
-                continue
-            present = _with_value(layers, v, distinct)
-            if gap == k:
-                _add_into(new[1], present, dz=1)
-            else:
-                _add_into(new[after], present)
-        states = new
-    total = [{} for _ in range(qcap + 1)]
-    for layers in states.values():
+        *lower, top = gaps
+        taken = [{} for _ in range(qcap + 1)]
+        if not (odd and v % 2 == 0):
+            # taken[j] = z y top[j - v] + y taken[j - v], or its first term alone
+            for j in range(v, qcap + 1):
+                _accumulate(taken[j], top[j - v], dl=1, dz=1)
+                if not distinct:
+                    _accumulate(taken[j], taken[j - v], dl=1)
+            for layers in lower:
+                _times_value(layers, v, distinct)
+        # gap g becomes g + 1, the taken state gap 1, and gap k - 1 (the
+        # taken state itself, at k = 1) joins gap k
+        gaps = [taken] + lower + [top]
+        _add_into(top, gaps.pop(-2))
+    total = gaps.pop()
+    for layers in gaps:
         _add_into(total, layers)
     return TriSeries._make(qcap, None, total)
 
@@ -287,23 +290,58 @@ def measure_gf(qcap: int, k: int, family: str = "all") -> TriSeries:
 def durfee_gf(qcap: int) -> TriSeries:
     """Sum y^length z^{durfee side} q^size over all partitions of n <= qcap.
 
-    Values are scanned in descending order, so m copies of a value v become
-    parts L + 1 .. L + m of a partition of length L.  Part i widens the
-    Durfee square when i <= v, so the m copies add max(0, min(L + m, v) - L)
-    to the side.  The state is updated in place
-    from the largest size down, so each size is read before anything is
-    added to it.
+    Values are scanned in descending order, so a copy of a value v becomes
+    part L + 1 of a partition of length L.  That part widens the Durfee
+    square when L < v.  Copies are added one at a time, in place, over
+    ascending sizes, so the state at size j - v already holds the
+    partitions with copies of v when size j reads it.
     """
     _check_oracle_args(qcap, "all")
     layers = _unit(qcap)
     for v in range(qcap, 0, -1):
-        for s in range(qcap - v, -1, -1):
-            for (ell, side), c in list(layers[s].items()):
-                for m in range(1, (qcap - s) // v + 1):
-                    key = (ell + m, side + max(0, min(ell + m, v) - ell))
-                    tgt = layers[s + m * v]
-                    tgt[key] = tgt.get(key, 0) + c
+        for j in range(v, qcap + 1):
+            tgt = layers[j]
+            for (ell, side), c in layers[j - v].items():
+                key = (ell + 1, side + (ell < v))
+                tgt[key] = tgt.get(key, 0) + c
     return TriSeries._make(qcap, None, layers)
+
+
+def sylvester_table(n_max: int) -> list[tuple[Counter, Counter]]:
+    """:func:`sylvester_counts` for every n <= n_max, counted over part values.
+
+    Odd side: each odd value is absent or present m >= 1 times, and present
+    adds 1 to the number of distinct values.  Distinct side: values in
+    ascending order, with one state for partitions that have v - 1 as a
+    part, to which a part v adds no new run, and one for the rest, to which
+    it adds one.
+    """
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    size = n_max + 1
+    odd = [Counter() for _ in range(size)]
+    odd[0][0] = 1
+    for v in range(1, size, 2):
+        present = [Counter() for _ in range(size)]
+        for j in range(v, size):
+            for values, c in odd[j - v].items():
+                present[j][values + 1] += c
+            present[j].update(present[j - v])
+        for tgt, layer in zip(odd, present):
+            tgt.update(layer)
+    rest = [Counter() for _ in range(size)]
+    rest[0][0] = 1
+    ends = [Counter() for _ in range(size)]  # v - 1 is a part
+    for v in range(1, size):
+        new_ends = [Counter() for _ in range(size)]
+        for j in range(v, size):
+            for runs, c in rest[j - v].items():
+                new_ends[j][runs + 1] += c
+            new_ends[j].update(ends[j - v])
+        for tgt, layer in zip(rest, ends):
+            tgt.update(layer)
+        ends = new_ends
+    return [(odd[n], rest[n] + ends[n]) for n in range(size)]
 
 
 def sylvester_counts(n: int) -> tuple[Counter, Counter]:
@@ -314,10 +352,4 @@ def sylvester_counts(n: int) -> tuple[Counter, Counter]:
     runs).  The theorem asserts the two histograms are equal; at n = 0 both
     are {0: 1} for the empty partition.
     """
-    by_distinct = Counter(
-        len(set(parts)) for parts in enumerate_partitions(n, "odd")
-    )
-    by_runs = Counter(
-        consecutive_runs(parts) for parts in enumerate_partitions(n, "distinct")
-    )
-    return by_distinct, by_runs
+    return sylvester_table(n)[n]

@@ -1,6 +1,10 @@
 """CLI contract: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,7 +206,39 @@ def test_jobs_env_override(monkeypatch):
     monkeypatch.setenv("KMEASURE_JOBS", "3")
     assert _default_jobs() == 3
     monkeypatch.setenv("KMEASURE_JOBS", "junk")
-    assert _default_jobs() >= 1
+    with pytest.raises(ValueError, match="KMEASURE_JOBS must be a positive integer"):
+        _default_jobs()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bad_jobs_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("KMEASURE_JOBS", value)
+    code, out, err = run(capsys, "verify", "--qcap", "2", "--identity", "sylvester")
+    assert code == 2
+    assert out == ""
+    assert err == "error: KMEASURE_JOBS must be a positive integer\n"
+    # an explicit --jobs never reads the variable
+    code, _, _ = run(capsys, "verify", "--qcap", "2", "--identity", "sylvester", "--jobs", "1")
+    assert code == 0
+
+
+def test_serial_verify_never_imports_the_pool():
+    import kmeasure
+
+    script = (
+        "import sys\n"
+        "import kmeasure.cli\n"
+        "code = kmeasure.cli.main(['verify', '--qcap', '4', '--jobs', '1'])\n"
+        "assert code == 0, code\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = str(Path(kmeasure.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_bad_flag_is_usage_error(capsys):

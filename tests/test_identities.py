@@ -290,6 +290,8 @@ def test_nonnegativity_checks_pass():
 
 def test_sylvester_check_passes():
     assert sylvester_check(20).passed
+    # q-order 80 counts 1.65 million partitions, which are never enumerated
+    assert sylvester_check(80).passed
 
 
 # ------------------------------------------------- building blocks

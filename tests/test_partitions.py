@@ -18,6 +18,7 @@ from kmeasure.partitions import (
     parse_partition,
     partition_stats,
     sylvester_counts,
+    sylvester_table,
 )
 from kmeasure.series import Monomial, Q, TriSeries, YQ, pochhammer_infinite
 
@@ -220,6 +221,20 @@ def test_sylvester_counts_examples():
     assert sylvester_counts(5) == (Counter({1: 2, 2: 1}), Counter({1: 2, 2: 1}))
     assert sylvester_counts(0) == (Counter({0: 1}), Counter({0: 1}))
     assert sylvester_counts(1) == (Counter({1: 1}), Counter({1: 1}))
+
+
+def test_sylvester_table_matches_enumeration():
+    table = sylvester_table(40)
+    assert len(table) == 41
+    for n, (by_distinct, by_runs) in enumerate(table):
+        odd = Counter(len(set(parts)) for parts in enumerate_partitions(n, "odd"))
+        runs = Counter(
+            consecutive_runs(parts) for parts in enumerate_partitions(n, "distinct")
+        )
+        # Counter equality ignores zero entries, so rule them out on their own
+        assert (by_distinct, by_runs) == (odd, runs), n
+        assert 0 not in by_distinct.values() and 0 not in by_runs.values(), n
+        assert sylvester_counts(n) == (by_distinct, by_runs), n
 
 
 def test_sylvester_histograms_agree_medium():
