@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 from . import identities
 from .partitions import (
-    durfee,
-    enumerate_partitions,
-    kmeasure,
+    durfee_gf,
+    measure_gf,
     parse_partition,
     partition_stats,
     sylvester_table,
@@ -168,24 +167,31 @@ def _table_rows(n_max: int, pair: str, k: int):
     """Rows (n, statistic value, lhs count, rhs count, match) per n <= n_max.
 
     mu2-durfee and sylvester compare two distributions a theorem asserts
-    are equal; muk-length is informational (no equality claimed).
+    are equal; muk-length is informational (no equality claimed).  The
+    mu2-durfee and muk-length histograms are marginals of the counted
+    series, read once for every n.
     """
+    if pair == "sylvester":
+        histograms = sylvester_table(n_max)
+    else:
+        measure = measure_gf(n_max, 2 if pair == "mu2-durfee" else k)
+        other = durfee_gf(n_max).set_y(1) if pair == "mu2-durfee" else measure.set_z(1)
+        histograms = list(zip(_histograms(measure.set_y(1), n_max), _histograms(other, n_max)))
     rows = []
-    sylvester = sylvester_table(n_max) if pair == "sylvester" else None
-    for n in range(n_max + 1):
-        if sylvester is not None:
-            lhs, rhs = sylvester[n]
-        else:
-            lhs, rhs = Counter(), Counter()
-            for parts in enumerate_partitions(n):
-                rhs_stat = durfee(parts) if pair == "mu2-durfee" else len(parts)
-                lhs_stat = kmeasure(parts, 2 if pair == "mu2-durfee" else k)
-                lhs[lhs_stat] += 1
-                rhs[rhs_stat] += 1
+    for n, (lhs, rhs) in enumerate(histograms):
         for value in sorted(set(lhs) | set(rhs)):
             a, b = lhs.get(value, 0), rhs.get(value, 0)
             rows.append((n, value, a, b, a == b))
     return rows
+
+
+def _histograms(series, n_max: int) -> list[Counter]:
+    """Per n, the counts by statistic of a counted series in which y or z
+    was set to 1, so that the other exponent is the statistic."""
+    out = [Counter() for _ in range(n_max + 1)]
+    for n, e, f, c in series.terms():
+        out[n][e + f] += c
+    return out
 
 
 def cmd_table(n_max: int, pair: str, k: int, fmt: str) -> int:

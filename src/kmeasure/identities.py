@@ -11,7 +11,9 @@ from summand n by one monomial and a few binomial multiply/divide steps
 summand is a multiple of the one before it, the sum stops exactly at the
 first summand that vanishes under the caps; no builder needs a truncation
 bound of its own.  Infinite Pochhammer prefactors are applied the same way,
-one binomial factor at a time.
+one binomial factor at a time, in the same packed kernel run as the sum
+(see :mod:`kmeasure.series`), so a sum is decoded once, after the
+prefactor has cancelled most of it.
 """
 
 from __future__ import annotations
@@ -21,19 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
 
-from .partitions import (
-    durfee_gf,
-    enumerate_partitions,
-    measure_gf,
-    sylvester_table,
-)
+from .partitions import durfee_gf, measure_gf, sylvester_table
 from .series import (
     Monomial,
     Q,
     TriSeries,
     YQ,
     Z,
+    _Packed,
     _fmt_coeff,
+    _packed_build,
     _pochhammer_apply,
     pochhammer_infinite,
 )
@@ -42,8 +41,9 @@ FAMILIES = ("all", "distinct")
 MINUS_YQ = Monomial(-1, q=1, y=1)
 
 
-def _qsum(qcap, zcap, ratio, ups=(), downs=()) -> TriSeries:
-    """sum_{n>=0} T_n under the caps, where T_0 = 1 and
+def _qsum(qcap, zcap, ratio, ups=(), downs=(), prefactors=()) -> TriSeries:
+    """prod_{(a,h,divide) in prefactors} (a;q^h)_inf^(-1 if divide else 1)
+    * sum_{n>=0} T_n under the caps, where T_0 = 1 and
 
         T_{n+1} = T_n * ratio(n) * prod_{(a,h,L) in ups} (a q^{hLn};q^h)_L
                                  / prod_{(a,h,L) in downs} (a q^{hLn};q^h)_L
@@ -51,27 +51,28 @@ def _qsum(qcap, zcap, ratio, ups=(), downs=()) -> TriSeries:
     so that each (a;q^h) in ``ups`` contributes (a;q^h)_{Ln} to T_n and each
     one in ``downs`` divides by it.  Every later summand is a multiple of
     T_n, so the first T_n that vanishes under the caps ends the sum exactly.
-    The sum is accumulated in place in layers of its own.
+    The sum and its prefactors stay in one packed kernel run, which decodes
+    only the product.
     """
-    term = TriSeries.one(qcap, zcap)
-    total = [dict(layer) for layer in term._layers]
-    n = 0
-    while True:
-        term = term.times_monomial(ratio(n))
-        for factors, divide in ((ups, False), (downs, True)):
-            for a, h, length in factors:
-                shifted = a.shift_q(h * length * n)
-                term = _pochhammer_apply(term, shifted, h, length, divide)
-        if term.is_zero():
-            return TriSeries._make(qcap, zcap, total)
-        for layer, summand in zip(total, term._layers):
-            for key, c in summand.items():
-                v = layer.get(key, 0) + c
-                if v:
-                    layer[key] = v
-                else:
-                    layer.pop(key, None)
-        n += 1
+
+    def build(width):
+        term = _Packed.pack(TriSeries.one(qcap, zcap), width)
+        total = term.copy()
+        n = 0
+        while True:
+            term.times_monomial(ratio(n))
+            for factors, divide in ((ups, False), (downs, True)):
+                for a, h, length in factors:
+                    term.pochhammer(a.shift_q(h * length * n), h, length, divide)
+            if term.is_zero():
+                break
+            total.add(term)
+            n += 1
+        for a, h, divide in prefactors:
+            total.pochhammer(a, h, None, divide)
+        return total
+
+    return _packed_build(build)
 
 
 # ------------------------------------------------------------ closed forms
@@ -88,11 +89,10 @@ def partition_measure_gf_sum(k: int, qcap: int) -> TriSeries:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    total = _qsum(
+    return _qsum(
         qcap, None, lambda n: Monomial(-1, q=n + 1, y=1),
-        ups=((Z, k - 1, 1),), downs=((Q, 1, 1),),
+        ups=((Z, k - 1, 1),), downs=((Q, 1, 1),), prefactors=((YQ, 1, True),),
     )
-    return _pochhammer_apply(total, YQ, 1, divide=True)
 
 
 def partition_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
@@ -108,11 +108,11 @@ def partition_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
         raise ValueError("degenerate base q^0")
     if zcap is None:
         raise ValueError("a bounded zcap is required")
-    total = _qsum(
+    return _qsum(
         qcap, zcap, lambda n: Z,
         downs=((Monomial(1, q=k - 1), k - 1, 1), (YQ, 1, k - 1)),
+        prefactors=((Z, k - 1, False),),
     )
-    return _pochhammer_apply(total, Z, k - 1)
 
 
 def distinct_measure_gf_sum(k: int, qcap: int) -> TriSeries:
@@ -125,10 +125,10 @@ def distinct_measure_gf_sum(k: int, qcap: int) -> TriSeries:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    total = _qsum(
-        qcap, None, lambda n: MINUS_YQ, ups=((Z, k, 1),), downs=((Q, 1, 1),)
+    return _qsum(
+        qcap, None, lambda n: MINUS_YQ, ups=((Z, k, 1),), downs=((Q, 1, 1),),
+        prefactors=((MINUS_YQ, 1, False),),
     )
-    return _pochhammer_apply(total, MINUS_YQ, 1)
 
 
 def distinct_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
@@ -143,11 +143,11 @@ def distinct_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
         raise ValueError("k must be positive")
     if zcap is None:
         raise ValueError("a bounded zcap is required")
-    total = _qsum(
+    return _qsum(
         qcap, zcap, lambda n: Z,
         ups=((MINUS_YQ, 1, k),), downs=((Monomial(1, q=k), k, 1),),
+        prefactors=((Z, k, False),),
     )
-    return _pochhammer_apply(total, Z, k)
 
 
 def durfee_gf_closed(qcap: int, zcap: int | None = None) -> TriSeries:
@@ -377,16 +377,19 @@ def parity_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
 
     (i) the excess of partitions of n with len + 2-measure even over odd,
         read from the 2-measure series at y = z = -1,
-    (ii) the number of partitions of n into distinct odd parts,
+    (ii) the number of partitions of n into distinct odd parts, counted
+         by the distinct-odd oracle at y = z = 1,
     (iii) the q^n coefficient of (-q;q^2)_inf.
     """
     started = perf_counter()
-    signs = (artifacts or _Artifacts()).measure(qcap, 2, "all").set_y(-1).set_z(-1)
+    memo = artifacts or _Artifacts()
+    signs = memo.measure(qcap, 2, "all").set_y(-1).set_z(-1)
+    counts = memo.measure(qcap, 1, "distinct-odd").set_y(1).set_z(1)
     product = pochhammer_infinite(Monomial(-1, q=1), 2, qcap)
     fail = None
     for n in range(qcap + 1):
         signed = signs.coefficient(n)
-        odd_distinct = sum(1 for _ in enumerate_partitions(n, "distinct-odd"))
+        odd_distinct = counts.coefficient(n)
         coeff = product.coefficient(n)
         if signed != odd_distinct:
             fail = Mismatch(n, 0, 0, signed, odd_distinct)
@@ -415,12 +418,15 @@ def nonnegativity_check(
         series_list = [memo.closed_sum(k, qcap, family)]
     fail = None
     for series in series_list:
-        for j, e, f, c in series.terms():
-            integral = not (isinstance(c, Fraction) and c.denominator != 1)
-            if not integral or c < 0:
-                fail = Mismatch(j, e, f, c, 0)
-                break
-        if fail:
+        if not series.is_integral() or any(
+            c < 0 for layer in series._layers for c in layer.values()
+        ):
+            # only a failing series pays for the sort into (q, y, z) order
+            fail = next(
+                Mismatch(j, e, f, c, 0)
+                for j, e, f, c in series.terms()
+                if (isinstance(c, Fraction) and c.denominator != 1) or c < 0
+            )
             break
     return _value_verdict(name or f"nonnegative[{family}]", k, qcap, None, fail, started)
 
@@ -518,8 +524,9 @@ def heine_limit_sides(qcap: int, zcap: int):
     """
     if zcap is None:
         raise ValueError("a bounded zcap is required")
-    lhs = _qsum(qcap, zcap, lambda n: Z, downs=((Q, 1, 1), (YQ, 1, 1)))
-    lhs = _pochhammer_apply(lhs, Z, 1)
+    lhs = _qsum(
+        qcap, zcap, lambda n: Z, downs=((Q, 1, 1), (YQ, 1, 1)), prefactors=((Z, 1, False),)
+    )
     return lhs, durfee_gf_closed(qcap, zcap)
 
 
@@ -565,11 +572,8 @@ def generalized_heine_sides(
     rhs = _qsum(
         qcap, zcap, lambda n: b,
         ups=((ratio, 1, 1), (t, h, 1)), downs=((Q, 1, 1), (at, h, 1)),
+        prefactors=((b, 1, False), (at, h, False), (c, 1, True), (t, h, True)),
     )
-    rhs = _pochhammer_apply(rhs, b, 1)
-    rhs = _pochhammer_apply(rhs, at, h)
-    rhs = _pochhammer_apply(rhs, c, 1, divide=True)
-    rhs = _pochhammer_apply(rhs, t, h, divide=True)
     return lhs, rhs
 
 

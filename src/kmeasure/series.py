@@ -19,12 +19,36 @@ Storage is dense in the q-exponent and sparse per layer: layer ``j`` is a
 bound rather than a filter.  Series are immutable once built; all operations
 return new objects (or the operand itself when it is unchanged) and are safe
 to run concurrently.
+
+Multiplying or dividing by binomials (1 - c y^a z^b q^d), and so by
+Pochhammer products, runs in one packed kernel (Kronecker substitution;
+von zur Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  Inside
+it a series is a list over q of ``{z_exp: int}`` rows, each int being the
+y-polynomial of that (q, z) key evaluated at y = 2^W, with rational
+coefficients held as integer numerators over one common denominator.  A
+binomial step then costs one big-integer shift-and-add per key.  Three
+facts make the kernel exact:
+
+- every step is a ring operation of Z[y] (add, multiply by an integer,
+  shift by W*a, divide exactly by an integer), and evaluation at 2^W keeps
+  all of them exact whatever W is;
+- the q-cap and the z-cap drop whole keys, which is exact too;
+- a packed value is decoded, or an empty one taken for zero, only when a
+  majorant kept in lockstep with every step (one nonnegative int per
+  q-layer, bounding the sum of the absolute numerators there) shows that
+  every coefficient lies below 2^(W-1) in absolute value.  Otherwise the
+  build is run again at the width the majorant asks for, so W follows
+  from the input and is no setting.
+
+A series leaves the kernel decoded to the dict layers above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from sys import maxsize
 
 Coeff = int | Fraction
 
@@ -356,7 +380,7 @@ class TriSeries:
 
     def times_one_minus(self, m: Monomial) -> "TriSeries":
         """Multiply by the binomial (1 - m) in O(terms)."""
-        return self._binomial_step(m, divide=False)
+        return _pochhammer_apply(self, m, 0, 1)
 
     def divide_one_minus(self, m: Monomial) -> "TriSeries":
         """Divide by the binomial (1 - m) in O(terms).
@@ -367,30 +391,7 @@ class TriSeries:
         """
         if m.q == 0:
             raise ValueError("divide_one_minus needs a positive q-exponent")
-        return self._binomial_step(m, divide=True)
-
-    def _binomial_step(self, m, divide):
-        # out = self - m*self, or out = self + m*out read from the layers
-        # already solved (m.q >= 1 keeps the read below the write)
-        zcap = self.zcap
-        if m.coeff == 0 or m.q > self.qcap or (zcap is not None and m.z > zcap):
-            return self
-        out = [dict(layer) for layer in self._layers]
-        src = out if divide else self._layers
-        c0 = m.coeff if divide else -m.coeff
-        for j in range(m.q, self.qcap + 1):
-            tgt = out[j]
-            for (e, f), c in src[j - m.q].items():
-                f2 = f + m.z
-                if zcap is not None and f2 > zcap:
-                    continue
-                key = (e + m.y, f2)
-                v = tgt.get(key, 0) + c0 * c
-                if v:
-                    tgt[key] = _norm_coeff(v)
-                else:
-                    tgt.pop(key, None)
-        return TriSeries._make(self.qcap, zcap, out)
+        return _pochhammer_apply(self, m, 0, 1, divide=True)
 
     def invert(self) -> "TriSeries":
         """Multiplicative inverse under the caps.
@@ -509,6 +510,233 @@ class TriSeries:
         return TriSeries._make(new_q, new_z, out)
 
 
+# --------------------------------------------------------- packed kernel
+
+# Slot width a build starts from; the majorant widens it when it must.
+_START_WIDTH = 64
+
+
+def _width_for(bits: int) -> int:
+    """The slot width that holds coefficients below 2^bits in absolute
+    value: one sign bit more, rounded up to whole bytes."""
+    return (bits + 8) // 8 * 8
+
+
+def _halves(slots: int, width: int) -> bytes:
+    """2^(width-1) in each of ``slots`` little-endian slots.  Added to a
+    packed value, it turns every balanced digit into a nonnegative one."""
+    return (b"\0" * (width // 8 - 1) + b"\x80") * slots
+
+
+def _encode(layer: dict, width: int) -> dict:
+    """A layer's ``{(y_exp, z_exp): c}`` as ``{z_exp: int}``, each y-polynomial
+    evaluated at y = 2^width in time linear in its degree; every |c| must be
+    below 2^(width-1)."""
+    size, half = width // 8, 1 << (width - 1)
+    by_z = {}
+    for (e, f), c in layer.items():
+        by_z.setdefault(f, []).append((e, c))
+    row = {}
+    for f, terms in by_z.items():
+        halves = _halves(max(terms)[0] + 1, width)
+        raw = bytearray(halves)
+        for e, c in terms:
+            raw[e * size:(e + 1) * size] = (c + half).to_bytes(size, "little")
+        row[f] = int.from_bytes(raw, "little") - int.from_bytes(halves, "little")
+    return row
+
+
+class _Narrow(Exception):
+    """A packed value was about to be read at a width its majorant exceeds."""
+
+    def __init__(self, width: int):
+        super().__init__(width)
+        self.width = width
+
+
+class _Packed:
+    """A series inside the binomial kernel, y packed into one integer.
+
+    ``rows[j]`` maps a z-exponent f to the y-polynomial of q^j z^f
+    evaluated at y = 2^width; the polynomial holds integer numerators over
+    the common denominator ``den``.  Every step is a ring operation of Z[y]
+    (add, multiply by an integer, shift by width*a, divide exactly by an
+    integer), which evaluation at 2^width preserves whatever the width, and
+    the caps drop whole keys.  Only reading a value back, or taking an empty
+    series for zero, needs every coefficient below 2^(width-1) in absolute
+    value.  ``bound[j]`` is the majorant that vouches for it: at least the
+    sum of the absolute numerators of layer j, kept in lockstep with every
+    step.  Where it does not fit, :class:`_Narrow` names a wider width and
+    the build is run again (:func:`_packed_build`).
+    """
+
+    __slots__ = ("qcap", "zcap", "width", "den", "rows", "bound")
+
+    @classmethod
+    def pack(cls, s: TriSeries, width: int) -> "_Packed":
+        dens = [
+            c.denominator for layer in s._layers for c in layer.values() if type(c) is Fraction
+        ]
+        den = lcm(*dens)
+        layers = [
+            {key: c.numerator * (den // c.denominator) for key, c in layer.items()}
+            for layer in s._layers
+        ] if dens else s._layers
+        p = cls.__new__(cls)
+        p.qcap, p.zcap, p.width, p.den = s.qcap, s.zcap, width, den
+        p.bound = [sum(map(abs, layer.values())) for layer in layers]
+        p._check()
+        p.rows = [_encode(layer, width) for layer in layers]
+        return p
+
+    def copy(self) -> "_Packed":
+        p = _Packed.__new__(_Packed)
+        p.qcap, p.zcap, p.width, p.den = self.qcap, self.zcap, self.width, self.den
+        p.rows = [dict(row) for row in self.rows]
+        p.bound = list(self.bound)
+        return p
+
+    def _check(self):
+        bits = max(self.bound).bit_length()
+        if bits >= self.width:
+            raise _Narrow(_width_for(bits))
+
+    def is_zero(self) -> bool:
+        """True iff the series is zero; an empty packed series proves it
+        only under the majorant."""
+        if any(self.rows):
+            return False
+        self._check()
+        return True
+
+    def unpack(self) -> TriSeries:
+        """The dict-layered series, decoded in time linear in its slots."""
+        self._check()
+        width, den = self.width, self.den
+        size, half = width // 8, 1 << (width - 1)
+        offsets = {}
+        layers = []
+        for row in self.rows:
+            layer = {}
+            for f, v in row.items():
+                slots = abs(v).bit_length() // width + 1
+                if slots not in offsets:
+                    offsets[slots] = int.from_bytes(_halves(slots, width), "little")
+                raw = (v + offsets[slots]).to_bytes(slots * size, "little")
+                digits = [
+                    int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)
+                ]
+                layer.update({(e, f): d - half for e, d in enumerate(digits) if d != half})
+            if den != 1:
+                layer = {key: _norm_coeff(Fraction(c, den)) for key, c in layer.items()}
+            layers.append(layer)
+        return TriSeries._make(self.qcap, self.zcap, layers)
+
+    def _rescale(self, den: int):
+        """Bring the common denominator up to ``den``, a multiple of it."""
+        factor = den // self.den
+        if factor != 1:
+            for row in self.rows:
+                for f in row:
+                    row[f] *= factor
+            self.bound = [factor * b for b in self.bound]
+            self.den = den
+
+    def add(self, other: "_Packed"):
+        """self += other, over the least common denominator of both."""
+        den = lcm(self.den, other.den)
+        self._rescale(den)
+        other._rescale(den)
+        for tgt, row in zip(self.rows, other.rows):
+            for f, v in row.items():
+                w = tgt.get(f, 0) + v
+                if w:
+                    tgt[f] = w
+                else:
+                    del tgt[f]
+        self.bound = [a + b for a, b in zip(self.bound, other.bound)]
+
+    def times_monomial(self, m: Monomial):
+        """self *= m."""
+        num, den = m.coeff.numerator, m.coeff.denominator
+        keep = max(0, self.qcap + 1 - m.q) if num else 0  # rows that stay under the q-cap
+        limit = self.zcap - m.z if self.zcap is not None else maxsize
+        shift = self.width * m.y
+        self.rows = [{} for _ in range(self.qcap + 1 - keep)] + [
+            {f + m.z: num * (v << shift) for f, v in row.items() if f <= limit}
+            for row in self.rows[:keep]
+        ]
+        self.bound = [0] * (self.qcap + 1 - keep) + [abs(num) * b for b in self.bound[:keep]]
+        self.den *= den
+
+    def step(self, coeff: Coeff, q: int, y: int, z: int, divide: bool):
+        """Multiply by (1 - coeff y^y z^z q^q), or divide by it (q >= 1).
+
+        The product reads row j - q before row j is written (descending j);
+        the quotient solves out_j = self_j + m*out_{j-q} from rows already
+        solved (ascending j).  A rational coefficient n/d scales the
+        numerators by d for a product, and by d^K, K = qcap // q, for a
+        quotient, whose solved rows then divide exactly by d.
+        """
+        qcap, zcap, rows, bound = self.qcap, self.zcap, self.rows, self.bound
+        num, den = coeff.numerator, coeff.denominator
+        if num == 0 or q > qcap or (zcap is not None and z > zcap):
+            return
+        if divide and q == 0:
+            raise ValueError("divide_one_minus needs a positive q-exponent")
+        limit = zcap - z if zcap is not None else maxsize
+        shift = self.width * y
+        # out_j = scale*self_j - num*m*self_{j-q}, or out_j = scale*self_j
+        # + num*m*out_{j-q}/den with out_{j-q} a multiple of den
+        add, factor = (num > 0) == divide, abs(num)
+        scale = den ** (qcap // q) if divide else den
+        carried = den if divide else 1
+        low = q if scale == 1 else 0  # rows below q change only by the scale
+        for j in range(low, qcap + 1) if divide else range(qcap, low - 1, -1):
+            tgt = rows[j]
+            src = () if j < q else rows[j - q].items() if q else list(tgt.items())
+            if scale != 1:
+                for f in tgt:
+                    tgt[f] *= scale
+            if factor != 1 or carried != 1:
+                src = [(f, factor * (v // carried)) for f, v in src]
+            for f, v in src:
+                if f <= limit:
+                    if add:
+                        w = tgt.get(f + z, 0) + (v << shift)
+                    else:
+                        w = tgt.get(f + z, 0) - (v << shift)
+                    if w:
+                        tgt[f + z] = w
+                    else:
+                        del tgt[f + z]
+            if j < q:
+                bound[j] *= scale
+            else:
+                bound[j] = scale * bound[j] + factor * bound[j - q] // carried
+        self.den *= scale
+
+    def pochhammer(self, a: Monomial, h: int, n: int | None = None, divide=False):
+        """Multiply by (a;q^h)_n, or divide by it, one binomial factor
+        (1 - a*q^{h*i}) at a time; ``n = None`` takes every factor under the
+        q-cap and needs h >= 1."""
+        i = 0
+        while (n is None or i < n) and a.q + h * i <= self.qcap:
+            self.step(a.coeff, a.q + h * i, a.y, a.z, divide)
+            i += 1
+
+
+def _packed_build(build) -> TriSeries:
+    """Run ``build(width) -> _Packed`` and decode its result, widening the
+    slots and running the build again whenever the majorant needs it."""
+    width = _START_WIDTH
+    while True:
+        try:
+            return build(width).unpack()
+        except _Narrow as narrow:
+            width = narrow.width
+
+
 # ------------------------------------------------------------ Pochhammer
 
 
@@ -516,19 +744,21 @@ def _pochhammer_apply(
     s: TriSeries, a: Monomial, h: int, n: int | None = None, divide=False
 ) -> TriSeries:
     """Multiply s by (a;q^h)_n, or divide it by that product, one binomial
-    factor (1 - a*q^{h*i}) at a time.
+    factor (1 - a*q^{h*i}) at a time, in one packed kernel run.
 
     ``n = None`` takes every factor under the q-cap and needs h >= 1.
-    Factors that reduce to 1 under the caps are skipped.
+    Factors that reduce to 1 under the caps are skipped; if all do, s
+    itself is returned.
     """
-    if a.coeff == 0 or (s.zcap is not None and a.z > s.zcap):
+    if a.coeff == 0 or n == 0 or a.q > s.qcap or (s.zcap is not None and a.z > s.zcap):
         return s
-    i = 0
-    while (n is None or i < n) and a.q + h * i <= s.qcap:
-        factor = Monomial(a.coeff, a.q + h * i, a.y, a.z)
-        s = s.divide_one_minus(factor) if divide else s.times_one_minus(factor)
-        i += 1
-    return s
+
+    def build(width):
+        p = _Packed.pack(s, width)
+        p.pochhammer(a, h, n, divide)
+        return p
+
+    return _packed_build(build)
 
 
 def pochhammer_finite(

@@ -471,7 +471,12 @@ def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
         return {key: keys.count(key) for key in keys}
 
     assert set(counts("measure_gf").values()) == {1}
-    assert len(counts("measure_gf")) == 6
+    # one series per (family, k), and the distinct-odd count of the parity
+    # check, which reads it from the ("all", 2) unit's memo
+    assert set(counts("measure_gf")) == {
+        (8, 1, "all"), (8, 1, "distinct"), (8, 2, "all"), (8, 2, "distinct"),
+        (8, 3, "all"), (8, 3, "distinct"), (8, 1, "distinct-odd"),
+    }
     assert counts("durfee_gf") == {(8,): 1}
     assert set(counts("distinct_measure_gf_sum").values()) == {1}
     # nonnegative[all] at k also reads the sum form at k + 1, which is the

@@ -9,6 +9,7 @@ from kmeasure.partitions import kmeasure, kmeasure_bruteforce
 from kmeasure.series import (
     Monomial,
     TriSeries,
+    _pochhammer_apply,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -143,6 +144,89 @@ def test_pochhammer_infinite_is_binomial_fold(a, h):
     for i in range(QCAP + 1):
         fold = fold.times_one_minus(a.shift_q(h * i))
     assert pochhammer_infinite(a, h, QCAP, ZCAP) == fold
+
+
+# ------------------------------------------- packed kernel vs dict steps
+
+
+def dict_step(s, m, divide):
+    """Reference binomial step on the dict layers, one term at a time:
+    out = s - m*s, or out = s + m*out read from the layers already solved
+    (m.q >= 1 keeps the read below the write)."""
+    zcap = s.zcap
+    if m.coeff == 0 or m.q > s.qcap or (zcap is not None and m.z > zcap):
+        return s
+    out = [dict(layer) for layer in s._layers]
+    src = out if divide else s._layers
+    c0 = m.coeff if divide else -m.coeff
+    for j in range(m.q, s.qcap + 1):
+        tgt = out[j]
+        for (e, f), c in src[j - m.q].items():
+            f2 = f + m.z
+            if zcap is not None and f2 > zcap:
+                continue
+            key = (e + m.y, f2)
+            v = tgt.get(key, 0) + c0 * c
+            if v:
+                tgt[key] = int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+            else:
+                tgt.pop(key, None)
+    return TriSeries._make(s.qcap, zcap, out)
+
+
+# Coefficients on both sides of the 64-bit slot boundary, so that packed
+# slots run into the width the kernel starts from and force it to widen.
+wide_coeffs = st.builds(
+    lambda sign, bits, offset: sign * ((1 << bits) + offset),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=59, max_value=66),
+    st.integers(min_value=-2, max_value=2),
+)
+wide_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=QCAP),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=ZCAP),
+        st.one_of(coeffs, wide_coeffs),
+    ),
+    max_size=8,
+)
+any_series = st.one_of(series(), series(zcap=None))
+wide_series = st.builds(
+    TriSeries.from_terms, wide_terms, st.just(QCAP), st.sampled_from((ZCAP, None))
+)
+step_monomials = st.one_of(
+    small_monomials, st.builds(Monomial, wide_coeffs, st.integers(0, 2), st.integers(0, 2))
+)
+
+
+@given(st.one_of(any_series, wide_series), step_monomials)
+@settings(max_examples=200)
+def test_packed_product_matches_dict_step(s, m):
+    # includes q-order-0 factors that carry y or z, and the z-cap
+    assert s.times_one_minus(m) == dict_step(s, m, divide=False)
+
+
+@given(st.one_of(any_series, wide_series), step_monomials.map(lambda m: m.shift_q(1)))
+@settings(max_examples=200)
+def test_packed_quotient_matches_dict_step(s, m):
+    assert s.divide_one_minus(m) == dict_step(s, m, divide=True)
+
+
+@given(
+    st.one_of(any_series, wide_series),
+    small_monomials,
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+)
+def test_packed_chain_matches_dict_steps(s, a, h, n, divide):
+    if divide:
+        a = a.shift_q(1)
+    fold = s
+    for i in range(n):
+        fold = dict_step(fold, a.shift_q(h * i), divide)
+    assert _pochhammer_apply(s, a, h, n, divide) == fold
 
 
 @given(series(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kmeasure.identities import _qsum
 from kmeasure.partitions import enumerate_partitions
 from kmeasure.series import (
     Monomial,
@@ -12,6 +13,9 @@ from kmeasure.series import (
     Y,
     YQ,
     Z,
+    _Packed,
+    _packed_build,
+    _pochhammer_apply,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -158,6 +162,62 @@ def test_divide_one_minus_rejects_q_order_zero():
     for m in (Z, Y):
         with pytest.raises(ValueError, match="positive q-exponent"):
             TriSeries.one(4, 2).divide_one_minus(m)
+        with pytest.raises(ValueError, match="positive q-exponent"):
+            _pochhammer_apply(TriSeries.one(4, 2), m, 1, 2, divide=True)
+
+
+# ----------------------------------------------------------- packed kernel
+
+
+def test_packed_build_widens_past_wide_input():
+    big = S([(0, 0, 0, 2**100), (1, 1, 0, 1 - 2**90), (2, 3, 1, Fraction(2**70, 3))], 4, 3)
+    widths = []
+
+    def build(width):
+        widths.append(width)
+        p = _Packed.pack(big, width)
+        p.step(Fraction(5, 2), 1, 1, 1, divide=False)
+        return p
+
+    shifted = [(j + 1, e + 1, f + 1, Fraction(-5, 2) * c) for j, e, f, c in big.terms()]
+    assert _packed_build(build) == S(big.terms() + shifted, 4, 3)
+    assert len(widths) > 1 and widths == sorted(set(widths))
+
+
+def test_packed_slots_at_the_width_edge_round_trip():
+    # a key whose slots sum to 2^63 - 1 in absolute value, next to slots
+    # that borrow from it, and single slots just past a 64-bit slot's range
+    edge = 2**63 - 3
+    for terms in (
+        [(0, 0, 0, edge), (0, 1, 0, -1), (0, 2, 0, 1)],
+        [(0, 0, 0, -edge), (0, 1, 0, 1), (0, 2, 0, -1)],
+        [(0, 1, 0, 2**63)],
+        [(0, 1, 0, -(2**63)), (1, 0, 1, 2**63 - 1)],
+    ):
+        s = S(terms, 2, 2)
+        assert _packed_build(lambda width: _Packed.pack(s, width)) == s
+
+
+def test_packed_kernel_takes_unreduced_fractions():
+    half = S([(1, 0, 0, Fraction(1, 2))], 3)
+    whole = half + half  # stores Fraction(1, 1)
+    assert whole.times_one_minus(Q) == S([(1, 0, 0, 1), (2, 0, 0, -1)], 3)
+    assert whole.divide_one_minus(Q) == S([(1, 0, 0, 1), (2, 0, 0, 1), (3, 0, 0, 1)], 3)
+
+
+def test_qsum_trusts_an_empty_summand_only_under_the_majorant():
+    # T_1 = 2^64 q (1 - y/2^64) = q (2^64 - y) evaluates to 0 at y = 2^64,
+    # so at 64-bit slots only the majorant tells it from a zero summand
+    big = 2**64
+    got = _qsum(1, None, lambda n: Monomial(big, q=1),
+                ups=((Monomial(Fraction(1, big), y=1), 1, 1),))
+    assert got == S([(0, 0, 0, 1), (1, 0, 0, big), (1, 1, 0, -1)], 1)
+
+
+def test_qsum_ends_at_a_summand_that_cancels():
+    # T_1 = T_0 q (1 - 1) vanishes by cancellation, under no cap
+    assert _qsum(6, None, lambda n: Q, ups=((Monomial(1), 1, 1),)) == TriSeries.one(6)
+    assert _qsum(6, 3, lambda n: YQ, ups=((Monomial(1), 0, 2),)) == TriSeries.one(6, 3)
 
 
 def test_pochhammer_finite_z_two_factors():
