@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"),
                         default="plain")
     verify.add_argument("--jobs", type=_positive_int, default=None,
-                        help="worker processes (default: KMEASURE_JOBS or cpu count)")
+                        help="forked worker processes, at most one per unit of checks "
+                             "(default: KMEASURE_JOBS or cpu count)")
 
     stats = sub.add_parser("stats", help="statistics of one partition")
     stats.add_argument("partition", help='comma-separated parts, e.g. "4,3,1"; empty for the empty partition')

@@ -19,6 +19,7 @@ prefactor has cancelled most of it.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
@@ -680,6 +681,15 @@ def _unit_key(index, task):
     return index
 
 
+def _failed_report(task, elapsed, error) -> IdentityReport:
+    """The failed report of a task whose check raised or whose worker died."""
+    name, _, kwargs = task
+    return IdentityReport(
+        name, kwargs.get("k"), kwargs.get("qcap", kwargs.get("n_max")),
+        kwargs.get("zcap"), False, None, elapsed, error,
+    )
+
+
 def _run_unit(unit) -> list[IdentityReport]:
     """Run the tasks of one unit against one memo of shared series.
 
@@ -688,37 +698,44 @@ def _run_unit(unit) -> list[IdentityReport]:
     """
     artifacts = _Artifacts()
     reports = []
-    for name, key, kwargs in unit:
+    for task in unit:
+        name, key, kwargs = task
         extra = {"artifacts": artifacts} if key in _READS_ARTIFACTS else {}
         started = perf_counter()
         try:
             reports.append(_CHECK_FUNCS[key](name=name, **kwargs, **extra))
         except Exception as exc:
-            reports.append(IdentityReport(
-                name, kwargs.get("k"), kwargs.get("qcap", kwargs.get("n_max")),
-                kwargs.get("zcap"), False, None, perf_counter() - started,
-                f"{type(exc).__name__}: {exc}",
+            reports.append(_failed_report(
+                task, perf_counter() - started, f"{type(exc).__name__}: {exc}"
             ))
     return reports
+
+
+def _lost_unit(unit, status) -> list[IdentityReport]:
+    """The reports of a unit whose worker died with exit status ``status``."""
+    error = f"ChildProcessError: worker exited with status {status}"
+    return [_failed_report(task, 0.0, error) for task in unit]
 
 
 def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:
     """Run checks (in parallel when jobs > 1) and sort deterministically.
 
     Tasks are grouped into units by the shared series they read, and units
-    run longest first, one per worker task.
+    run longest first.  With more than one unit and jobs > 1, they run in
+    min(jobs, units) forked workers (see :mod:`kmeasure.forked`); otherwise,
+    or where the platform has no fork, they run in this process.
     """
     units = {}
     for index, task in enumerate(tasks):
         units.setdefault(_unit_key(index, task), []).append(task)
     plan = sorted(units.values(), key=len, reverse=True)
-    if jobs > 1 and len(plan) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs never pay for it
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_run_unit, plan))
-    else:
+    workers = min(jobs, len(plan)) if hasattr(os, "fork") else 1
+    if workers < 2:
         batches = [_run_unit(unit) for unit in plan]
+    else:
+        from .forked import run_forked  # serial runs never compile or import it
+
+        batches = run_forked(_run_unit, _lost_unit, plan, workers)
     reports = [report for batch in batches for report in batch]
     return sorted(reports, key=lambda r: (r.name, r.k if r.k is not None else 0))
 

@@ -475,6 +475,8 @@ class TriSeries:
         return self._substitute(value, which="z")
 
     def _substitute(self, value, which):
+        # an integral value keeps integer coefficients in int arithmetic
+        value = _norm_coeff(Fraction(value))
         out = [{} for _ in range(self.qcap + 1)]
         for j, layer in enumerate(self._layers):
             tgt = out[j]
@@ -483,7 +485,7 @@ class TriSeries:
                     key, power = (0, f), e
                 else:
                     key, power = (e, 0), f
-                v = tgt.get(key, 0) + c * Fraction(value) ** power
+                v = tgt.get(key, 0) + c * value ** power
                 if v:
                     tgt[key] = _norm_coeff(v)
                 else:

@@ -230,7 +230,10 @@ def test_serial_verify_never_imports_the_pool():
         "import kmeasure.cli\n"
         "code = kmeasure.cli.main(['verify', '--qcap', '4', '--jobs', '1'])\n"
         "assert code == 0, code\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert not {'pickle', 'select'} & set(sys.modules)\n"
+        "code = kmeasure.cli.main(['verify', '--qcap', '4', '--jobs', '2'])\n"
+        "assert code == 0, code\n"
+        "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
     )
     src = str(Path(kmeasure.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -239,6 +242,19 @@ def test_serial_verify_never_imports_the_pool():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_verify_dead_worker_fails_only_its_check(monkeypatch, capsys):
+    import kmeasure.identities as identities
+
+    monkeypatch.setitem(identities._CHECK_FUNCS, "sylvester-runs", lambda **kwargs: os._exit(3))
+    code, out, err = run(capsys, "verify", "--qcap", "6", "--k", "1,2", "--jobs", "2")
+    assert code == 1 and "Traceback" not in err
+    failed = [line for line in out.splitlines() if " FAIL " in line]
+    assert len(failed) == 1 and failed[0].startswith("sylvester-runs")
+    assert failed[0].endswith("ChildProcessError: worker exited with status 3")
+    total = int(out.rsplit("/", 1)[1].split()[0])
+    assert f"{total - 1}/{total} checks passed" in out
 
 
 def test_bad_flag_is_usage_error(capsys):

@@ -1,6 +1,8 @@
 """Closed-form builders and identity checks at desk-scale truncations."""
 
 import json
+import os
+import signal
 from fractions import Fraction
 
 import pytest
@@ -492,6 +494,9 @@ def test_sharing_changes_no_report():
     assert all(r.passed for r in alone)
     assert _without_elapsed(run_suite(tasks, jobs=1)) == expected
     assert _without_elapsed(run_suite(tasks, jobs=2)) == expected
+    assert _without_elapsed(run_suite(tasks, jobs=3)) == expected
+    # more jobs than units: one worker per unit
+    assert _without_elapsed(run_suite(tasks, jobs=1000)) == expected
 
 
 def test_checks_leave_shared_series_unchanged(monkeypatch):
@@ -508,3 +513,97 @@ def test_checks_leave_shared_series_unchanged(monkeypatch):
     assert {key[0] for key, _ in shared} == {"measure", "closed_sum", "durfee"}
     for (getter, *args), series in shared:
         assert getattr(identities._Artifacts(), getter)(*args) == series
+
+
+# ------------------------------------------------------ forked workers
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_suite_forks_no_more_workers_than_units(monkeypatch):
+    # three units: ("all", 2), ("distinct", 2) and the Sylvester check
+    tasks = [
+        task for task in default_tasks(6, 6, [2])
+        if task[1] in ("sum-form", "durfee-equidistribution", "sylvester-runs")
+    ]
+    expected = _without_elapsed(run_suite(tasks, jobs=1))
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert _without_elapsed(run_suite(tasks, jobs=10**6)) == expected
+    assert len(forks) == 3
+    _assert_no_child_left()
+
+
+def _exit(status):
+    return lambda **kwargs: os._exit(status)
+
+
+def _kill(**kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("dying", [
+    {"durfee-closed-form": (_exit(3), 3)},
+    {"durfee-closed-form": (_kill, -signal.SIGKILL)},
+    # more deaths than workers: each dead worker is replaced while units
+    # are left, and each lost unit carries the status of its own worker
+    {"durfee-closed-form": (_exit(3), 3), "sylvester-runs": (_exit(4), 4),
+     "heine-limit": (_kill, -signal.SIGKILL)},
+])
+def test_dead_worker_fails_only_its_unit(monkeypatch, dying):
+    tasks = default_tasks(6, 6, [1, 2])
+    expected = {(r["name"], r["k"]): r for r in _without_elapsed(run_suite(tasks, jobs=1))}
+    for key, (die, _) in dying.items():
+        monkeypatch.setitem(identities._CHECK_FUNCS, key, die)
+    statuses = {}  # unit key -> status of the worker that dies in it
+    for index, (_, key, _) in enumerate(tasks):
+        if key in dying:
+            statuses[identities._unit_key(index, tasks[index])] = dying[key][1]
+
+    reports = _without_elapsed(run_suite(tasks, jobs=2))
+    assert len(reports) == len(tasks)
+    by_name = {(r["name"], r["k"]): r for r in reports}
+    for index, (name, _, kwargs) in enumerate(tasks):
+        status = statuses.get(identities._unit_key(index, tasks[index]))
+        want = expected[(name, kwargs.get("k"))]
+        if status is not None:
+            want = dict(want, passed=False, first_failure=None,
+                        error=f"ChildProcessError: worker exited with status {status}")
+        assert by_name[(name, kwargs.get("k"))] == want
+    # the ("all", 2) unit lost every one of its checks, not only the one that died
+    assert sum(not r["passed"] for r in reports) > len(dying)
+    _assert_no_child_left()
+
+
+def test_suite_reaps_its_workers_when_the_parent_raises(monkeypatch):
+    import pickle
+
+    def broken(data):
+        raise RuntimeError("unreadable batch")
+
+    monkeypatch.setattr(pickle, "loads", broken)
+    with pytest.raises(RuntimeError, match="unreadable batch"):
+        run_suite(default_tasks(6, 6, [1, 2]), jobs=2)
+    _assert_no_child_left()
+
+
+def test_suite_runs_more_units_than_the_work_pipe_holds(monkeypatch):
+    # 20,000 four-byte indices overflow a 64 KiB pipe, so the parent must
+    # keep reading results while it waits to write the rest of the work
+    def instant(name=None):
+        return IdentityReport(name, None, 0, None, True, None, 0.0)
+
+    monkeypatch.setitem(identities._CHECK_FUNCS, "instant", instant)
+    tasks = [(f"instant[{i}]", "instant", {}) for i in range(20_000)]
+    reports = run_suite(tasks, jobs=2)
+    assert [r.name for r in reports] == sorted(name for name, _, _ in tasks)
+    assert all(r.passed for r in reports)
+    _assert_no_child_left()

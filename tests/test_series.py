@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from kmeasure.identities import _qsum
-from kmeasure.partitions import enumerate_partitions
+from kmeasure.identities import _qsum, partition_measure_gf_product
+from kmeasure.partitions import enumerate_partitions, measure_gf
 from kmeasure.series import (
     Monomial,
     Q,
@@ -388,3 +388,32 @@ def test_division_operator_matches_invert():
     a = pochhammer_infinite(YQ, 1, 6)
     b = pochhammer_finite(Q, 1, 2, 6)
     assert a / b == a * b.invert()
+
+
+def _substitute_with_fractions(s, value, which):
+    """The layers set_y/set_z built when every power was a Fraction, kept
+    as the reference for the integer path."""
+    out = [{} for _ in range(s.qcap + 1)]
+    for j, layer in enumerate(s._layers):
+        tgt = out[j]
+        for (e, f), c in layer.items():
+            key, power = ((0, f), e) if which == "y" else ((e, 0), f)
+            v = tgt.get(key, 0) + c * Fraction(value) ** power
+            if v:
+                tgt[key] = int(v) if v.denominator == 1 else v
+            else:
+                tgt.pop(key, None)
+    return out
+
+
+@pytest.mark.parametrize("value", [-1, 0, 1, 2, Fraction(1, 2)])
+def test_substitution_matches_the_fraction_loop(value):
+    def typed(layers):
+        return [{key: (type(c), c) for key, c in layer.items()} for layer in layers]
+
+    # a counted series and a z-capped closed form
+    for s in (measure_gf(8, 2), partition_measure_gf_product(2, 8, 3)):
+        for which, substitute in (("y", s.set_y), ("z", s.set_z)):
+            got = substitute(value)
+            assert typed(got._layers) == typed(_substitute_with_fractions(s, value, which))
+            assert got.zcap == (s.zcap if which == "y" else None)
