@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import identities
 from .partitions import (
@@ -23,18 +22,27 @@ from .partitions import (
     partition_stats,
     sylvester_table,
 )
+from .series import _Record
 
 USAGE_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    qcap: int = 20
-    zcap: int | None = None  # None here means "default to qcap"
-    ks: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
-    identity: str | None = None
-    fmt: str = "plain"
-    jobs: int = 1
+class RunConfig(_Record):
+    """The options of one ``verify`` run; a ``zcap`` of None means the
+    default, qcap."""
+
+    __slots__ = ("qcap", "zcap", "ks", "identity", "fmt", "jobs")
+
+    def __init__(
+        self, qcap: int = 20, zcap: int | None = None, ks: list[int] | None = None,
+        identity: str | None = None, fmt: str = "plain", jobs: int = 1,
+    ):
+        self.qcap = qcap
+        self.zcap = zcap
+        self.ks = [1, 2, 3, 4, 5] if ks is None else ks
+        self.identity = identity
+        self.fmt = fmt
+        self.jobs = jobs
 
     def resolved_zcap(self) -> int:
         return self.qcap if self.zcap is None else self.zcap

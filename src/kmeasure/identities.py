@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
 
@@ -31,10 +30,12 @@ from .series import (
     TriSeries,
     YQ,
     Z,
-    _Packed,
+    _first_difference,
     _fmt_coeff,
+    _Packed,
     _packed_build,
     _pochhammer_apply,
+    _Record,
     pochhammer_infinite,
 )
 
@@ -52,8 +53,9 @@ def _qsum(qcap, zcap, ratio, ups=(), downs=(), prefactors=()) -> TriSeries:
     so that each (a;q^h) in ``ups`` contributes (a;q^h)_{Ln} to T_n and each
     one in ``downs`` divides by it.  Every later summand is a multiple of
     T_n, so the first T_n that vanishes under the caps ends the sum exactly.
-    The sum and its prefactors stay in one packed kernel run, which decodes
-    only the product.
+    A summand holds its monomial factors as a pending offset, so its steps
+    run only over the rows under the shifted caps.  The sum and its
+    prefactors stay in one packed kernel run, and the result stays packed.
     """
 
     def build(width):
@@ -185,32 +187,49 @@ def _check_family(family):
 
 
 def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
-    """:func:`qdiff_residual` of the enumerated series ``g``."""
+    """:func:`qdiff_residual` of the enumerated series ``g``.
+
+    g(yq^k) stays packed through its binomial steps and the yzq shift, and
+    the residual is summed packed, so a zero residual is never decoded.
+    """
     advanced = g.scale_y(k)
+    lhs = g - g.scale_y(1)
     if family == "all":
-        advanced = _pochhammer_apply(advanced, YQ, 1, k, divide=True)
+        a, length, divide = YQ, k, True
     else:
-        advanced = _pochhammer_apply(advanced, Monomial(-1, q=2, y=1), 1, k - 1)
-    rhs = advanced.times_monomial(Monomial(1, q=1, y=1, z=1))
-    return g - g.scale_y(1) - rhs
+        a, length, divide = Monomial(-1, q=2, y=1), k - 1, False
+
+    def build(width):
+        rhs = _Packed.pack(advanced, width)
+        rhs.times_monomial(Monomial(-1, q=1, y=1, z=1))
+        rhs.pochhammer(a, 1, length, divide)
+        residual = _Packed.pack(lhs, width)
+        residual.add(rhs)
+        return residual
+
+    return _packed_build(build)
 
 
 # ------------------------------------------------------------ reports
 
 
-@dataclass
-class Mismatch:
+class Mismatch(_Record):
     """First failing coefficient of a check, in (q, y, z) scan order.
 
     Scalar-per-n checks (parity counts, histograms) reuse the slots as
     (n, statistic value, 0).
     """
 
-    q_exp: int
-    y_exp: int
-    z_exp: int
-    lhs: int | Fraction
-    rhs: int | Fraction
+    __slots__ = ("q_exp", "y_exp", "z_exp", "lhs", "rhs")
+
+    def __init__(
+        self, q_exp: int, y_exp: int, z_exp: int, lhs: int | Fraction, rhs: int | Fraction
+    ):
+        self.q_exp = q_exp
+        self.y_exp = y_exp
+        self.z_exp = z_exp
+        self.lhs = lhs
+        self.rhs = rhs
 
     def to_dict(self):
         return {
@@ -228,18 +247,24 @@ class Mismatch:
         )
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of one verification run."""
+class IdentityReport(_Record):
+    """Outcome of one verification run; ``error`` is "<ExceptionType>:
+    <message>" if the check raised."""
 
-    name: str
-    k: int | None
-    qcap: int
-    zcap: int | None
-    passed: bool
-    first_failure: Mismatch | None
-    elapsed: float
-    error: str | None = None  # "<ExceptionType>: <message>" if the check raised
+    __slots__ = ("name", "k", "qcap", "zcap", "passed", "first_failure", "elapsed", "error")
+
+    def __init__(
+        self, name: str, k: int | None, qcap: int, zcap: int | None, passed: bool,
+        first_failure: Mismatch | None, elapsed: float, error: str | None = None,
+    ):
+        self.name = name
+        self.k = k
+        self.qcap = qcap
+        self.zcap = zcap
+        self.passed = passed
+        self.first_failure = first_failure
+        self.elapsed = elapsed
+        self.error = error
 
     def to_dict(self):
         out = {
@@ -264,21 +289,13 @@ class IdentityReport:
         return "" if self.first_failure is None else str(self.first_failure)
 
 
-def _verdict(name, k, lhs, rhs, qcap, zcap, started) -> IdentityReport:
-    diff = lhs - rhs
-    if diff.is_zero():
-        fail = None
-    else:
-        j, e, f, _ = diff.terms()[0]
-        fail = Mismatch(j, e, f, lhs.coefficient(j, e, f), rhs.coefficient(j, e, f))
+def _verdict(name, k, qcap, zcap, started, fail) -> IdentityReport:
+    """The report of a check whose first failure, as (q, y, z, lhs, rhs)
+    in the check's scan order, is ``fail``, or None if it passed.  Series
+    checks take it from :func:`kmeasure.series._first_difference`."""
+    mismatch = None if fail is None else Mismatch(*fail)
     return IdentityReport(
-        name, k, qcap, zcap, fail is None, fail, perf_counter() - started
-    )
-
-
-def _value_verdict(name, k, qcap, zcap, fail, started) -> IdentityReport:
-    return IdentityReport(
-        name, k, qcap, zcap, fail is None, fail, perf_counter() - started
+        name, k, qcap, zcap, fail is None, mismatch, perf_counter() - started
     )
 
 
@@ -325,7 +342,8 @@ def sum_form_check(
     memo = artifacts or _Artifacts()
     lhs = memo.closed_sum(k, qcap, family)
     rhs = memo.measure(qcap, k, family)
-    return _verdict(name or f"sum-form[{family}]", k, lhs, rhs, qcap, None, started)
+    fail = _first_difference(lhs, rhs)
+    return _verdict(name or f"sum-form[{family}]", k, qcap, None, started, fail)
 
 
 def product_form_check(
@@ -340,7 +358,7 @@ def product_form_check(
         lhs = distinct_measure_gf_product(k, qcap, zcap)
     rhs = (artifacts or _Artifacts()).closed_sum(k, qcap, family)
     return _verdict(
-        name or f"product-form[{family}]", k, lhs, rhs, qcap, zcap, started
+        name or f"product-form[{family}]", k, qcap, zcap, started, _first_difference(lhs, rhs)
     )
 
 
@@ -351,9 +369,8 @@ def qdiff_check(
     started = perf_counter()
     _check_family(family)
     g = (artifacts or _Artifacts()).measure(qcap, k, family)
-    residual = _qdiff_residual(g, k, family)
-    zero = TriSeries.zero(qcap)
-    return _verdict(name or f"qdiff[{family}]", k, residual, zero, qcap, None, started)
+    fail = _first_difference(_qdiff_residual(g, k, family), TriSeries.zero(qcap))
+    return _verdict(name or f"qdiff[{family}]", k, qcap, None, started, fail)
 
 
 def equidistribution_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
@@ -362,7 +379,8 @@ def equidistribution_check(qcap: int, name=None, artifacts=None) -> IdentityRepo
     memo = artifacts or _Artifacts()
     lhs = memo.measure(qcap, 2, "all")
     rhs = memo.durfee(qcap)
-    return _verdict(name or "durfee-equidistribution", None, lhs, rhs, qcap, None, started)
+    fail = _first_difference(lhs, rhs)
+    return _verdict(name or "durfee-equidistribution", None, qcap, None, started, fail)
 
 
 def durfee_closed_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
@@ -370,7 +388,8 @@ def durfee_closed_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
     started = perf_counter()
     lhs = durfee_gf_closed(qcap)
     rhs = (artifacts or _Artifacts()).durfee(qcap)
-    return _verdict(name or "durfee-closed-form", None, lhs, rhs, qcap, None, started)
+    fail = _first_difference(lhs, rhs)
+    return _verdict(name or "durfee-closed-form", None, qcap, None, started, fail)
 
 
 def parity_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
@@ -387,18 +406,10 @@ def parity_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
     signs = memo.measure(qcap, 2, "all").set_y(-1).set_z(-1)
     counts = memo.measure(qcap, 1, "distinct-odd").set_y(1).set_z(1)
     product = pochhammer_infinite(Monomial(-1, q=1), 2, qcap)
-    fail = None
-    for n in range(qcap + 1):
-        signed = signs.coefficient(n)
-        odd_distinct = counts.coefficient(n)
-        coeff = product.coefficient(n)
-        if signed != odd_distinct:
-            fail = Mismatch(n, 0, 0, signed, odd_distinct)
-            break
-        if odd_distinct != coeff:
-            fail = Mismatch(n, 0, 0, odd_distinct, coeff)
-            break
-    return _value_verdict(name or "parity-distinct-odd", None, qcap, None, fail, started)
+    # the least n at which either pair differs, (i) against (ii) first
+    fails = [_first_difference(signs, counts), _first_difference(counts, product)]
+    fail = min((d for d in fails if d is not None), key=lambda d: d[0], default=None)
+    return _verdict(name or "parity-distinct-odd", None, qcap, None, started, fail)
 
 
 def nonnegativity_check(
@@ -419,17 +430,21 @@ def nonnegativity_check(
         series_list = [memo.closed_sum(k, qcap, family)]
     fail = None
     for series in series_list:
+        packed = series._packed
+        if packed is not None and packed.den == 1 and packed.is_nonnegative():
+            continue
+        # only a series that fails the packed test is decoded
         if not series.is_integral() or any(
             c < 0 for layer in series._layers for c in layer.values()
         ):
             # only a failing series pays for the sort into (q, y, z) order
             fail = next(
-                Mismatch(j, e, f, c, 0)
+                (j, e, f, c, 0)
                 for j, e, f, c in series.terms()
                 if (isinstance(c, Fraction) and c.denominator != 1) or c < 0
             )
             break
-    return _value_verdict(name or f"nonnegative[{family}]", k, qcap, None, fail, started)
+    return _verdict(name or f"nonnegative[{family}]", k, qcap, None, started, fail)
 
 
 def sylvester_check(n_max: int, name=None) -> IdentityReport:
@@ -442,9 +457,9 @@ def sylvester_check(n_max: int, name=None) -> IdentityReport:
                 v for v in set(by_distinct) | set(by_runs)
                 if by_distinct.get(v, 0) != by_runs.get(v, 0)
             )
-            fail = Mismatch(n, r, 0, by_distinct.get(r, 0), by_runs.get(r, 0))
+            fail = (n, r, 0, by_distinct.get(r, 0), by_runs.get(r, 0))
             break
-    return _value_verdict(name or "sylvester-runs", None, n_max, None, fail, started)
+    return _verdict(name or "sylvester-runs", None, n_max, None, started, fail)
 
 
 # --------------------------------------------- building-block identities
@@ -468,7 +483,8 @@ def euler_first_sides(t: Monomial, qcap: int, zcap=None):
 def euler_first(t: Monomial, qcap: int, zcap=None, name=None) -> IdentityReport:
     started = perf_counter()
     lhs, rhs = euler_first_sides(t, qcap, zcap)
-    return _verdict(name or f"euler-first[t={t}]", None, lhs, rhs, qcap, zcap, started)
+    fail = _first_difference(lhs, rhs)
+    return _verdict(name or f"euler-first[t={t}]", None, qcap, zcap, started, fail)
 
 
 def euler_second_sides(t: Monomial, qcap: int, zcap=None):
@@ -490,7 +506,8 @@ def euler_second_sides(t: Monomial, qcap: int, zcap=None):
 def euler_second(t: Monomial, qcap: int, zcap=None, name=None) -> IdentityReport:
     started = perf_counter()
     lhs, rhs = euler_second_sides(t, qcap, zcap)
-    return _verdict(name or f"euler-second[t={t}]", None, lhs, rhs, qcap, zcap, started)
+    fail = _first_difference(lhs, rhs)
+    return _verdict(name or f"euler-second[t={t}]", None, qcap, zcap, started, fail)
 
 
 def bailey_daum_sides(a: Monomial, qcap: int, zcap=None):
@@ -511,7 +528,8 @@ def bailey_daum_sides(a: Monomial, qcap: int, zcap=None):
 def bailey_daum(a: Monomial, qcap: int, zcap=None, name=None) -> IdentityReport:
     started = perf_counter()
     lhs, rhs = bailey_daum_sides(a, qcap, zcap)
-    return _verdict(name or f"bailey-daum[a={a}]", None, lhs, rhs, qcap, zcap, started)
+    fail = _first_difference(lhs, rhs)
+    return _verdict(name or f"bailey-daum[a={a}]", None, qcap, zcap, started, fail)
 
 
 def heine_limit_sides(qcap: int, zcap: int):
@@ -534,7 +552,8 @@ def heine_limit_sides(qcap: int, zcap: int):
 def heine_limit(qcap: int, zcap: int, name=None) -> IdentityReport:
     started = perf_counter()
     lhs, rhs = heine_limit_sides(qcap, zcap)
-    return _verdict(name or "heine-limit", None, lhs, rhs, qcap, zcap, started)
+    fail = _first_difference(lhs, rhs)
+    return _verdict(name or "heine-limit", None, qcap, zcap, started, fail)
 
 
 def generalized_heine_sides(
@@ -591,7 +610,8 @@ def generalized_heine(
     started = perf_counter()
     lhs, rhs = generalized_heine_sides(a, b, c, t, h, qcap, zcap)
     label = name or f"heine-general[a={a},b={b},c={c},t={t},h={h}]"
-    return _verdict(label, None, lhs, rhs, qcap, zcap, started)
+    fail = _first_difference(lhs, rhs)
+    return _verdict(label, None, qcap, zcap, started, fail)
 
 
 # -------------------------------------------------------------- the suite

@@ -20,9 +20,8 @@ statistics.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
-from .series import TriSeries
+from .series import _START_WIDTH, TriSeries, _Packed, _Record, _width_for
 
 FAMILIES = ("all", "distinct", "odd", "distinct-odd")
 
@@ -132,15 +131,18 @@ def consecutive_runs(parts) -> int:
     return runs
 
 
-@dataclass
-class PartitionStats:
-    """Bundle of the statistics of one partition."""
+class PartitionStats(_Record):
+    """Bundle of the statistics of one partition; ``smallest`` is 0 for the
+    empty partition."""
 
-    size: int
-    length: int
-    smallest: int  # 0 for the empty partition
-    durfee: int
-    measures: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("size", "length", "smallest", "durfee", "measures")
+
+    def __init__(self, size: int, length: int, smallest: int, durfee: int, measures=None):
+        self.size = size
+        self.length = length
+        self.smallest = smallest
+        self.durfee = durfee
+        self.measures = {} if measures is None else measures
 
 
 def partition_stats(parts, ks=(1, 2, 3, 4, 5)) -> PartitionStats:
@@ -190,8 +192,13 @@ def format_partition(parts) -> str:
 # The series are built by transfer-matrix counting (Stanley, Enumerative
 # Combinatorics vol. 1, sec. 4.7): part values are scanned one at a time,
 # and a state is a layered series, list index the size, with
-# {(length, statistic): count} layers.  Each value is absent or present with
-# some multiplicity, so a partition is counted once, by the path of its
+# {statistic: count} layers.  Each count is a polynomial in y, the length,
+# packed into one int evaluated at y = 2^W (the rows of
+# :class:`kmeasure.series._Packed`), so a part's y is a shift by W.  Every
+# count of size j is a number of partitions of j, at most p(j), so it fits a
+# W-bit slot with W from p(qcap), and the counted series keeps its rows with
+# p(j) as the majorant of row j.  Each value is absent or present with some
+# multiplicity, so a partition is counted once, by the path of its
 # multiplicities.  The cost is polynomial in qcap, not proportional to the
 # number of partitions.
 
@@ -203,18 +210,37 @@ def _check_oracle_args(qcap, family):
         raise ValueError(f"unknown family {family!r}")
 
 
+def _partition_counts(qcap) -> list[int]:
+    """p(j) for every j <= qcap, by Euler's product over part values."""
+    counts = [1] + [0] * qcap
+    for v in range(1, qcap + 1):
+        for j in range(v, qcap + 1):
+            counts[j] += counts[j - v]
+    return counts
+
+
+def _counted(qcap, layers, counts, width) -> TriSeries:
+    return TriSeries._from_packed(_Packed(qcap, None, width, 1, layers, counts))
+
+
+def _slot_width(counts) -> int:
+    """The slot width of a DP whose counts are at most ``counts[-1]``; at
+    least the kernel's, so that both sides of a check share one width."""
+    return max(_START_WIDTH, _width_for(counts[-1].bit_length()))
+
+
 def _unit(qcap):
     """The state of the empty partition."""
     layers = [{} for _ in range(qcap + 1)]
-    layers[0][(0, 0)] = 1
+    layers[0][0] = 1
     return layers
 
 
-def _accumulate(tgt, layer, dl=0, dz=0):
-    """tgt += layer, raising each length by dl and each statistic by dz."""
-    for (ell, stat), c in layer.items():
-        key = (ell + dl, stat + dz)
-        tgt[key] = tgt.get(key, 0) + c
+def _accumulate(tgt, layer, shift=0, dz=0):
+    """tgt += layer, each count shifted up by ``shift`` bits (shift = W for
+    one more part) and each statistic raised by dz."""
+    for stat, c in layer.items():
+        tgt[stat + dz] = tgt.get(stat + dz, 0) + (c << shift)
 
 
 def _add_into(target, layers):
@@ -222,7 +248,7 @@ def _add_into(target, layers):
         _accumulate(tgt, layer)
 
 
-def _times_value(layers, v, once):
+def _times_value(layers, v, once, width):
     """Multiply by 1 + y q^v (once) or 1/(1 - y q^v) in place.
 
     One pass of layers[j] += y * layers[j - v]: descending j reads each
@@ -231,7 +257,7 @@ def _times_value(layers, v, once):
     """
     n = len(layers)
     for j in range(n - 1, v - 1, -1) if once else range(v, n):
-        _accumulate(layers[j], layers[j - v], dl=1)
+        _accumulate(layers[j], layers[j - v], width)
 
 
 def _measure_series(qcap, k, family):
@@ -246,6 +272,8 @@ def _measure_series(qcap, k, family):
     """
     distinct = family in ("distinct", "distinct-odd")
     odd = family in ("odd", "distinct-odd")
+    counts = _partition_counts(qcap)
+    width = _slot_width(counts)
     gaps = [[{} for _ in range(qcap + 1)] for _ in range(k - 1)] + [_unit(qcap)]
     for v in range(1, qcap + 1):
         *lower, top = gaps
@@ -253,11 +281,11 @@ def _measure_series(qcap, k, family):
         if not (odd and v % 2 == 0):
             # taken[j] = z y top[j - v] + y taken[j - v], or its first term alone
             for j in range(v, qcap + 1):
-                _accumulate(taken[j], top[j - v], dl=1, dz=1)
+                _accumulate(taken[j], top[j - v], width, 1)
                 if not distinct:
-                    _accumulate(taken[j], taken[j - v], dl=1)
+                    _accumulate(taken[j], taken[j - v], width)
             for layers in lower:
-                _times_value(layers, v, distinct)
+                _times_value(layers, v, distinct, width)
         # gap g becomes g + 1, the taken state gap 1, and gap k - 1 (the
         # taken state itself, at k = 1) joins gap k
         gaps = [taken] + lower + [top]
@@ -265,7 +293,7 @@ def _measure_series(qcap, k, family):
     total = gaps.pop()
     for layers in gaps:
         _add_into(total, layers)
-    return TriSeries._make(qcap, None, total)
+    return _counted(qcap, total, counts, width)
 
 
 def measure_gfs(qcap: int, ks, family: str = "all") -> dict[int, TriSeries]:
@@ -292,19 +320,26 @@ def durfee_gf(qcap: int) -> TriSeries:
 
     Values are scanned in descending order, so a copy of a value v becomes
     part L + 1 of a partition of length L.  That part widens the Durfee
-    square when L < v.  Copies are added one at a time, in place, over
-    ascending sizes, so the state at size j - v already holds the
-    partitions with copies of v when size j reads it.
+    square when L < v, so a mask splits each packed count at slot v.
+    Copies are added one at a time, in place, over ascending sizes, so the
+    state at size j - v already holds the partitions with copies of v when
+    size j reads it.
     """
     _check_oracle_args(qcap, "all")
+    counts = _partition_counts(qcap)
+    width = _slot_width(counts)
     layers = _unit(qcap)
     for v in range(qcap, 0, -1):
+        short = (1 << (width * v)) - 1  # the slots of lengths below v
         for j in range(v, qcap + 1):
             tgt = layers[j]
-            for (ell, side), c in layers[j - v].items():
-                key = (ell + 1, side + (ell < v))
-                tgt[key] = tgt.get(key, 0) + c
-    return TriSeries._make(qcap, None, layers)
+            for side, c in layers[j - v].items():
+                widens = c & short
+                if widens:
+                    tgt[side + 1] = tgt.get(side + 1, 0) + (widens << width)
+                if c != widens:
+                    tgt[side] = tgt.get(side, 0) + ((c - widens) << width)
+    return _counted(qcap, layers, counts, width)
 
 
 def sylvester_table(n_max: int) -> list[tuple[Counter, Counter]]:

@@ -33,19 +33,24 @@ facts make the kernel exact:
   shift by W*a, divide exactly by an integer), and evaluation at 2^W keeps
   all of them exact whatever W is;
 - the q-cap and the z-cap drop whole keys, which is exact too;
-- a packed value is decoded, or an empty one taken for zero, only when a
-  majorant kept in lockstep with every step (one nonnegative int per
-  q-layer, bounding the sum of the absolute numerators there) shows that
-  every coefficient lies below 2^(W-1) in absolute value.  Otherwise the
-  build is run again at the width the majorant asks for, so W follows
-  from the input and is no setting.
+- a packed value is decoded, compared, or an empty one taken for zero,
+  only when a majorant kept in lockstep with every step (one nonnegative
+  int per q-layer, bounding the sum of the absolute numerators there)
+  shows that every coefficient lies below 2^(W-1) in absolute value.
+  Otherwise the build is run again at the width the majorant asks for, so
+  W follows from the input and is no setting.
 
-A series leaves the kernel decoded to the dict layers above.
+A series built by the kernel, or by a counting DP of
+:mod:`kmeasure.partitions`, keeps its packed rows.  It is decoded to the
+dict layers above once, and only when something reads them (a
+substitution, an inversion, a product, a rendering).  Equality and the
+checks of :mod:`kmeasure.identities` compare packed rows as ints, which is
+a proof under the majorant (:func:`_first_difference`), and decode only
+the first row that differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from sys import maxsize
@@ -69,30 +74,67 @@ def _fmt_coeff(c: Coeff) -> str:
     return str(int(c))
 
 
-@dataclass(frozen=True)
-class Monomial:
+class _Record:
+    """A plain record: its fields are its ``__slots__``, compared and shown
+    in that order the way a dataclass would, without the import cost of
+    :mod:`dataclasses`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Monomial(_Record):
     """A signed rational multiple of ``q^q * y^y * z^z``.
 
     Monomials are the parameter type for Pochhammer products and for
     specializing identities: the argument A of (A;q)_n, the t of Euler's
     identities, and so on.  Exponents are nonnegative.  A zero coefficient
     is allowed and denotes the zero monomial (useful as a degenerate
-    Pochhammer argument, where every factor collapses to 1).
+    Pochhammer argument, where every factor collapses to 1).  Monomials
+    are immutable and hashable.
     """
 
-    coeff: Coeff
-    q: int = 0
-    y: int = 0
-    z: int = 0
+    __slots__ = ("coeff", "q", "y", "z")
 
-    def __post_init__(self):
-        if self.q < 0 or self.y < 0 or self.z < 0:
+    def __init__(self, coeff: Coeff, q: int = 0, y: int = 0, z: int = 0):
+        if q < 0 or y < 0 or z < 0:
             raise ValueError("monomial exponents must be nonnegative")
-        object.__setattr__(self, "coeff", _norm_coeff(Fraction(self.coeff)))
+        if type(coeff) is not int:
+            coeff = _norm_coeff(Fraction(coeff))
+        init = object.__setattr__
+        init(self, "coeff", coeff)
+        init(self, "q", q)
+        init(self, "y", y)
+        init(self, "z", z)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return Monomial, self._values()
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(
-            Fraction(self.coeff) * Fraction(other.coeff),
+            self.coeff * other.coeff,
             self.q + other.q,
             self.y + other.y,
             self.z + other.z,
@@ -167,10 +209,14 @@ class TriSeries:
 
     ``qcap`` is the largest retained q-exponent; ``zcap`` is the largest
     retained z-exponent, or ``None`` for no z truncation.  Stored
-    coefficients are never zero, so :meth:`is_zero` is O(1).
+    coefficients are never zero, so :meth:`is_zero` needs no arithmetic.
+
+    A series holds dict layers, or the packed rows of the kernel or a
+    counting DP (``_packed``), from which ``_layers`` is decoded on first
+    read and then kept.
     """
 
-    __slots__ = ("qcap", "zcap", "_layers", "_nterms")
+    __slots__ = ("qcap", "zcap", "_decoded", "_packed")
 
     def __init__(self, qcap: int, zcap: int | None = None):
         if qcap < 0:
@@ -179,17 +225,45 @@ class TriSeries:
             raise ValueError("zcap must be nonnegative or None")
         self.qcap = qcap
         self.zcap = zcap
-        self._layers = [{} for _ in range(qcap + 1)]
-        self._nterms = 0
+        self._decoded = [{} for _ in range(qcap + 1)]
+        self._packed = None
 
     @classmethod
     def _make(cls, qcap, zcap, layers):
         s = cls.__new__(cls)
         s.qcap = qcap
         s.zcap = zcap
-        s._layers = layers
-        s._nterms = sum(len(layer) for layer in layers)
+        s._decoded = layers
+        s._packed = None
         return s
+
+    @classmethod
+    def _from_packed(cls, p: "_Packed") -> "TriSeries":
+        """The series of packed rows that no one mutates afterwards, whose
+        majorant fits their width and whose pending offset is the identity."""
+        s = cls.__new__(cls)
+        s.qcap = p.qcap
+        s.zcap = p.zcap
+        s._decoded = None
+        s._packed = p
+        return s
+
+    @property
+    def _layers(self) -> list[dict]:
+        """Layer j is the ``{(y_exp, z_exp): coefficient}`` dict of q^j."""
+        if self._decoded is None:
+            self._decoded = self._packed.unpack()
+        return self._decoded
+
+    @property
+    def _nterms(self) -> int:
+        return sum(len(layer) for layer in self._layers)
+
+    def _layer(self, j: int) -> dict:
+        """Layer j, decoding only that row of a series not decoded yet."""
+        if self._decoded is None:
+            return self._packed.decode(self._packed.rows[j])
+        return self._decoded[j]
 
     # ---------------------------------------------------------------- build
 
@@ -206,8 +280,7 @@ class TriSeries:
         """The series equal to a single monomial, truncated under the caps."""
         s = cls(qcap, zcap)
         if m.coeff != 0 and m.q <= qcap and (zcap is None or m.z <= zcap):
-            s._layers[m.q][(m.y, m.z)] = _norm_coeff(m.coeff)
-            s._nterms = 1
+            s._layers[m.q][(m.y, m.z)] = m.coeff
         return s
 
     @classmethod
@@ -252,7 +325,9 @@ class TriSeries:
         return self._layers[j].get((y_exp, z_exp), 0)
 
     def is_zero(self) -> bool:
-        return self._nterms == 0
+        if self._decoded is None:
+            return self._packed.is_zero()
+        return not any(self._decoded)
 
     def is_integral(self) -> bool:
         """True iff every stored coefficient has denominator 1."""
@@ -297,7 +372,7 @@ class TriSeries:
         return (
             self.qcap == other.qcap
             and self.zcap == other.zcap
-            and self._layers == other._layers
+            and _first_difference(self, other) is None
         )
 
     __hash__ = None
@@ -525,9 +600,20 @@ def _width_for(bits: int) -> int:
 
 
 def _halves(slots: int, width: int) -> bytes:
-    """2^(width-1) in each of ``slots`` little-endian slots.  Added to a
-    packed value, it turns every balanced digit into a nonnegative one."""
+    """2^(width-1) in each of ``slots`` little-endian slots."""
     return (b"\0" * (width // 8 - 1) + b"\x80") * slots
+
+
+_HIGH_BITS = {}
+
+
+def _high_bits(slots: int, width: int) -> int:
+    """:func:`_halves` as an int: bit width-1 of each slot.  Added to a
+    packed value, it turns every balanced digit into a nonnegative one."""
+    key = (slots, width)
+    if key not in _HIGH_BITS:
+        _HIGH_BITS[key] = int.from_bytes(_halves(slots, width), "little")
+    return _HIGH_BITS[key]
 
 
 def _encode(layer: dict, width: int) -> dict:
@@ -540,11 +626,11 @@ def _encode(layer: dict, width: int) -> dict:
         by_z.setdefault(f, []).append((e, c))
     row = {}
     for f, terms in by_z.items():
-        halves = _halves(max(terms)[0] + 1, width)
-        raw = bytearray(halves)
+        slots = max(terms)[0] + 1
+        raw = bytearray(_halves(slots, width))
         for e, c in terms:
             raw[e * size:(e + 1) * size] = (c + half).to_bytes(size, "little")
-        row[f] = int.from_bytes(raw, "little") - int.from_bytes(halves, "little")
+        row[f] = int.from_bytes(raw, "little") - _high_bits(slots, width)
     return row
 
 
@@ -556,26 +642,45 @@ class _Narrow(Exception):
         self.width = width
 
 
+_NO_OFFSET = (0, 0, 0, 1)
+
+
 class _Packed:
-    """A series inside the binomial kernel, y packed into one integer.
+    """A series with y packed into one integer per (q, z) key.
 
     ``rows[j]`` maps a z-exponent f to the y-polynomial of q^j z^f
     evaluated at y = 2^width; the polynomial holds integer numerators over
     the common denominator ``den``.  Every step is a ring operation of Z[y]
     (add, multiply by an integer, shift by width*a, divide exactly by an
     integer), which evaluation at 2^width preserves whatever the width, and
-    the caps drop whole keys.  Only reading a value back, or taking an empty
-    series for zero, needs every coefficient below 2^(width-1) in absolute
-    value.  ``bound[j]`` is the majorant that vouches for it: at least the
-    sum of the absolute numerators of layer j, kept in lockstep with every
-    step.  Where it does not fit, :class:`_Narrow` names a wider width and
-    the build is run again (:func:`_packed_build`).
+    the caps drop whole keys.  Only reading a value back, comparing it, or
+    taking an empty series for zero, needs every coefficient below
+    2^(width-1) in absolute value.  ``bound[j]`` is the majorant that
+    vouches for it: at least the sum of the absolute numerators of layer j,
+    kept in lockstep with every step.  Where it does not fit,
+    :class:`_Narrow` names a wider width and the build is run again
+    (:func:`_packed_build`).
+
+    Inside a build a series may carry a pending monomial factor, ``offset =
+    (q, y, z, coeff)``: it then stands for coeff q^q y^y z^z times its rows,
+    and ``qcap``, ``zcap`` are the caps of the rows, the series' caps less
+    the offset's exponents.  Binomial steps commute with the factor, so they
+    run over the rows under those caps alone; :meth:`add` applies it.
     """
 
-    __slots__ = ("qcap", "zcap", "width", "den", "rows", "bound")
+    __slots__ = ("qcap", "zcap", "width", "den", "rows", "bound", "offset")
+
+    def __init__(self, qcap, zcap, width: int, den: int, rows: list, bound: list):
+        self.qcap, self.zcap, self.width, self.den = qcap, zcap, width, den
+        self.rows, self.bound = rows, bound
+        self.offset = _NO_OFFSET
 
     @classmethod
     def pack(cls, s: TriSeries, width: int) -> "_Packed":
+        """A private copy of s at this width: its own rows if it holds
+        rows of this width, else its layers packed."""
+        if s._packed is not None and s._packed.width == width:
+            return s._packed.copy()
         dens = [
             c.denominator for layer in s._layers for c in layer.values() if type(c) is Fraction
         ]
@@ -584,22 +689,21 @@ class _Packed:
             {key: c.numerator * (den // c.denominator) for key, c in layer.items()}
             for layer in s._layers
         ] if dens else s._layers
-        p = cls.__new__(cls)
-        p.qcap, p.zcap, p.width, p.den = s.qcap, s.zcap, width, den
-        p.bound = [sum(map(abs, layer.values())) for layer in layers]
+        p = cls(s.qcap, s.zcap, width, den, [], [sum(map(abs, layer.values())) for layer in layers])
         p._check()
         p.rows = [_encode(layer, width) for layer in layers]
         return p
 
     def copy(self) -> "_Packed":
-        p = _Packed.__new__(_Packed)
-        p.qcap, p.zcap, p.width, p.den = self.qcap, self.zcap, self.width, self.den
-        p.rows = [dict(row) for row in self.rows]
-        p.bound = list(self.bound)
+        p = _Packed(
+            self.qcap, self.zcap, self.width, self.den,
+            [dict(row) for row in self.rows], list(self.bound),
+        )
+        p.offset = self.offset
         return p
 
     def _check(self):
-        bits = max(self.bound).bit_length()
+        bits = max(self.bound, default=0).bit_length()
         if bits >= self.width:
             raise _Narrow(_width_for(bits))
 
@@ -611,28 +715,45 @@ class _Packed:
         self._check()
         return True
 
-    def unpack(self) -> TriSeries:
-        """The dict-layered series, decoded in time linear in its slots."""
+    def is_nonnegative(self) -> bool:
+        """True iff every numerator is >= 0, read off the packed ints.
+
+        Under the majorant every balanced digit c of an int v lies in
+        (-2^(W-1), 2^(W-1)).  If none is negative, v is their plain
+        base-2^W expansion: v >= 0 and bit W-1 of each slot is clear.  If
+        one is, either v < 0, or the lowest negative digit takes a borrow
+        from the slots above it and sets bit W-1 of its own.  One mask of
+        bit W-1 in every slot up to v's top slot tests both: in two's
+        complement a negative v sets every bit from its bit length up,
+        bit W-1 of that top slot among them.
+        """
         self._check()
+        width = self.width
+        for row in self.rows:
+            for v in row.values():
+                if v & _high_bits(v.bit_length() // width + 1, width):
+                    return False
+        return True
+
+    def unpack(self) -> list[dict]:
+        """The dict layers, decoded in time linear in their slots."""
+        self._check()
+        return [self.decode(row) for row in self.rows]
+
+    def decode(self, row: dict) -> dict:
+        """One row as a ``{(y_exp, z_exp): c}`` layer; the caller has
+        checked the majorant."""
         width, den = self.width, self.den
         size, half = width // 8, 1 << (width - 1)
-        offsets = {}
-        layers = []
-        for row in self.rows:
-            layer = {}
-            for f, v in row.items():
-                slots = abs(v).bit_length() // width + 1
-                if slots not in offsets:
-                    offsets[slots] = int.from_bytes(_halves(slots, width), "little")
-                raw = (v + offsets[slots]).to_bytes(slots * size, "little")
-                digits = [
-                    int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)
-                ]
-                layer.update({(e, f): d - half for e, d in enumerate(digits) if d != half})
-            if den != 1:
-                layer = {key: _norm_coeff(Fraction(c, den)) for key, c in layer.items()}
-            layers.append(layer)
-        return TriSeries._make(self.qcap, self.zcap, layers)
+        layer = {}
+        for f, v in row.items():
+            slots = abs(v).bit_length() // width + 1
+            raw = (v + _high_bits(slots, width)).to_bytes(slots * size, "little")
+            digits = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+            layer.update({(e, f): d - half for e, d in enumerate(digits) if d != half})
+        if den != 1:
+            layer = {key: _norm_coeff(Fraction(c, den)) for key, c in layer.items()}
+        return layer
 
     def _rescale(self, den: int):
         """Bring the common denominator up to ``den``, a multiple of it."""
@@ -645,31 +766,39 @@ class _Packed:
             self.den = den
 
     def add(self, other: "_Packed"):
-        """self += other, over the least common denominator of both."""
-        den = lcm(self.den, other.den)
+        """self += other, over the least common denominator of both,
+        applying other's pending offset; self carries none."""
+        q, y, z, coeff = other.offset
+        num, cden = coeff.numerator, coeff.denominator
+        den = lcm(self.den, other.den * cden)
         self._rescale(den)
-        other._rescale(den)
-        for tgt, row in zip(self.rows, other.rows):
+        factor = num * (den // (other.den * cden))
+        shift = self.width * y
+        for tgt, row in zip(self.rows[q:], other.rows):
             for f, v in row.items():
-                w = tgt.get(f, 0) + v
+                w = tgt.get(f + z, 0) + factor * (v << shift)
                 if w:
-                    tgt[f] = w
+                    tgt[f + z] = w
                 else:
-                    del tgt[f]
-        self.bound = [a + b for a, b in zip(self.bound, other.bound)]
+                    del tgt[f + z]
+        bound = self.bound
+        for j, b in enumerate(other.bound, q):
+            bound[j] += abs(factor) * b
 
     def times_monomial(self, m: Monomial):
-        """self *= m."""
-        num, den = m.coeff.numerator, m.coeff.denominator
-        keep = max(0, self.qcap + 1 - m.q) if num else 0  # rows that stay under the q-cap
-        limit = self.zcap - m.z if self.zcap is not None else maxsize
-        shift = self.width * m.y
-        self.rows = [{} for _ in range(self.qcap + 1 - keep)] + [
-            {f + m.z: num * (v << shift) for f, v in row.items() if f <= limit}
-            for row in self.rows[:keep]
-        ]
-        self.bound = [0] * (self.qcap + 1 - keep) + [abs(num) * b for b in self.bound[:keep]]
-        self.den *= den
+        """self *= m, held as a pending offset: the rows stay as they are,
+        and only those that m pushes past the caps are dropped."""
+        q, y, z, coeff = self.offset
+        self.offset = (q + m.q, y + m.y, z + m.z, coeff * m.coeff)
+        self.qcap = self.qcap - m.q if m.coeff else -1
+        keep = max(self.qcap + 1, 0)
+        del self.rows[keep:], self.bound[keep:]
+        if self.zcap is not None and m.z:
+            self.zcap -= m.z
+            dropped = range(max(self.zcap + 1, 0), self.zcap + m.z + 1)
+            for row in self.rows:
+                for f in dropped:
+                    row.pop(f, None)
 
     def step(self, coeff: Coeff, q: int, y: int, z: int, divide: bool):
         """Multiply by (1 - coeff y^y z^z q^q), or divide by it (q >= 1).
@@ -729,14 +858,87 @@ class _Packed:
 
 
 def _packed_build(build) -> TriSeries:
-    """Run ``build(width) -> _Packed`` and decode its result, widening the
-    slots and running the build again whenever the majorant needs it."""
+    """Run ``build(width) -> _Packed`` and keep its result packed, widening
+    the slots and running the build again whenever the majorant needs it."""
     width = _START_WIDTH
     while True:
         try:
-            return build(width).unpack()
+            p = build(width)
+            p._check()
+            return TriSeries._from_packed(p)
         except _Narrow as narrow:
             width = narrow.width
+
+
+def _rows_at(s: TriSeries, width: int, den: int, zcap):
+    """The rows of s at this width over the common denominator ``den``,
+    without keys above ``zcap``: its own rows if it holds them, else its
+    layers packed.  None if a numerator is no integer or does not lie
+    below 2^(width-1) in absolute value."""
+    p = s._packed
+    if p is not None and p.width == width and p.den == den:
+        p._check()
+        rows = p.rows
+    else:
+        limit = 1 << (width - 1)
+        layers = []
+        for layer in s._layers:
+            scaled = {}
+            for key, c in layer.items():
+                n = c * den
+                if type(n) is Fraction:
+                    if n.denominator != 1:
+                        return None
+                    n = n.numerator
+                if not -limit < n < limit:
+                    return None
+                scaled[key] = n
+            layers.append(scaled)
+        rows = [_encode(layer, width) for layer in layers]
+    if zcap != s.zcap:
+        rows = [{f: v for f, v in row.items() if f <= zcap} for row in rows]
+    return rows
+
+
+def _first_difference(a: TriSeries, b: TriSeries):
+    """The least (q, y, z) at which a and b differ under their merged caps,
+    as ``(q, y, z, coefficient in a, coefficient in b)``; None if they agree.
+
+    Where either side holds packed rows, both are read at the widest such
+    width W and its denominator, and rows are compared as ints.  Every slot
+    of either side then lies below 2^(W-1) in absolute value, so every slot
+    of the difference lies below 2^W, and a nonzero difference cannot
+    vanish at y = 2^W: equal ints are a proof.  Only the first row that
+    differs is decoded.  A side that cannot be read at that width, or two
+    dict sides, are compared layer by layer.
+    """
+    qcap, zcap = a._merged_caps(b)
+    packed = [s._packed for s in (a, b) if s._packed is not None]
+    rows = None
+    if packed:
+        ref = max(packed, key=lambda p: p.width)
+        ra = _rows_at(a, ref.width, ref.den, zcap)
+        rb = _rows_at(b, ref.width, ref.den, zcap) if ra is not None else None
+        if rb is not None:
+            rows = ra, rb
+    if rows is None:
+        rows = [
+            s._layers if zcap == s.zcap else [
+                {key: c for key, c in layer.items() if key[1] <= zcap} for layer in s._layers
+            ]
+            for s in (a, b)
+        ]
+    for j, (x, y) in enumerate(zip(*rows)):
+        if x != y:
+            la, lb = a._layer(j), b._layer(j)
+            keys = [
+                key for key in la.keys() | lb.keys()
+                if (zcap is None or key[1] <= zcap) and la.get(key, 0) != lb.get(key, 0)
+            ]
+            if keys:
+                e, f = min(keys)
+                return j, e, f, la.get((e, f), 0), lb.get((e, f), 0)
+    return None
 
 
 # ------------------------------------------------------------ Pochhammer

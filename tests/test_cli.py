@@ -244,6 +244,25 @@ def test_serial_verify_never_imports_the_pool():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_import_pulls_in_no_dataclasses():
+    # the records are plain classes: dataclasses, and the inspect module it
+    # imports, would add about 10 ms to the start-up of every process
+    import kmeasure
+
+    script = (
+        "import sys\n"
+        "import kmeasure.cli\n"
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+    )
+    src = str(Path(kmeasure.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_verify_dead_worker_fails_only_its_check(monkeypatch, capsys):
     import kmeasure.identities as identities
 

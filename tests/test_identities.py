@@ -48,6 +48,8 @@ from kmeasure.series import (
     TriSeries,
     YQ,
     Z,
+    _first_difference,
+    _pochhammer_apply,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -398,10 +400,72 @@ def test_statistic_bounds_in_closed_forms():
 def test_report_failure_coordinates():
     lhs = TriSeries.one(5)
     rhs = TriSeries.from_terms([(0, 0, 0, 1), (2, 1, 0, 3)], 5)
-    report = identities._verdict("demo", None, lhs, rhs, 5, None, 0.0)
+    fail = _first_difference(lhs, rhs)
+    report = identities._verdict("demo", None, 5, None, 0.0, fail)
     assert not report.passed
     assert report.first_failure == Mismatch(2, 1, 0, 0, 3)
     assert "q^2 y^1 z^0" in str(report.first_failure)
+
+
+def _seeded(built):
+    """A memo that hands these series to the checks."""
+    memo = identities._Artifacts()
+    memo._built.update(built)
+    return memo
+
+
+def test_failing_qdiff_reports_the_residual_against_zero():
+    qcap = 10
+    g = measure_gf(qcap, 3)  # the series of the wrong k
+    advanced = _pochhammer_apply(g.scale_y(2), YQ, 1, 2, divide=True)
+    residual = g - g.scale_y(1) - advanced.times_monomial(Monomial(1, q=1, y=1, z=1))
+    j, e, f, c = residual.terms()[0]
+    report = qdiff_check(2, qcap, artifacts=_seeded({("measure", qcap, 2, "all"): g}))
+    assert report.first_failure == Mismatch(j, e, f, c, 0)
+
+
+def test_failing_nonnegativity_reports_the_first_bad_term():
+    qcap = 8
+    for series in (
+        pochhammer_infinite(YQ, 1, qcap),  # packed, negative terms
+        TriSeries.one(qcap).divide_one_minus(Monomial(Fraction(1, 2), q=1)),  # fractions
+        TriSeries.from_terms([(0, 0, 0, 1), (3, 1, 0, -2)], qcap),  # dict layers
+    ):
+        j, e, f, c = next(
+            t for t in series.terms() if t[3] < 0 or Fraction(t[3]).denominator != 1
+        )
+        memo = _seeded({("closed_sum", 1, qcap, "distinct"): series})
+        report = nonnegativity_check(1, qcap, "distinct", artifacts=memo)
+        assert report.first_failure == Mismatch(j, e, f, c, 0)
+
+
+def test_failing_parity_reports_the_first_n_of_either_pair():
+    def loop(signs, counts, product, qcap):
+        # the per-n scan the check made before it compared series
+        for n in range(qcap + 1):
+            a, b, c = signs.coefficient(n), counts.coefficient(n), product.coefficient(n)
+            if a != b:
+                return Mismatch(n, 0, 0, a, b)
+            if b != c:
+                return Mismatch(n, 0, 0, b, c)
+        return None
+
+    qcap = 12
+    product = pochhammer_infinite(Monomial(-1, q=1), 2, qcap)
+    odd = measure_gf(qcap, 1, "odd")
+    # first a wrong count: both pairs fail at n = 2, and the first reports;
+    # then sign series that agree with it: only the second pair fails
+    flat = odd.set_y(1).set_z(1)
+    for built in (
+        {("measure", qcap, 1, "distinct-odd"): odd},
+        {("measure", qcap, 1, "distinct-odd"): odd, ("measure", qcap, 2, "all"): flat},
+    ):
+        memo = _seeded(built)
+        signs = memo.measure(qcap, 2, "all").set_y(-1).set_z(-1)
+        counts = memo.measure(qcap, 1, "distinct-odd").set_y(1).set_z(1)
+        expected = loop(signs, counts, product, qcap)
+        assert expected is not None
+        assert parity_check(qcap, artifacts=memo).first_failure == expected
 
 
 def test_report_serialization_round_trip():

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from kmeasure import partitions
 from kmeasure.partitions import (
     PartitionStats,
     consecutive_runs,
@@ -197,6 +198,20 @@ def test_measure_gfs_match_enumeration(family):
 def test_durfee_gf_matches_enumeration():
     for qcap in range(26):
         assert durfee_gf(qcap) == _enumerated_gf(qcap, durfee), qcap
+
+
+def test_counting_dps_are_exact_at_the_narrowest_width(monkeypatch):
+    # Below the kernel's start width a DP takes W from p(qcap) alone:
+    # p(24) = 1575 needs 16-bit slots, and a count of 129 overflows 8 bits
+    monkeypatch.setattr(partitions, "_START_WIDTH", 8)
+    qcap = 24
+    for family in ("all", "distinct"):
+        gf = measure_gf(qcap, 2, family)
+        assert gf._packed.width == 16
+        assert gf == _enumerated_gf(qcap, lambda parts: kmeasure(parts, 2), family)
+    gf = durfee_gf(qcap)
+    assert gf._packed.width == 16 and gf.max_abs() == 129
+    assert gf == _enumerated_gf(qcap, durfee)
 
 
 def test_durfee_gf_total_mass_at_order_80():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,10 @@ from kmeasure.partitions import kmeasure, kmeasure_bruteforce
 from kmeasure.series import (
     Monomial,
     TriSeries,
+    _encode,
+    _first_difference,
+    _Narrow,
+    _Packed,
     _pochhammer_apply,
     pochhammer_finite,
     pochhammer_infinite,
@@ -264,6 +269,137 @@ def test_truncation_consistency_pochhammer(a, h, n, cap):
 @given(series(), st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=QCAP))
 def test_truncation_consistency_scale_y(s, j, cap):
     assert s.scale_y(j).truncate(cap) == s.truncate(cap).scale_y(j)
+
+
+# ------------------------------------------------------ packed comparison
+
+
+def dict_difference(a, b):
+    """The first failure of the dict-diff verdict: the first term of a - b
+    in (q, y, z) order, with the coefficients of a and b there."""
+    diff = a - b
+    if diff.is_zero():
+        return None
+    j, e, f, _ = diff.terms()[0]
+    return j, e, f, a.coefficient(j, e, f), b.coefficient(j, e, f)
+
+
+def held_as(s, form):
+    """s as dict layers, or as packed rows at the first width from ``form``
+    up that its majorant allows."""
+    if form == "dict":
+        return s
+    width = form
+    while True:
+        try:
+            return TriSeries._from_packed(_Packed.pack(s, width))
+        except _Narrow as narrow:
+            width = narrow.width
+
+
+forms = st.sampled_from(("dict", 8, 16, 64))
+
+
+@st.composite
+def near_pairs(draw):
+    """Two series that often agree, or differ in a few terms, possibly
+    under different z-caps."""
+    a = draw(st.one_of(any_series, wide_series))
+    delta = draw(st.lists(
+        st.tuples(st.integers(0, QCAP), st.integers(0, 3), st.integers(0, ZCAP), coeffs),
+        max_size=2,
+    ))
+    if a.terms() and draw(st.booleans()):
+        j, e, f, c = draw(st.sampled_from(a.terms()))
+        delta.append((j, e, f, -c))
+    zcap = draw(st.sampled_from((a.zcap, None, 1, ZCAP)))
+    return a, TriSeries.from_terms(a.terms() + delta, QCAP, zcap)
+
+
+@given(near_pairs(), forms, forms)
+@settings(max_examples=300)
+def test_first_difference_matches_dict_diff(pair, form_a, form_b):
+    # packed/packed at equal or different widths, packed/dict and
+    # dict/dict; Fraction coefficients give packed sides a denominator
+    a, b = pair
+    expected = dict_difference(a, b)
+    ha, hb = held_as(a, form_a), held_as(b, form_b)
+    assert _first_difference(ha, hb) == expected
+    assert (ha == hb) == (a.zcap == b.zcap and expected is None)
+
+
+EDGE_WIDTH = 8
+EDGE = 2 ** (EDGE_WIDTH - 1) - 1
+edge_layers = st.lists(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, ZCAP)),
+        st.sampled_from((EDGE, -EDGE, EDGE - 1, 1 - EDGE, 1, -1)),
+        max_size=6,
+    ),
+    min_size=QCAP + 1,
+    max_size=QCAP + 1,
+)
+
+
+def edge_packed(layers):
+    """Layers packed at EDGE_WIDTH.  A comparison, a decode and the sign
+    mask need only every slot below 2^(W-1), so the majorant is EDGE."""
+    rows = [_encode(layer, EDGE_WIDTH) for layer in layers]
+    return TriSeries._from_packed(
+        _Packed(QCAP, ZCAP, EDGE_WIDTH, 1, rows, [EDGE] * (QCAP + 1))
+    )
+
+
+def as_dict(layers):
+    return TriSeries._make(QCAP, ZCAP, [dict(layer) for layer in layers])
+
+
+@given(edge_layers, st.integers(0, QCAP), st.tuples(st.integers(0, 3), st.integers(0, ZCAP)),
+       st.sampled_from((0, 1, -1, 2 * EDGE, -2 * EDGE)))
+@settings(max_examples=300)
+def test_slots_at_the_width_edge_compare_and_decode(layers, j, key, change):
+    # b differs from a by up to 2^W - 2 in one slot that may sit between
+    # two slots at the edge, which borrow from it
+    other = [dict(layer) for layer in layers]
+    c = other[j].get(key, 0) + change
+    if -EDGE <= c <= EDGE and c:
+        other[j][key] = c
+    else:
+        other[j].pop(key, None)
+    a, b = edge_packed(layers), edge_packed(other)
+    expected = dict_difference(as_dict(layers), as_dict(other))
+    assert _first_difference(a, b) == expected
+    assert _first_difference(a, as_dict(other)) == expected
+    assert (a == b) == (expected is None)
+    assert a._layers == as_dict(layers)._layers
+
+
+@given(edge_layers)
+@settings(max_examples=300)
+def test_sign_mask_at_the_width_edge(layers):
+    expected = all(c > 0 for layer in layers for c in layer.values())
+    assert edge_packed(layers)._packed.is_nonnegative() == expected
+
+
+def test_sign_mask_reaches_the_top_slot():
+    # a lone negative coefficient makes the int negative: only the top
+    # slot's bit W-1 shows it
+    for terms in ([(0, 1, 0, -1)], [(2, 3, 1, -EDGE)], [(1, 0, 0, 5), (1, 2, 0, -1)]):
+        layers = TriSeries.from_terms(terms, QCAP, ZCAP)._layers
+        assert not edge_packed(layers)._packed.is_nonnegative()
+
+
+def test_comparison_refuses_slots_past_the_majorant():
+    # 2^8 at y^0 and 1 at y^1 are the same int at W = 8; a side whose
+    # majorant does not fit the width must stop the comparison
+    wide = TriSeries._from_packed(_Packed(0, None, 8, 1, [{0: 256}], [256]))
+    shifted = TriSeries._from_packed(_Packed(0, None, 8, 1, [{0: 256}], [1]))
+    with pytest.raises(_Narrow):
+        _first_difference(wide, shifted)
+    with pytest.raises(_Narrow):
+        _first_difference(shifted, wide)
+    with pytest.raises(_Narrow):
+        wide._packed.is_nonnegative()
 
 
 @st.composite
