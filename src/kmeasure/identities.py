@@ -12,8 +12,8 @@ summand is a multiple of the one before it, the sum stops exactly at the
 first summand that vanishes under the caps; no builder needs a truncation
 bound of its own.  Infinite Pochhammer prefactors are applied the same way,
 one binomial factor at a time, in the same packed kernel run as the sum
-(see :mod:`kmeasure.series`), so a sum is decoded once, after the
-prefactor has cancelled most of it.
+(see :mod:`kmeasure.series`).  Every series stays packed, and a passing
+check decodes none.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .series import (
     pochhammer_infinite,
 )
 
-FAMILIES = ("all", "distinct")
+CLOSED_FORM_FAMILIES = ("all", "distinct")
 MINUS_YQ = Monomial(-1, q=1, y=1)
 
 
@@ -182,32 +182,18 @@ def qdiff_residual(k: int, qcap: int, family: str = "all") -> TriSeries:
 
 
 def _check_family(family):
-    if family not in FAMILIES:
+    if family not in CLOSED_FORM_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
 
 
 def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
-    """:func:`qdiff_residual` of the enumerated series ``g``.
-
-    g(yq^k) stays packed through its binomial steps and the yzq shift, and
-    the residual is summed packed, so a zero residual is never decoded.
-    """
-    advanced = g.scale_y(k)
-    lhs = g - g.scale_y(1)
+    """:func:`qdiff_residual` of the enumerated series ``g``."""
     if family == "all":
         a, length, divide = YQ, k, True
     else:
         a, length, divide = Monomial(-1, q=2, y=1), k - 1, False
-
-    def build(width):
-        rhs = _Packed.pack(advanced, width)
-        rhs.times_monomial(Monomial(-1, q=1, y=1, z=1))
-        rhs.pochhammer(a, 1, length, divide)
-        residual = _Packed.pack(lhs, width)
-        residual.add(rhs)
-        return residual
-
-    return _packed_build(build)
+    advanced = g.scale_y(k).times_monomial(Monomial(-1, q=1, y=1, z=1))
+    return g - g.scale_y(1) + _pochhammer_apply(advanced, a, 1, length, divide)
 
 
 # ------------------------------------------------------------ reports
@@ -431,18 +417,15 @@ def nonnegativity_check(
     fail = None
     for series in series_list:
         packed = series._packed
-        if packed is not None and packed.den == 1 and packed.is_nonnegative():
+        if packed.den == 1 and packed.is_nonnegative():
             continue
-        # only a series that fails the packed test is decoded
-        if not series.is_integral() or any(
-            c < 0 for layer in series._layers for c in layer.values()
-        ):
-            # only a failing series pays for the sort into (q, y, z) order
-            fail = next(
-                (j, e, f, c, 0)
-                for j, e, f, c in series.terms()
-                if (isinstance(c, Fraction) and c.denominator != 1) or c < 0
-            )
+        # only a series that fails the packed test pays for the sort into
+        # (q, y, z) order
+        fail = next((
+            (j, e, f, c, 0) for j, e, f, c in series.terms()
+            if (isinstance(c, Fraction) and c.denominator != 1) or c < 0
+        ), None)
+        if fail is not None:
             break
     return _verdict(name or f"nonnegative[{family}]", k, qcap, None, started, fail)
 
@@ -647,7 +630,7 @@ def default_tasks(qcap: int, zcap: int, ks) -> list[tuple[str, str, dict]]:
     """The full verification suite as (name, check key, kwargs) triples."""
     tasks = []
     for k in ks:
-        for family in FAMILIES:
+        for family in CLOSED_FORM_FAMILIES:
             tasks.append(
                 (f"sum-form[{family}]", "sum-form",
                  dict(k=k, qcap=qcap, family=family))

@@ -23,7 +23,7 @@ from collections import Counter
 
 from .series import _START_WIDTH, TriSeries, _Packed, _Record, _width_for
 
-FAMILIES = ("all", "distinct", "odd", "distinct-odd")
+ORACLE_FAMILIES = ("all", "distinct", "odd", "distinct-odd")
 
 
 def _descend(remaining, max_part, distinct, odd):
@@ -49,7 +49,7 @@ def enumerate_partitions(n: int, family: str = "all"):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if family not in FAMILIES:
+    if family not in ORACLE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     distinct = family in ("distinct", "distinct-odd")
     odd = family in ("odd", "distinct-odd")
@@ -206,7 +206,7 @@ def format_partition(parts) -> str:
 def _check_oracle_args(qcap, family):
     if qcap < 0:
         raise ValueError("qcap must be nonnegative")
-    if family not in FAMILIES:
+    if family not in ORACLE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
 
 

@@ -13,40 +13,37 @@ q-order 0 for every n; a bounded ``zcap`` makes such sums finite while still
 determining every coefficient with z-exponent <= zcap exactly.  It is the
 formal-series replacement for an analytic smallness assumption on z.
 
-Storage is dense in the q-exponent and sparse per layer: layer ``j`` is a
-``{(y_exp, z_exp): coefficient}`` dict for the coefficient polynomial of
-``q^j``.  Every operation iterates q-layers, so truncation is a cheap index
-bound rather than a filter.  Series are immutable once built; all operations
-return new objects (or the operand itself when it is unchanged) and are safe
-to run concurrently.
+Storage is dense in q and packed in y (Kronecker substitution; von zur
+Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  A series is a
+list over q of ``{z_exp: int}`` rows, each int being the y-polynomial of
+that (q, z) key evaluated at y = 2^W, with rational coefficients held as
+integer numerators over one common denominator.  Every operation iterates
+q-rows, so truncation is a cheap index bound rather than a filter.  Series
+are immutable once built; all operations return new objects (or the
+operand itself when it is unchanged) and are safe to run concurrently.
 
-Multiplying or dividing by binomials (1 - c y^a z^b q^d), and so by
-Pochhammer products, runs in one packed kernel (Kronecker substitution;
-von zur Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  Inside
-it a series is a list over q of ``{z_exp: int}`` rows, each int being the
-y-polynomial of that (q, z) key evaluated at y = 2^W, with rational
-coefficients held as integer numerators over one common denominator.  A
-binomial step then costs one big-integer shift-and-add per key.  Three
-facts make the kernel exact:
+Sums, products, inverses and binomial steps (1 - c y^a z^b q^d), and so
+Pochhammer products, work on these ints directly: a binomial step costs
+one big-integer shift-and-add per key, a product one big-integer product
+per pair of keys.  Three facts make them exact:
 
-- every step is a ring operation of Z[y] (add, multiply by an integer,
-  shift by W*a, divide exactly by an integer), and evaluation at 2^W keeps
-  all of them exact whatever W is;
+- every step is a ring operation of Z[y] (add, multiply, shift by W*a,
+  divide exactly by an integer), and evaluation at 2^W keeps all of them
+  exact whatever W is;
 - the q-cap and the z-cap drop whole keys, which is exact too;
 - a packed value is decoded, compared, or an empty one taken for zero,
   only when a majorant kept in lockstep with every step (one nonnegative
-  int per q-layer, bounding the sum of the absolute numerators there)
+  int per q-row, bounding the sum of the absolute numerators there)
   shows that every coefficient lies below 2^(W-1) in absolute value.
-  Otherwise the build is run again at the width the majorant asks for, so
-  W follows from the input and is no setting.
+  Otherwise the operation is run again at the width the majorant asks
+  for, so W follows from the input and is no setting.
 
-A series built by the kernel, or by a counting DP of
-:mod:`kmeasure.partitions`, keeps its packed rows.  It is decoded to the
-dict layers above once, and only when something reads them (a
-substitution, an inversion, a product, a rendering).  Equality and the
-checks of :mod:`kmeasure.identities` compare packed rows as ints, which is
-a proof under the majorant (:func:`_first_difference`), and decode only
-the first row that differs.
+Substituting for y (``scale_y``, ``set_y``) reads the W-bit slots of each
+int.  Equality and the checks of :mod:`kmeasure.identities` compare rows
+as ints, which is a proof under the majorant (:func:`_first_difference`).
+The ``{(y_exp, z_exp): coefficient}`` dict layers of a series are only a
+view, decoded once when something reads coefficients back: ``terms``,
+``coefficient``, a rendering, or a failure report.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from sys import maxsize
 
 Coeff = int | Fraction
 
-_KEEP = object()  # sentinel: "keep the current cap" in truncate()
+_KEEP = object()  # sentinel: "keep the current z-cap"
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -157,9 +154,6 @@ class Monomial(_Record):
         """Multiply by q^j."""
         return Monomial(self.coeff, self.q + j, self.y, self.z)
 
-    def pow(self, m: int) -> "Monomial":
-        return Monomial(Fraction(self.coeff) ** m, self.q * m, self.y * m, self.z * m)
-
     def __str__(self):
         if self.coeff == 0:
             return "0"
@@ -185,35 +179,30 @@ Q = Monomial(1, q=1)
 Y = Monomial(1, y=1)
 Z = Monomial(1, z=1)
 YQ = Monomial(1, q=1, y=1)
+_MINUS_ONE = Monomial(-1)
 
 
-def _poly_mul_acc(acc, pa, pb, zcap, negate=False):
-    """acc += pa * pb (as (y,z)-polynomial dicts), dropping z-exponents > zcap."""
-    for (e1, f1), c1 in pa.items():
-        if negate:
-            c1 = -c1
-        for (e2, f2), c2 in pb.items():
+def _row_mul(acc: dict, ra: dict, rb: dict, limit: int):
+    """acc += ra * rb for two rows of packed ints, dropping z-exponents
+    above ``limit``: one big-integer product per pair of keys."""
+    for f1, v1 in ra.items():
+        for f2, v2 in rb.items():
             f = f1 + f2
-            if zcap is not None and f > zcap:
-                continue
-            key = (e1 + e2, f)
-            v = acc.get(key, 0) + c1 * c2
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
+            if f <= limit:
+                w = acc.get(f, 0) + v1 * v2
+                if w:
+                    acc[f] = w
+                else:
+                    del acc[f]
 
 
 class TriSeries:
     """Truncated trivariate formal power series with exact coefficients.
 
     ``qcap`` is the largest retained q-exponent; ``zcap`` is the largest
-    retained z-exponent, or ``None`` for no z truncation.  Stored
-    coefficients are never zero, so :meth:`is_zero` needs no arithmetic.
-
-    A series holds dict layers, or the packed rows of the kernel or a
-    counting DP (``_packed``), from which ``_layers`` is decoded on first
-    read and then kept.
+    retained z-exponent, or ``None`` for no z truncation.  The series is
+    its packed rows, ``_packed``, whose majorant fits their width;
+    ``_layers`` is their dict view, decoded on first read.
     """
 
     __slots__ = ("qcap", "zcap", "_decoded", "_packed")
@@ -225,17 +214,8 @@ class TriSeries:
             raise ValueError("zcap must be nonnegative or None")
         self.qcap = qcap
         self.zcap = zcap
-        self._decoded = [{} for _ in range(qcap + 1)]
-        self._packed = None
-
-    @classmethod
-    def _make(cls, qcap, zcap, layers):
-        s = cls.__new__(cls)
-        s.qcap = qcap
-        s.zcap = zcap
-        s._decoded = layers
-        s._packed = None
-        return s
+        self._decoded = None
+        self._packed = _Packed.zero(qcap, zcap, _START_WIDTH)
 
     @classmethod
     def _from_packed(cls, p: "_Packed") -> "TriSeries":
@@ -250,7 +230,8 @@ class TriSeries:
 
     @property
     def _layers(self) -> list[dict]:
-        """Layer j is the ``{(y_exp, z_exp): coefficient}`` dict of q^j."""
+        """Layer j is the ``{(y_exp, z_exp): coefficient}`` dict of q^j, a
+        read-only view of the packed rows, decoded once."""
         if self._decoded is None:
             self._decoded = self._packed.unpack()
         return self._decoded
@@ -258,12 +239,6 @@ class TriSeries:
     @property
     def _nterms(self) -> int:
         return sum(len(layer) for layer in self._layers)
-
-    def _layer(self, j: int) -> dict:
-        """Layer j, decoding only that row of a series not decoded yet."""
-        if self._decoded is None:
-            return self._packed.decode(self._packed.rows[j])
-        return self._decoded[j]
 
     # ---------------------------------------------------------------- build
 
@@ -278,18 +253,17 @@ class TriSeries:
     @classmethod
     def from_monomial(cls, m: Monomial, qcap: int, zcap: int | None = None) -> "TriSeries":
         """The series equal to a single monomial, truncated under the caps."""
-        s = cls(qcap, zcap)
-        if m.coeff != 0 and m.q <= qcap and (zcap is None or m.z <= zcap):
-            s._layers[m.q][(m.y, m.z)] = m.coeff
-        return s
+        return cls.from_terms([(m.q, m.y, m.z, m.coeff)], qcap, zcap)
 
     @classmethod
     def from_terms(cls, terms, qcap: int, zcap: int | None = None) -> "TriSeries":
         """Build from an iterable of (q_exp, y_exp, z_exp, coeff) tuples.
 
         Terms beyond the caps are dropped; repeated exponent triples are
-        accumulated.  Inverse of :meth:`terms`.
+        accumulated.  Inverse of :meth:`terms`.  The rows are packed at the
+        narrowest width from the kernel's start up that the terms fit.
         """
+        s = cls(qcap, zcap)
         layers = [{} for _ in range(qcap + 1)]
         for j, e, f, c in terms:
             if j > qcap or (zcap is not None and f > zcap) or c == 0:
@@ -299,10 +273,18 @@ class TriSeries:
             key = (e, f)
             v = layers[j].get(key, 0) + c
             if v:
-                layers[j][key] = _norm_coeff(v)
+                layers[j][key] = v
             else:
-                layers[j].pop(key, None)
-        return cls._make(qcap, zcap, layers)
+                del layers[j][key]
+        den = lcm(*(c.denominator for layer in layers for c in layer.values()))
+        layers = [
+            {key: c.numerator * (den // c.denominator) for key, c in layer.items()}
+            for layer in layers
+        ]
+        bound = [sum(map(abs, layer.values())) for layer in layers]
+        width = max(_START_WIDTH, _width_for(max(bound).bit_length()))
+        s._packed = _Packed(qcap, zcap, width, den, [_encode(layer, width) for layer in layers], bound)
+        return s
 
     # ------------------------------------------------------------- inspect
 
@@ -325,9 +307,7 @@ class TriSeries:
         return self._layers[j].get((y_exp, z_exp), 0)
 
     def is_zero(self) -> bool:
-        if self._decoded is None:
-            return self._packed.is_zero()
-        return not any(self._decoded)
+        return self._packed.is_zero()
 
     def is_integral(self) -> bool:
         """True iff every stored coefficient has denominator 1."""
@@ -378,6 +358,9 @@ class TriSeries:
     __hash__ = None
 
     # ----------------------------------------------------------- arithmetic
+    #
+    # Each operation is a ``build(width)`` run by :func:`_packed_build`, from
+    # the widest width of its operands up, until its majorant fits.
 
     def _merged_caps(self, other):
         if self.qcap != other.qcap:
@@ -390,68 +373,66 @@ class TriSeries:
             return self.qcap, self.zcap
         return self.qcap, min(self.zcap, other.zcap)
 
-    def _combine(self, other, sign):
-        qcap, zcap = self._merged_caps(other)
-        layers = []
-        for la, lb in zip(self._layers, other._layers):
-            if zcap == self.zcap:
-                layer = dict(la)
-            else:
-                layer = {key: c for key, c in la.items() if key[1] <= zcap}
-            for (e, f), c in lb.items():
-                if zcap is not None and f > zcap:
-                    continue
-                key = (e, f)
-                v = layer.get(key, 0) + sign * c
-                if v:
-                    layer[key] = v
-                else:
-                    layer.pop(key, None)
-            layers.append(layer)
-        return TriSeries._make(qcap, zcap, layers)
+    def _sum(self, other, sign: Monomial) -> "TriSeries":
+        """self + sign*other, over the least common denominator."""
+        _, zcap = self._merged_caps(other)
+
+        def build(width):
+            total = _Packed.pack(self, width, zcap)
+            term = _Packed.pack(other, width, zcap)
+            term.times_monomial(sign)
+            total.add(term)
+            return total
+
+        return _packed_build(build, max(self._packed.width, other._packed.width))
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._sum(other, ONE)
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._sum(other, _MINUS_ONE)
 
     def __neg__(self):
-        layers = [{k: -c for k, c in layer.items()} for layer in self._layers]
-        return TriSeries._make(self.qcap, self.zcap, layers)
+        return self.times_monomial(_MINUS_ONE)
 
     def __mul__(self, other):
-        """Cauchy product, truncated at the (merged) caps."""
+        """Cauchy product, truncated at the (merged) caps.
+
+        Row j of the product sums row j1 of self times row j - j1 of other,
+        and its majorant is the same Cauchy sum of the majorants.
+        """
         qcap, zcap = self._merged_caps(other)
-        out = [{} for _ in range(qcap + 1)]
-        la, lb = self._layers, other._layers
-        for j1 in range(qcap + 1):
-            pa = la[j1]
-            if not pa:
-                continue
-            for j2 in range(qcap + 1 - j1):
-                pb = lb[j2]
-                if pb:
-                    _poly_mul_acc(out[j1 + j2], pa, pb, zcap)
-        return TriSeries._make(qcap, zcap, out)
+        limit = maxsize if zcap is None else zcap
+
+        def build(width):
+            a, b = _Packed.pack(self, width, zcap), _Packed.pack(other, width, zcap)
+            bound = [
+                sum(a.bound[i] * b.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)
+            ]
+            product = _Packed(qcap, zcap, width, a.den * b.den, [{} for _ in bound], bound)
+            product._check()  # the majorant names the width before any row is built
+            for j1, ra in enumerate(a.rows):
+                if ra:
+                    for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
+                        _row_mul(product.rows[j1 + j2], ra, rb, limit)
+            return product
+
+        return _packed_build(build, max(self._packed.width, other._packed.width))
 
     def __truediv__(self, other):
         return self * other.invert()
 
     def times_monomial(self, m: Monomial) -> "TriSeries":
         """Multiply by a single monomial (exact shift and scale)."""
-        out = [{} for _ in range(self.qcap + 1)]
-        c0 = m.coeff
-        if c0 != 0:
-            zcap = self.zcap
-            for j in range(self.qcap - m.q + 1):
-                tgt = out[j + m.q]
-                for (e, f), c in self._layers[j].items():
-                    f2 = f + m.z
-                    if zcap is not None and f2 > zcap:
-                        continue
-                    tgt[(e + m.y, f2)] = _norm_coeff(c0 * c)
-        return TriSeries._make(self.qcap, self.zcap, out)
+
+        def build(width):
+            term = _Packed.pack(self, width)
+            term.times_monomial(m)
+            product = _Packed.zero(self.qcap, self.zcap, width)
+            product.add(term)
+            return product
+
+        return _packed_build(build, self._packed.width)
 
     def times_one_minus(self, m: Monomial) -> "TriSeries":
         """Multiply by the binomial (1 - m) in O(terms)."""
@@ -475,98 +456,133 @@ class TriSeries:
         further terms they must all carry z, and zcap must be bounded, so
         that the layer's geometric inverse terminates; otherwise the series
         is not a unit in the truncated ring.
+
+        With numerators A over the denominator d, the q^0 row is A_0 = d - w
+        and its inverse d/A_0 = g/d^t, g = sum_{i<=t} w^i d^(t-i), where t is
+        the z-cap if w is not empty (w carries z) and 0 if it is.  Row j of
+        the inverse is c_j = -(g/d^t) sum_{i=1..j} (A_i/d) c_{j-i}; over the
+        common denominator d^(t + qcap*(t+1)) each numerator row divides
+        exactly by d^(t+1), and the majorants follow the same recursion.
         """
-        zcap = self.zcap
-        base = self._layers[0]
-        if base.get((0, 0)) != 1:
+        qcap, zcap, p = self.qcap, self.zcap, self._packed
+        p._check()
+        base = p.rows[0]
+        if base.get(0) != p.den or (len(base) > 1 and zcap is None):
             raise ValueError("not a formal unit under these caps")
-        off = {k: c for k, c in base.items() if k != (0, 0)}
-        inv0 = {(0, 0): 1}
-        if off:
-            if zcap is None or any(f == 0 for (_, f) in off):
-                raise ValueError("not a formal unit under these caps")
-            # q^0 layer is 1 - w with every w-term carrying z, so
-            # sum_{i<=zcap} w^i is its exact inverse below the z-cap.
-            w = {k: -c for k, c in off.items()}
-            power = {(0, 0): 1}
-            while True:
-                nxt = {}
-                _poly_mul_acc(nxt, power, w, zcap)
-                if not nxt:
-                    break
-                power = nxt
-                for key, c in power.items():
-                    v = inv0.get(key, 0) + c
-                    if v:
-                        inv0[key] = v
-                    else:
-                        inv0.pop(key, None)
-        out = [{} for _ in range(self.qcap + 1)]
-        out[0] = dict(inv0)
-        # layer recursion: a0 * c_j = -sum_{i=1..j} a_i * c_{j-i}
-        for j in range(1, self.qcap + 1):
-            acc = {}
-            for i in range(1, j + 1):
-                pa = self._layers[i]
-                if pa:
-                    _poly_mul_acc(acc, pa, out[j - i], zcap, negate=True)
-            if off and acc:
-                tmp = {}
-                _poly_mul_acc(tmp, inv0, acc, zcap)
-                acc = tmp
-            out[j] = acc
-        return TriSeries._make(self.qcap, zcap, out)
+        top = zcap if len(base) > 1 else 0
+        limit = maxsize if zcap is None else zcap
+
+        def build(width):
+            a = _Packed.pack(self, width)
+            den, rows, bound = a.den, a.rows, a.bound
+            w = {f: -v for f, v in rows[0].items() if f}
+            g, g_bound = {0: 1}, 1
+            for i in range(1, top + 1):
+                nxt = {0: den**i}
+                _row_mul(nxt, w, g, limit)
+                g, g_bound = nxt, den**i + (bound[0] - den) * g_bound
+            divisor, scale = den ** (top + 1), den ** (qcap * (top + 1))
+            inverse = _Packed(
+                qcap, zcap, width, den**top * scale,
+                [{f: v * scale for f, v in g.items()}], [g_bound * scale],
+            )
+            out, out_bound = inverse.rows, inverse.bound
+            for j in range(1, qcap + 1):
+                total = sum(bound[i] * out_bound[j - i] for i in range(1, j + 1))
+                out_bound.append(g_bound * total // divisor)
+            inverse._check()  # the majorant names the width before any row is built
+            for j in range(1, qcap + 1):
+                acc = {}
+                for i in range(1, j + 1):
+                    if rows[i]:
+                        _row_mul(acc, rows[i], out[j - i], limit)
+                if top:
+                    acc, terms = {}, acc
+                    _row_mul(acc, g, terms, limit)
+                out.append({f: -(v // divisor) for f, v in acc.items()})
+            return inverse
+
+        return _packed_build(build, p.width)
 
     # -------------------------------------------------------- substitution
 
     def scale_y(self, j: int) -> "TriSeries":
         """Substitute y -> y*q^j; terms pushed past qcap are dropped.
 
-        Exact on the retained range since the q-exponent only grows.
+        Exact on the retained range since the q-exponent only grows.  Slot
+        e of row s moves to row s + j*e, so the majorant of row r is the
+        sum of those of rows r - j*e.
         """
         if j < 0:
             raise ValueError("scale_y exponent must be nonnegative")
         if j == 0:
             return self
-        out = [{} for _ in range(self.qcap + 1)]
-        for s, layer in enumerate(self._layers):
-            for (e, f), c in layer.items():
-                s2 = s + j * e
-                if s2 <= self.qcap:
-                    out[s2][(e, f)] = c
-        return TriSeries._make(self.qcap, self.zcap, out)
+        qcap = self.qcap
+
+        def build(width):
+            p = _Packed.pack(self, width)
+            moved = [{} for _ in range(qcap + 1)]  # row -> z_exp -> {y_exp: slot}
+            for s, row in enumerate(p.rows):
+                for f, v in row.items():
+                    for e, d in enumerate(_split(v, width)):
+                        if d and s + j * e <= qcap:
+                            moved[s + j * e].setdefault(f, {})[e] = d
+            rows = [{f: _join(slots, width) for f, slots in row.items()} for row in moved]
+            bound = p.bound  # bound[r] = sum_e bound[r - j*e], summed in place
+            for r in range(j, qcap + 1):
+                bound[r] += bound[r - j]
+            return _Packed(qcap, self.zcap, width, p.den, rows, bound)
+
+        return _packed_build(build, self._packed.width)
 
     def set_y(self, value: Coeff) -> "TriSeries":
-        """Substitute an exact rational value for y."""
-        return self._substitute(value, which="y")
+        """Substitute an exact rational value n/d for y: each key's slots
+        c_e sum to the numerator sum_e c_e n^e d^(t-e) over d^t, t the
+        highest slot of the series."""
+        value = Fraction(value)
+        n, d = value.numerator, value.denominator
+
+        def build(width):
+            p = _Packed.pack(self, width)
+            top = max((abs(v).bit_length() // width for row in p.rows for v in row.values()), default=0)
+            powers = [n**e * d ** (top - e) for e in range(top + 1)]
+            rows = []
+            for row in p.rows:
+                out = {}
+                for f, v in row.items():
+                    c = sum(x * power for x, power in zip(_split(v, width), powers))
+                    if c:
+                        out[f] = c
+                rows.append(out)
+            bound = [sum(map(abs, row.values())) for row in rows]
+            return _Packed(self.qcap, self.zcap, width, p.den * d**top, rows, bound)
+
+        return _packed_build(build, self._packed.width)
 
     def set_z(self, value: Coeff) -> "TriSeries":
-        """Substitute an exact rational value for z.
+        """Substitute an exact rational value n/d for z.
 
         The result carries no z content, so its zcap is unbounded.  If this
         series was z-truncated the substitution only sums the retained
-        z-range (the caller decides whether that is meaningful).
+        z-range (the caller decides whether that is meaningful).  Each row's
+        ints v_f sum to sum_f v_f n^f d^(t-f) over d^t, t the highest
+        z-exponent, and max(|n|, d)^t scales the majorant.
         """
-        return self._substitute(value, which="z")
+        value = Fraction(value)
+        n, d = value.numerator, value.denominator
 
-    def _substitute(self, value, which):
-        # an integral value keeps integer coefficients in int arithmetic
-        value = _norm_coeff(Fraction(value))
-        out = [{} for _ in range(self.qcap + 1)]
-        for j, layer in enumerate(self._layers):
-            tgt = out[j]
-            for (e, f), c in layer.items():
-                if which == "y":
-                    key, power = (0, f), e
-                else:
-                    key, power = (e, 0), f
-                v = tgt.get(key, 0) + c * value ** power
-                if v:
-                    tgt[key] = _norm_coeff(v)
-                else:
-                    tgt.pop(key, None)
-        zcap = self.zcap if which == "y" else None
-        return TriSeries._make(self.qcap, zcap, out)
+        def build(width):
+            p = _Packed.pack(self, width)
+            top = max((f for row in p.rows for f in row), default=0)
+            powers = [n**f * d ** (top - f) for f in range(top + 1)]
+            rows = []
+            for row in p.rows:
+                v = sum(x * powers[f] for f, x in row.items())
+                rows.append({0: v} if v else {})
+            scale = max(abs(n), d) ** top
+            return _Packed(self.qcap, None, width, p.den * d**top, rows, [scale * b for b in p.bound])
+
+        return _packed_build(build, self._packed.width)
 
     def truncate(self, qcap: int | None = None, zcap=_KEEP) -> "TriSeries":
         """Re-truncate to tighter caps.
@@ -579,12 +595,10 @@ class TriSeries:
             raise ValueError("beyond truncation")
         if self.zcap is not None and (new_z is None or new_z > self.zcap):
             raise ValueError("beyond truncation")
-        out = [{} for _ in range(new_q + 1)]
-        for j in range(new_q + 1):
-            for (e, f), c in self._layers[j].items():
-                if new_z is None or f <= new_z:
-                    out[j][(e, f)] = c
-        return TriSeries._make(new_q, new_z, out)
+        p = _Packed.pack(self, self._packed.width, new_z)
+        p.qcap = new_q
+        del p.rows[new_q + 1:], p.bound[new_q + 1:]
+        return TriSeries._from_packed(p)
 
 
 # --------------------------------------------------------- packed kernel
@@ -616,22 +630,32 @@ def _high_bits(slots: int, width: int) -> int:
     return _HIGH_BITS[key]
 
 
+def _split(v: int, width: int) -> list[int]:
+    """The slots of a packed int, lowest first, in time linear in their
+    number; each must lie below 2^(width-1) in absolute value."""
+    size, half = width // 8, 1 << (width - 1)
+    slots = abs(v).bit_length() // width + 1
+    raw = (v + _high_bits(slots, width)).to_bytes(slots * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
+
+
+def _join(slots: dict, width: int) -> int:
+    """The packed int of ``{y_exp: c}``, each |c| below 2^(width-1)."""
+    size, half = width // 8, 1 << (width - 1)
+    count = max(slots) + 1
+    raw = bytearray(_halves(count, width))
+    for e, c in slots.items():
+        raw[e * size:(e + 1) * size] = (c + half).to_bytes(size, "little")
+    return int.from_bytes(raw, "little") - _high_bits(count, width)
+
+
 def _encode(layer: dict, width: int) -> dict:
     """A layer's ``{(y_exp, z_exp): c}`` as ``{z_exp: int}``, each y-polynomial
-    evaluated at y = 2^width in time linear in its degree; every |c| must be
-    below 2^(width-1)."""
-    size, half = width // 8, 1 << (width - 1)
+    evaluated at y = 2^width; every |c| must be below 2^(width-1)."""
     by_z = {}
     for (e, f), c in layer.items():
-        by_z.setdefault(f, []).append((e, c))
-    row = {}
-    for f, terms in by_z.items():
-        slots = max(terms)[0] + 1
-        raw = bytearray(_halves(slots, width))
-        for e, c in terms:
-            raw[e * size:(e + 1) * size] = (c + half).to_bytes(size, "little")
-        row[f] = int.from_bytes(raw, "little") - _high_bits(slots, width)
-    return row
+        by_z.setdefault(f, {})[e] = c
+    return {f: _join(slots, width) for f, slots in by_z.items()}
 
 
 class _Narrow(Exception):
@@ -651,15 +675,14 @@ class _Packed:
     ``rows[j]`` maps a z-exponent f to the y-polynomial of q^j z^f
     evaluated at y = 2^width; the polynomial holds integer numerators over
     the common denominator ``den``.  Every step is a ring operation of Z[y]
-    (add, multiply by an integer, shift by width*a, divide exactly by an
-    integer), which evaluation at 2^width preserves whatever the width, and
-    the caps drop whole keys.  Only reading a value back, comparing it, or
-    taking an empty series for zero, needs every coefficient below
-    2^(width-1) in absolute value.  ``bound[j]`` is the majorant that
-    vouches for it: at least the sum of the absolute numerators of layer j,
-    kept in lockstep with every step.  Where it does not fit,
-    :class:`_Narrow` names a wider width and the build is run again
-    (:func:`_packed_build`).
+    (add, multiply, shift by width*a, divide exactly by an integer), which
+    evaluation at 2^width preserves whatever the width, and the caps drop
+    whole keys.  Only reading a value back, comparing it, or taking an
+    empty series for zero, needs every coefficient below 2^(width-1) in
+    absolute value.  ``bound[j]`` is the majorant that vouches for it: at
+    least the sum of the absolute numerators of row j, kept in lockstep
+    with every step.  Where it does not fit, :class:`_Narrow` names a wider
+    width and the build is run again (:func:`_packed_build`).
 
     Inside a build a series may carry a pending monomial factor, ``offset =
     (q, y, z, coeff)``: it then stands for coeff q^q y^y z^z times its rows,
@@ -676,22 +699,27 @@ class _Packed:
         self.offset = _NO_OFFSET
 
     @classmethod
-    def pack(cls, s: TriSeries, width: int) -> "_Packed":
-        """A private copy of s at this width: its own rows if it holds
-        rows of this width, else its layers packed."""
-        if s._packed is not None and s._packed.width == width:
-            return s._packed.copy()
-        dens = [
-            c.denominator for layer in s._layers for c in layer.values() if type(c) is Fraction
-        ]
-        den = lcm(*dens)
-        layers = [
-            {key: c.numerator * (den // c.denominator) for key, c in layer.items()}
-            for layer in s._layers
-        ] if dens else s._layers
-        p = cls(s.qcap, s.zcap, width, den, [], [sum(map(abs, layer.values())) for layer in layers])
+    def zero(cls, qcap, zcap, width: int) -> "_Packed":
+        return cls(qcap, zcap, width, 1, [{} for _ in range(qcap + 1)], [0] * (qcap + 1))
+
+    @classmethod
+    def pack(cls, s: TriSeries, width: int, zcap=_KEEP, den: int | None = None) -> "_Packed":
+        """A private copy of the rows of s at this width, over ``den``, a
+        multiple of their denominator, and without keys above ``zcap``."""
+        src = s._packed
+        src._check()
+        zcap = s.zcap if zcap is _KEEP else zcap
+        factor = 1 if den is None else den // src.den
+        p = cls(s.qcap, zcap, width, src.den * factor, [], [factor * b for b in src.bound])
         p._check()
-        p.rows = [_encode(layer, width) for layer in layers]
+        rows = src.rows
+        if width != src.width:
+            rows = [
+                {f: _join(dict(enumerate(_split(v, src.width))), width) for f, v in row.items()}
+                for row in rows
+            ]
+        limit = maxsize if zcap is None else zcap
+        p.rows = [{f: factor * v for f, v in row.items() if f <= limit} for row in rows]
         return p
 
     def copy(self) -> "_Packed":
@@ -743,18 +771,12 @@ class _Packed:
     def decode(self, row: dict) -> dict:
         """One row as a ``{(y_exp, z_exp): c}`` layer; the caller has
         checked the majorant."""
-        width, den = self.width, self.den
-        size, half = width // 8, 1 << (width - 1)
         layer = {}
         for f, v in row.items():
-            slots = abs(v).bit_length() // width + 1
-            raw = (v + _high_bits(slots, width)).to_bytes(slots * size, "little")
-            digits = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-            layer.update({(e, f): d - half for e, d in enumerate(digits) if d != half})
-        if den != 1:
-            layer = {key: _norm_coeff(Fraction(c, den)) for key, c in layer.items()}
+            layer.update({(e, f): c for e, c in enumerate(_split(v, self.width)) if c})
+        if self.den != 1:
+            layer = {key: _norm_coeff(Fraction(c, self.den)) for key, c in layer.items()}
         return layer
-
     def _rescale(self, den: int):
         """Bring the common denominator up to ``den``, a multiple of it."""
         factor = den // self.den
@@ -857,10 +879,9 @@ class _Packed:
             i += 1
 
 
-def _packed_build(build) -> TriSeries:
+def _packed_build(build, width: int = _START_WIDTH) -> TriSeries:
     """Run ``build(width) -> _Packed`` and keep its result packed, widening
     the slots and running the build again whenever the majorant needs it."""
-    width = _START_WIDTH
     while True:
         try:
             p = build(width)
@@ -870,74 +891,32 @@ def _packed_build(build) -> TriSeries:
             width = narrow.width
 
 
-def _rows_at(s: TriSeries, width: int, den: int, zcap):
-    """The rows of s at this width over the common denominator ``den``,
-    without keys above ``zcap``: its own rows if it holds them, else its
-    layers packed.  None if a numerator is no integer or does not lie
-    below 2^(width-1) in absolute value."""
-    p = s._packed
-    if p is not None and p.width == width and p.den == den:
-        p._check()
-        rows = p.rows
-    else:
-        limit = 1 << (width - 1)
-        layers = []
-        for layer in s._layers:
-            scaled = {}
-            for key, c in layer.items():
-                n = c * den
-                if type(n) is Fraction:
-                    if n.denominator != 1:
-                        return None
-                    n = n.numerator
-                if not -limit < n < limit:
-                    return None
-                scaled[key] = n
-            layers.append(scaled)
-        rows = [_encode(layer, width) for layer in layers]
-    if zcap != s.zcap:
-        rows = [{f: v for f, v in row.items() if f <= zcap} for row in rows]
-    return rows
-
-
 def _first_difference(a: TriSeries, b: TriSeries):
     """The least (q, y, z) at which a and b differ under their merged caps,
     as ``(q, y, z, coefficient in a, coefficient in b)``; None if they agree.
 
-    Where either side holds packed rows, both are read at the widest such
-    width W and its denominator, and rows are compared as ints.  Every slot
-    of either side then lies below 2^(W-1) in absolute value, so every slot
-    of the difference lies below 2^W, and a nonzero difference cannot
-    vanish at y = 2^W: equal ints are a proof.  Only the first row that
-    differs is decoded.  A side that cannot be read at that width, or two
-    dict sides, are compared layer by layer.
+    Both sides are read at the widest width W of the two, over the least
+    common multiple of their denominators (wider where the rescaled
+    majorants need it), and rows are compared as ints.  Every slot of
+    either side then lies below 2^(W-1) in absolute value, so every slot of
+    the difference lies below 2^W, and a nonzero difference cannot vanish
+    at y = 2^W: equal ints are a proof.  Only the first row that differs is
+    decoded.
     """
-    qcap, zcap = a._merged_caps(b)
-    packed = [s._packed for s in (a, b) if s._packed is not None]
-    rows = None
-    if packed:
-        ref = max(packed, key=lambda p: p.width)
-        ra = _rows_at(a, ref.width, ref.den, zcap)
-        rb = _rows_at(b, ref.width, ref.den, zcap) if ra is not None else None
-        if rb is not None:
-            rows = ra, rb
-    if rows is None:
-        rows = [
-            s._layers if zcap == s.zcap else [
-                {key: c for key, c in layer.items() if key[1] <= zcap} for layer in s._layers
-            ]
-            for s in (a, b)
-        ]
+    _, zcap = a._merged_caps(b)
+    pa, pb = a._packed, b._packed
+    den = lcm(pa.den, pb.den)
+    bits = max(max(p.bound) * (den // p.den) for p in (pa, pb)).bit_length()
+    width = max(pa.width, pb.width, _width_for(bits))
+    rows = (_Packed.pack(s, width, zcap, den).rows for s in (a, b))
     for j, (x, y) in enumerate(zip(*rows)):
         if x != y:
-            la, lb = a._layer(j), b._layer(j)
-            keys = [
+            la, lb = pa.decode(pa.rows[j]), pb.decode(pb.rows[j])
+            e, f = min(
                 key for key in la.keys() | lb.keys()
                 if (zcap is None or key[1] <= zcap) and la.get(key, 0) != lb.get(key, 0)
-            ]
-            if keys:
-                e, f = min(keys)
-                return j, e, f, la.get((e, f), 0), lb.get((e, f), 0)
+            )
+            return j, e, f, la.get((e, f), 0), lb.get((e, f), 0)
     return None
 
 
@@ -962,7 +941,7 @@ def _pochhammer_apply(
         p.pochhammer(a, h, n, divide)
         return p
 
-    return _packed_build(build)
+    return _packed_build(build, s._packed.width)
 
 
 def pochhammer_finite(

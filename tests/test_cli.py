@@ -263,6 +263,24 @@ def test_cli_import_pulls_in_no_dataclasses():
     assert result.returncode == 0, result.stderr
 
 
+def test_passing_verify_decodes_no_series(monkeypatch, capsys):
+    # every check compares, substitutes and inverts packed rows: a passing
+    # run reads no coefficient back, so it decodes no series
+    from kmeasure.series import _Packed
+
+    unpacked = []
+    real_unpack = _Packed.unpack
+
+    def counted(self):
+        unpacked.append(self)
+        return real_unpack(self)
+
+    monkeypatch.setattr(_Packed, "unpack", counted)
+    code, out, _ = run(capsys, "verify", "--qcap", "30", "--k", "1,2,3,4,5,6,7", "--jobs", "1")
+    assert code == 0 and "72/72 checks passed" in out
+    assert unpacked == []
+
+
 def test_verify_dead_worker_fails_only_its_check(monkeypatch, capsys):
     import kmeasure.identities as identities
 

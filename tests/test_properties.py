@@ -151,6 +151,115 @@ def test_pochhammer_infinite_is_binomial_fold(a, h):
     assert pochhammer_infinite(a, h, QCAP, ZCAP) == fold
 
 
+# ------------------------------------------------------- dict references
+#
+# The dict arithmetic that packed rows replaced, kept as the reference for
+# every packed operation: a series is a list over q of {(y_exp, z_exp): c}
+# layers.
+
+
+def accumulate(layer, key, c):
+    v = layer.get(key, 0) + c
+    if v:
+        layer[key] = v
+    else:
+        layer.pop(key, None)
+
+
+def layers_of(terms, qcap, zcap):
+    """The layers of (q, y, z, c) terms under the caps, equal keys summed."""
+    layers = [{} for _ in range(qcap + 1)]
+    for j, e, f, c in terms:
+        if j <= qcap and (zcap is None or f <= zcap):
+            accumulate(layers[j], (e, f), c)
+    return layers
+
+
+def terms_of(layers):
+    return [(j, e, f, c) for j, layer in enumerate(layers) for (e, f), c in layer.items()]
+
+
+def poly_mul_acc(acc, pa, pb, zcap, negate=False):
+    """acc += pa * pb (as (y,z)-polynomial dicts), dropping z-exponents > zcap."""
+    for (e1, f1), c1 in pa.items():
+        if negate:
+            c1 = -c1
+        for (e2, f2), c2 in pb.items():
+            f = f1 + f2
+            if zcap is None or f <= zcap:
+                accumulate(acc, (e1 + e2, f), c1 * c2)
+
+
+def dict_combine(a, b, zcap, sign):
+    out = [{key: c for key, c in layer.items() if zcap is None or key[1] <= zcap} for layer in a]
+    for layer, other in zip(out, b):
+        for (e, f), c in other.items():
+            if zcap is None or f <= zcap:
+                accumulate(layer, (e, f), sign * c)
+    return out
+
+
+def dict_mul(a, b, zcap):
+    out = [{} for _ in a]
+    for j1, pa in enumerate(a):
+        for j2 in range(len(a) - j1):
+            poly_mul_acc(out[j1 + j2], pa, b[j2], zcap)
+    return out
+
+
+def dict_invert(a, zcap):
+    """The layer recursion a0 * c_j = -sum_{i=1..j} a_i * c_{j-i}, with the
+    z-geometric inverse of a q^0 layer 1 - w whose w-terms all carry z."""
+    w = {key: -c for key, c in a[0].items() if key != (0, 0)}
+    inv0, power = {(0, 0): 1}, {(0, 0): 1}
+    while w:
+        nxt = {}
+        poly_mul_acc(nxt, power, w, zcap)
+        if not nxt:
+            break
+        power = nxt
+        for key, c in power.items():
+            accumulate(inv0, key, c)
+    out = [inv0]
+    for j in range(1, len(a)):
+        acc = {}
+        for i in range(1, j + 1):
+            poly_mul_acc(acc, a[i], out[j - i], zcap, negate=True)
+        if w:
+            tmp = {}
+            poly_mul_acc(tmp, inv0, acc, zcap)
+            acc = tmp
+        out.append(acc)
+    return out
+
+
+def dict_scale_y(a, j):
+    out = [{} for _ in a]
+    for s, layer in enumerate(a):
+        for (e, f), c in layer.items():
+            if s + j * e < len(a):
+                out[s + j * e][(e, f)] = c
+    return out
+
+
+def dict_substitute(a, value, which):
+    out = [{} for _ in a]
+    for tgt, layer in zip(out, a):
+        for (e, f), c in layer.items():
+            key, power = ((0, f), e) if which == "y" else ((e, 0), f)
+            accumulate(tgt, key, c * Fraction(value) ** power)
+    return out
+
+
+def dict_times_monomial(a, m, zcap):
+    out = [{} for _ in a]
+    for j in range(len(a) - m.q):
+        for (e, f), c in a[j].items():
+            if m.coeff and (zcap is None or f + m.z <= zcap):
+                out[j + m.q][(e + m.y, f + m.z)] = m.coeff * c
+    return out
+
+
 # ------------------------------------------- packed kernel vs dict steps
 
 
@@ -176,7 +285,7 @@ def dict_step(s, m, divide):
                 tgt[key] = int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
             else:
                 tgt.pop(key, None)
-    return TriSeries._make(s.qcap, zcap, out)
+    return TriSeries.from_terms(terms_of(out), s.qcap, zcap)
 
 
 # Coefficients on both sides of the 64-bit slot boundary, so that packed
@@ -274,22 +383,24 @@ def test_truncation_consistency_scale_y(s, j, cap):
 # ------------------------------------------------------ packed comparison
 
 
-def dict_difference(a, b):
-    """The first failure of the dict-diff verdict: the first term of a - b
-    in (q, y, z) order, with the coefficients of a and b there."""
-    diff = a - b
-    if diff.is_zero():
-        return None
-    j, e, f, _ = diff.terms()[0]
-    return j, e, f, a.coefficient(j, e, f), b.coefficient(j, e, f)
+def dict_difference(a, b, zcap):
+    """The first failure of the dict-diff verdict on two lists of layers:
+    the least (q, y, z) under the z-cap where they differ, with the
+    coefficients of a and b there."""
+    for j, (la, lb) in enumerate(zip(a, b)):
+        keys = [
+            key for key in la.keys() | lb.keys()
+            if (zcap is None or key[1] <= zcap) and la.get(key, 0) != lb.get(key, 0)
+        ]
+        if keys:
+            e, f = min(keys)
+            return j, e, f, la.get((e, f), 0), lb.get((e, f), 0)
+    return None
 
 
-def held_as(s, form):
-    """s as dict layers, or as packed rows at the first width from ``form``
-    up that its majorant allows."""
-    if form == "dict":
-        return s
-    width = form
+def held_as(s, width):
+    """s as packed rows at the first width from ``width`` up that its
+    majorant allows."""
     while True:
         try:
             return TriSeries._from_packed(_Packed.pack(s, width))
@@ -297,7 +408,7 @@ def held_as(s, form):
             width = narrow.width
 
 
-forms = st.sampled_from(("dict", 8, 16, 64))
+widths = st.sampled_from((8, 16, 64))
 
 
 @st.composite
@@ -316,14 +427,17 @@ def near_pairs(draw):
     return a, TriSeries.from_terms(a.terms() + delta, QCAP, zcap)
 
 
-@given(near_pairs(), forms, forms)
+@given(near_pairs(), widths, widths)
 @settings(max_examples=300)
-def test_first_difference_matches_dict_diff(pair, form_a, form_b):
-    # packed/packed at equal or different widths, packed/dict and
-    # dict/dict; Fraction coefficients give packed sides a denominator
+def test_first_difference_matches_dict_diff(pair, width_a, width_b):
+    # equal and different widths; Fraction coefficients give the sides
+    # different denominators
     a, b = pair
-    expected = dict_difference(a, b)
-    ha, hb = held_as(a, form_a), held_as(b, form_b)
+    zcap = a._merged_caps(b)[1]
+    expected = dict_difference(
+        layers_of(a.terms(), QCAP, a.zcap), layers_of(b.terms(), QCAP, b.zcap), zcap
+    )
+    ha, hb = held_as(a, width_a), held_as(b, width_b)
     assert _first_difference(ha, hb) == expected
     assert (ha == hb) == (a.zcap == b.zcap and expected is None)
 
@@ -350,10 +464,6 @@ def edge_packed(layers):
     )
 
 
-def as_dict(layers):
-    return TriSeries._make(QCAP, ZCAP, [dict(layer) for layer in layers])
-
-
 @given(edge_layers, st.integers(0, QCAP), st.tuples(st.integers(0, 3), st.integers(0, ZCAP)),
        st.sampled_from((0, 1, -1, 2 * EDGE, -2 * EDGE)))
 @settings(max_examples=300)
@@ -367,11 +477,10 @@ def test_slots_at_the_width_edge_compare_and_decode(layers, j, key, change):
     else:
         other[j].pop(key, None)
     a, b = edge_packed(layers), edge_packed(other)
-    expected = dict_difference(as_dict(layers), as_dict(other))
+    expected = dict_difference(layers, other, ZCAP)
     assert _first_difference(a, b) == expected
-    assert _first_difference(a, as_dict(other)) == expected
     assert (a == b) == (expected is None)
-    assert a._layers == as_dict(layers)._layers
+    assert a._layers == layers
 
 
 @given(edge_layers)
@@ -400,6 +509,105 @@ def test_comparison_refuses_slots_past_the_majorant():
         _first_difference(shifted, wide)
     with pytest.raises(_Narrow):
         wide._packed.is_nonnegative()
+
+
+# --------------------------------------------- packed operations vs dicts
+
+# Coefficients whose slots sit at the edge 2^(W-1) - 1 of the widths the
+# operands are held at.
+edge_coeffs = st.sampled_from((127, -127, 2**15 - 1, -(2**15 - 1), 2**63 - 1, -(2**63 - 1)))
+operand_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=QCAP),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=ZCAP),
+        st.one_of(coeffs, wide_coeffs, edge_coeffs),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def operands(draw, zcaps=(ZCAP, None)):
+    """A series held at one of several widths, with its reference layers;
+    Fraction coefficients give operands different denominators."""
+    terms = draw(operand_terms)
+    zcap = draw(st.sampled_from(zcaps))
+    series = held_as(TriSeries.from_terms(terms, QCAP, zcap), draw(widths))
+    return series, layers_of(terms, QCAP, zcap)
+
+
+@st.composite
+def unit_operands(draw):
+    """An invertible series: q^0 layer 1, plus terms that carry z under
+    the z-cap 3."""
+    zcap = draw(st.sampled_from((ZCAP, None)))
+    terms = [(j, e, f, c) for j, e, f, c in draw(operand_terms) if j > 0 or (f > 0 and zcap)]
+    terms.append((0, 0, 0, 1))
+    series = held_as(TriSeries.from_terms(terms, QCAP, zcap), draw(widths))
+    return series, layers_of(terms, QCAP, zcap)
+
+
+def assert_holds(got, layers):
+    """got decodes to the reference layers, and its majorant bounds the
+    absolute numerators of every row."""
+    assert got._layers == layers
+    p = got._packed
+    for bound, layer in zip(p.bound, layers):
+        assert bound >= sum(abs(c) * p.den for c in layer.values())
+
+
+@given(operands(), operands())
+@settings(max_examples=200)
+def test_packed_sums_match_dicts(a, b):
+    (a, la), (b, lb) = a, b
+    zcap = a._merged_caps(b)[1]
+    assert_holds(a + b, dict_combine(la, lb, zcap, 1))
+    assert_holds(a - b, dict_combine(la, lb, zcap, -1))
+    assert_holds(-a, dict_combine([{} for _ in la], la, a.zcap, -1))
+
+
+@given(operands(), operands())
+@settings(max_examples=200)
+def test_packed_product_matches_dicts(a, b):
+    (a, la), (b, lb) = a, b
+    assert_holds(a * b, dict_mul(la, lb, a._merged_caps(b)[1]))
+
+
+@given(unit_operands())
+@settings(max_examples=200)
+def test_packed_invert_matches_dicts(u):
+    u, layers = u
+    assert_holds(u.invert(), dict_invert(layers, u.zcap))
+
+
+@given(operands(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=200)
+def test_packed_scale_y_matches_dicts(a, j):
+    a, layers = a
+    assert_holds(a.scale_y(j), dict_scale_y(layers, j))
+
+
+@given(operands(), st.sampled_from((-1, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3))))
+@settings(max_examples=200)
+def test_packed_substitution_matches_dicts(a, value):
+    a, layers = a
+    assert_holds(a.set_y(value), dict_substitute(layers, value, "y"))
+    assert_holds(a.set_z(value), dict_substitute(layers, value, "z"))
+
+
+@given(operands(), small_monomials)
+@settings(max_examples=200)
+def test_packed_times_monomial_matches_dicts(a, m):
+    a, layers = a
+    assert_holds(a.times_monomial(m), dict_times_monomial(layers, m, a.zcap))
+
+
+@given(operands(zcaps=(ZCAP,)), st.integers(0, QCAP), st.integers(0, ZCAP))
+def test_packed_truncate_matches_dicts(a, qcap, zcap):
+    a, layers = a
+    expected = [{key: c for key, c in layer.items() if key[1] <= zcap} for layer in layers]
+    assert_holds(a.truncate(qcap, zcap), expected[: qcap + 1])
 
 
 @st.composite

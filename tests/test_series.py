@@ -200,7 +200,7 @@ def test_packed_slots_at_the_width_edge_round_trip():
 
 def test_packed_kernel_takes_unreduced_fractions():
     half = S([(1, 0, 0, Fraction(1, 2))], 3)
-    whole = half + half  # stores Fraction(1, 1)
+    whole = half + half  # numerator 2 over the denominator 2
     assert whole.times_one_minus(Q) == S([(1, 0, 0, 1), (2, 0, 0, -1)], 3)
     assert whole.divide_one_minus(Q) == S([(1, 0, 0, 1), (2, 0, 0, 1), (3, 0, 0, 1)], 3)
 
