@@ -12,40 +12,18 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 
 from . import identities
 from .partitions import (
+    _histograms,
     durfee_gf,
     measure_gf,
     parse_partition,
     partition_stats,
-    sylvester_table,
+    sylvester_gfs,
 )
-from .series import _Record
 
 USAGE_ERROR = 2
-
-
-class RunConfig(_Record):
-    """The options of one ``verify`` run; a ``zcap`` of None means the
-    default, qcap."""
-
-    __slots__ = ("qcap", "zcap", "ks", "identity", "fmt", "jobs")
-
-    def __init__(
-        self, qcap: int = 20, zcap: int | None = None, ks: list[int] | None = None,
-        identity: str | None = None, fmt: str = "plain", jobs: int = 1,
-    ):
-        self.qcap = qcap
-        self.zcap = zcap
-        self.ks = [1, 2, 3, 4, 5] if ks is None else ks
-        self.identity = identity
-        self.fmt = fmt
-        self.jobs = jobs
-
-    def resolved_zcap(self) -> int:
-        return self.qcap if self.zcap is None else self.zcap
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -120,17 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------ verify
 
 
-def cmd_verify(config: RunConfig) -> int:
-    tasks = identities.default_tasks(config.qcap, config.resolved_zcap(), config.ks)
-    if config.identity is not None:
-        tasks = [task for task in tasks if config.identity in task[0]]
+def cmd_verify(qcap: int, zcap: int, ks, identity: str | None, fmt: str, jobs: int) -> int:
+    tasks = identities.default_tasks(qcap, zcap, ks)
+    if identity is not None:
+        tasks = [task for task in tasks if identity in task[0]]
         if not tasks:
-            print(f"error: no identity matches {config.identity!r}", file=sys.stderr)
+            print(f"error: no identity matches {identity!r}", file=sys.stderr)
             return USAGE_ERROR
-    reports = identities.run_suite(tasks, jobs=config.jobs)
-    if config.fmt == "json":
+    reports = identities.run_suite(tasks, jobs=jobs)
+    if fmt == "json":
         print(identities.reports_json(reports))
-    elif config.fmt == "csv":
+    elif fmt == "csv":
         print(identities.reports_csv(reports))
     else:
         print(identities.reports_table(reports))
@@ -176,31 +154,21 @@ def _table_rows(n_max: int, pair: str, k: int):
     """Rows (n, statistic value, lhs count, rhs count, match) per n <= n_max.
 
     mu2-durfee and sylvester compare two distributions a theorem asserts
-    are equal; muk-length is informational (no equality claimed).  The
-    mu2-durfee and muk-length histograms are marginals of the counted
-    series, read once for every n.
+    are equal; muk-length is informational (no equality claimed).  Each
+    histogram is a marginal of a counted series, read once for every n.
     """
     if pair == "sylvester":
-        histograms = sylvester_table(n_max)
+        lhs, rhs = sylvester_gfs(n_max)
     else:
         measure = measure_gf(n_max, 2 if pair == "mu2-durfee" else k)
-        other = durfee_gf(n_max).set_y(1) if pair == "mu2-durfee" else measure.set_z(1)
-        histograms = list(zip(_histograms(measure.set_y(1), n_max), _histograms(other, n_max)))
+        lhs = measure.set_y(1)
+        rhs = durfee_gf(n_max).set_y(1) if pair == "mu2-durfee" else measure.set_z(1)
     rows = []
-    for n, (lhs, rhs) in enumerate(histograms):
-        for value in sorted(set(lhs) | set(rhs)):
-            a, b = lhs.get(value, 0), rhs.get(value, 0)
+    for n, (a_hist, b_hist) in enumerate(zip(_histograms(lhs, n_max), _histograms(rhs, n_max))):
+        for value in sorted(set(a_hist) | set(b_hist)):
+            a, b = a_hist.get(value, 0), b_hist.get(value, 0)
             rows.append((n, value, a, b, a == b))
     return rows
-
-
-def _histograms(series, n_max: int) -> list[Counter]:
-    """Per n, the counts by statistic of a counted series in which y or z
-    was set to 1, so that the other exponent is the statistic."""
-    out = [Counter() for _ in range(n_max + 1)]
-    for n, e, f, c in series.terms():
-        out[n][e + f] += c
-    return out
 
 
 def cmd_table(n_max: int, pair: str, k: int, fmt: str) -> int:
@@ -240,18 +208,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        config = RunConfig(
-            qcap=args.qcap,
-            zcap=args.zcap,
-            ks=args.k,
-            identity=args.identity,
-            fmt=args.fmt,
-            jobs=jobs,
-        )
-        if config.qcap < 0 or (config.zcap is not None and config.zcap < 0):
+        zcap = args.qcap if args.zcap is None else args.zcap
+        if args.qcap < 0 or zcap < 0:
             print("error: caps must be nonnegative", file=sys.stderr)
             return USAGE_ERROR
-        return cmd_verify(config)
+        return cmd_verify(args.qcap, zcap, args.k, args.identity, args.fmt, jobs)
     if args.command == "stats":
         return cmd_stats(args.partition, args.k, args.fmt)
     return cmd_table(args.n_max, args.pair, args.k, args.fmt)

@@ -23,7 +23,7 @@ import os
 from fractions import Fraction
 from time import perf_counter
 
-from .partitions import durfee_gf, measure_gf, sylvester_table
+from .partitions import durfee_gf, measure_gf, sylvester_gfs
 from .series import (
     Monomial,
     Q,
@@ -192,8 +192,9 @@ def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
         a, length, divide = YQ, k, True
     else:
         a, length, divide = Monomial(-1, q=2, y=1), k - 1, False
-    advanced = g.scale_y(k).times_monomial(Monomial(-1, q=1, y=1, z=1))
-    return g - g.scale_y(1) + _pochhammer_apply(advanced, a, 1, length, divide)
+    shifted = g.scale_y(1)
+    advanced = (shifted if k == 1 else g.scale_y(k)).times_monomial(Monomial(-1, q=1, y=1, z=1))
+    return g - shifted + _pochhammer_apply(advanced, a, 1, length, divide)
 
 
 # ------------------------------------------------------------ reports
@@ -431,17 +432,13 @@ def nonnegativity_check(
 
 
 def sylvester_check(n_max: int, name=None) -> IdentityReport:
-    """Sylvester's histogram equality for every n <= n_max."""
+    """Sylvester's histogram equality for every n <= n_max, reported as
+    (n, statistic value, 0) at the least differing n and value."""
     started = perf_counter()
-    fail = None
-    for n, (by_distinct, by_runs) in enumerate(sylvester_table(n_max)):
-        if by_distinct != by_runs:
-            r = min(
-                v for v in set(by_distinct) | set(by_runs)
-                if by_distinct.get(v, 0) != by_runs.get(v, 0)
-            )
-            fail = (n, r, 0, by_distinct.get(r, 0), by_runs.get(r, 0))
-            break
+    fail = _first_difference(*sylvester_gfs(n_max))
+    if fail is not None:
+        n, _, value, lhs, rhs = fail
+        fail = (n, value, 0, lhs, rhs)
     return _verdict(name or "sylvester-runs", None, n_max, None, started, fail)
 
 

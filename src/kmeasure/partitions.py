@@ -11,10 +11,11 @@ The generating functions built here, sums of y^length z^statistic q^size
 over every partition of n <= qcap, are the oracles for the closed-form
 series in :mod:`kmeasure.identities`.  They count partitions by a
 transfer-matrix scan over part values, in time polynomial in qcap and with
-no algebra on closed forms involved; Sylvester's histograms are counted
-the same way.  Exhaustive, deterministic enumeration stays as the
-reference they are tested against, and it still backs the per-partition
-statistics.
+no algebra on closed forms involved.  Sylvester's two sides are such
+series too: the odd family's 1-measure series at y = 1, and the
+distinct-part series by number of runs.  Exhaustive, deterministic
+enumeration stays as the reference they are tested against, and it still
+backs the per-partition statistics.
 """
 
 from __future__ import annotations
@@ -342,41 +343,45 @@ def durfee_gf(qcap: int) -> TriSeries:
     return _counted(qcap, layers, counts, width)
 
 
-def sylvester_table(n_max: int) -> list[tuple[Counter, Counter]]:
-    """:func:`sylvester_counts` for every n <= n_max, counted over part values.
+def runs_gf(qcap: int) -> TriSeries:
+    """Sum z^{runs} q^size over all partitions into distinct parts of
+    n <= qcap, runs as in :func:`consecutive_runs`.
 
-    Odd side: each odd value is absent or present m >= 1 times, and present
-    adds 1 to the number of distinct values.  Distinct side: values in
-    ascending order, with one state for partitions that have v - 1 as a
-    part, to which a part v adds no new run, and one for the rest, to which
-    it adds one.
+    Values are scanned in ascending order, with one state for partitions
+    that have v - 1 as a part, to which a part v adds no new run, and one
+    for the rest, to which it adds one.  Length is not tracked, so every
+    count sits in slot 0.
     """
-    if n_max < 0:
-        raise ValueError("n must be nonnegative")
-    size = n_max + 1
-    odd = [Counter() for _ in range(size)]
-    odd[0][0] = 1
-    for v in range(1, size, 2):
-        present = [Counter() for _ in range(size)]
-        for j in range(v, size):
-            for values, c in odd[j - v].items():
-                present[j][values + 1] += c
-            present[j].update(present[j - v])
-        for tgt, layer in zip(odd, present):
-            tgt.update(layer)
-    rest = [Counter() for _ in range(size)]
-    rest[0][0] = 1
-    ends = [Counter() for _ in range(size)]  # v - 1 is a part
-    for v in range(1, size):
-        new_ends = [Counter() for _ in range(size)]
-        for j in range(v, size):
-            for runs, c in rest[j - v].items():
-                new_ends[j][runs + 1] += c
-            new_ends[j].update(ends[j - v])
-        for tgt, layer in zip(rest, ends):
-            tgt.update(layer)
+    _check_oracle_args(qcap, "distinct")
+    counts = _partition_counts(qcap)
+    width = _slot_width(counts)
+    rest, ends = _unit(qcap), [{} for _ in range(qcap + 1)]  # ends: v - 1 is a part
+    for v in range(1, qcap + 1):
+        new_ends = [{} for _ in range(qcap + 1)]
+        for j in range(v, qcap + 1):
+            _accumulate(new_ends[j], rest[j - v], 0, 1)
+            _accumulate(new_ends[j], ends[j - v])
+        _add_into(rest, ends)
         ends = new_ends
-    return [(odd[n], rest[n] + ends[n]) for n in range(size)]
+    _add_into(rest, ends)
+    return _counted(qcap, rest, counts, width)
+
+
+def sylvester_gfs(n_max: int) -> tuple[TriSeries, TriSeries]:
+    """The two sides of Sylvester's theorem for every n <= n_max: the
+    odd-part partitions by number of distinct values (their 1-measure) and
+    the distinct-part partitions by number of maximal runs, each as z^value
+    q^n."""
+    return measure_gf(n_max, 1, "odd").set_y(1), runs_gf(n_max)
+
+
+def _histograms(series: TriSeries, n_max: int) -> list[Counter]:
+    """Per n, the counts by statistic of a counted series in which y or z
+    was set to 1, so that the other exponent is the statistic."""
+    out = [Counter() for _ in range(n_max + 1)]
+    for n, e, f, c in series.terms():
+        out[n][e + f] += c
+    return out
 
 
 def sylvester_counts(n: int) -> tuple[Counter, Counter]:
@@ -387,4 +392,7 @@ def sylvester_counts(n: int) -> tuple[Counter, Counter]:
     runs).  The theorem asserts the two histograms are equal; at n = 0 both
     are {0: 1} for the empty partition.
     """
-    return sylvester_table(n)[n]
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    odd, runs = sylvester_gfs(n)
+    return _histograms(odd, n)[n], _histograms(runs, n)[n]

@@ -424,15 +424,7 @@ class TriSeries:
 
     def times_monomial(self, m: Monomial) -> "TriSeries":
         """Multiply by a single monomial (exact shift and scale)."""
-
-        def build(width):
-            term = _Packed.pack(self, width)
-            term.times_monomial(m)
-            product = _Packed.zero(self.qcap, self.zcap, width)
-            product.add(term)
-            return product
-
-        return _packed_build(build, self._packed.width)
+        return TriSeries(self.qcap, self.zcap)._sum(self, m)
 
     def times_one_minus(self, m: Monomial) -> "TriSeries":
         """Multiply by the binomial (1 - m) in O(terms)."""

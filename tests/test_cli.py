@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from kmeasure.cli import main
+from kmeasure.partitions import consecutive_runs, durfee, enumerate_partitions, kmeasure
 
 
 def run(capsys, *argv):
@@ -144,6 +146,32 @@ def test_table_sylvester(capsys):
     )
     assert code == 0
     assert all(row.endswith("True") for row in out.strip().splitlines()[1:])
+
+
+# per pair: (family, lhs statistic) and (family, rhs statistic) of a partition
+ENUMERATED_PAIRS = {
+    "mu2-durfee": (("all", lambda p: kmeasure(p, 2)), ("all", durfee)),
+    "muk-length": (("all", lambda p: kmeasure(p, 3)), ("all", len)),
+    "sylvester": (("odd", lambda p: len(set(p))), ("distinct", consecutive_runs)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ENUMERATED_PAIRS))
+def test_table_rows_match_enumeration(capsys, pair):
+    n_max = 25
+    expected = ["n,statistic_value,count_lhs,count_rhs,match"]
+    for n in range(n_max + 1):
+        lhs, rhs = (
+            Counter(statistic(parts) for parts in enumerate_partitions(n, family))
+            for family, statistic in ENUMERATED_PAIRS[pair]
+        )
+        for value in sorted(set(lhs) | set(rhs)):
+            expected.append(f"{n},{value},{lhs[value]},{rhs[value]},{lhs[value] == rhs[value]}")
+    code, out, _ = run(
+        capsys, "table", "--n-max", str(n_max), "--pair", pair, "--k", "3", "--format", "csv"
+    )
+    assert out.splitlines() == expected
+    assert code == 0 and (pair == "muk-length") == ("False" in out)
 
 
 def test_table_muk_length_is_informational(capsys):

@@ -41,7 +41,14 @@ from kmeasure.identities import (
     sum_form_check,
     sylvester_check,
 )
-from kmeasure.partitions import durfee_gf, enumerate_partitions, kmeasure, measure_gf
+from kmeasure.partitions import (
+    _histograms,
+    durfee_gf,
+    enumerate_partitions,
+    kmeasure,
+    measure_gf,
+    sylvester_gfs,
+)
 from kmeasure.series import (
     Monomial,
     Q,
@@ -298,6 +305,39 @@ def test_sylvester_check_passes():
     assert sylvester_check(80).passed
 
 
+def _histogram_scan(odd, runs, n_max):
+    """The first failure as the per-n histogram scan of sylvester-runs
+    reported it before the check compared series: the least n whose
+    histograms differ, and there the least differing value."""
+    for n, (by_distinct, by_runs) in enumerate(
+        zip(_histograms(odd, n_max), _histograms(runs, n_max))
+    ):
+        if by_distinct != by_runs:
+            r = min(
+                v for v in set(by_distinct) | set(by_runs)
+                if by_distinct.get(v, 0) != by_runs.get(v, 0)
+            )
+            return (n, r, 0, by_distinct.get(r, 0), by_runs.get(r, 0))
+    return None
+
+
+@pytest.mark.parametrize("side, terms", [
+    (1, [(7, 0, 2, 1)]),  # one count off by one
+    (1, [(3, 0, 1, -2)]),  # a count cancelled to zero
+    (0, [(5, 0, 9, 1)]),  # a value no partition of n has
+    (0, [(12, 0, 3, 5), (12, 0, 1, -1)]),  # two values at one n: the least wins
+    (1, [(9, 0, 2, 4), (6, 0, 4, -3)]),  # two n: the least wins
+])
+def test_failing_sylvester_reports_as_the_histogram_scan(monkeypatch, side, terms):
+    n_max = 14
+    sides = list(sylvester_gfs(n_max))
+    sides[side] = sides[side] + TriSeries.from_terms(terms, n_max)
+    monkeypatch.setattr(identities, "sylvester_gfs", lambda n: tuple(sides))
+    report = sylvester_check(n_max)
+    assert not report.passed
+    assert report.first_failure == Mismatch(*_histogram_scan(*sides, n_max))
+
+
 # ------------------------------------------------- building blocks
 
 
@@ -412,6 +452,20 @@ def _seeded(built):
     memo = identities._Artifacts()
     memo._built.update(built)
     return memo
+
+
+@pytest.mark.parametrize("k, substitutions", [(1, [1]), (2, [1, 2])])
+def test_qdiff_residual_substitutes_each_power_once(monkeypatch, k, substitutions):
+    calls = []
+    scale_y = TriSeries.scale_y
+
+    def counted(self, j):
+        calls.append(j)
+        return scale_y(self, j)
+
+    monkeypatch.setattr(TriSeries, "scale_y", counted)
+    assert qdiff_residual(k, 12).is_zero()
+    assert sorted(calls) == substitutions
 
 
 def test_failing_qdiff_reports_the_residual_against_zero():

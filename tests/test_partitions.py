@@ -18,8 +18,9 @@ from kmeasure.partitions import (
     measure_gfs,
     parse_partition,
     partition_stats,
+    runs_gf,
     sylvester_counts,
-    sylvester_table,
+    sylvester_gfs,
 )
 from kmeasure.series import Monomial, Q, TriSeries, YQ, pochhammer_infinite
 
@@ -212,6 +213,9 @@ def test_counting_dps_are_exact_at_the_narrowest_width(monkeypatch):
     gf = durfee_gf(qcap)
     assert gf._packed.width == 16 and gf.max_abs() == 129
     assert gf == _enumerated_gf(qcap, durfee)
+    gf = runs_gf(qcap)
+    assert gf._packed.width == 16
+    assert gf.set_z(1) == measure_gf(qcap, 1, "distinct").set_y(1).set_z(1)
 
 
 def test_durfee_gf_total_mass_at_order_80():
@@ -225,6 +229,10 @@ def test_oracles_reject_negative_order():
         measure_gfs(-2, [1, 2])
     with pytest.raises(ValueError, match="qcap must be nonnegative"):
         durfee_gf(-1)
+    with pytest.raises(ValueError, match="qcap must be nonnegative"):
+        runs_gf(-1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        sylvester_counts(-1)
 
 
 def test_measure_gfs_rejects_unknown_family():
@@ -238,16 +246,29 @@ def test_sylvester_counts_examples():
     assert sylvester_counts(1) == (Counter({1: 1}), Counter({1: 1}))
 
 
-def test_sylvester_table_matches_enumeration():
-    table = sylvester_table(40)
-    assert len(table) == 41
-    for n, (by_distinct, by_runs) in enumerate(table):
-        odd = Counter(len(set(parts)) for parts in enumerate_partitions(n, "odd"))
-        runs = Counter(
+def test_runs_gf_matches_enumeration():
+    qcap = 40
+    terms = [
+        (n, 0, consecutive_runs(parts), 1)
+        for n in range(qcap + 1)
+        for parts in enumerate_partitions(n, "distinct")
+    ]
+    assert runs_gf(qcap) == TriSeries.from_terms(terms, qcap)
+
+
+def test_sylvester_gfs_match_enumeration():
+    n_max = 40
+    odd, runs = sylvester_gfs(n_max)
+    # both sides are series in q and z alone: the value is the z-exponent
+    assert all(e == 0 for s in (odd, runs) for _, e, _, _ in s.terms())
+    sides = zip(partitions._histograms(odd, n_max), partitions._histograms(runs, n_max))
+    for n, (by_distinct, by_runs) in enumerate(sides):
+        odd_ref = Counter(len(set(parts)) for parts in enumerate_partitions(n, "odd"))
+        runs_ref = Counter(
             consecutive_runs(parts) for parts in enumerate_partitions(n, "distinct")
         )
         # Counter equality ignores zero entries, so rule them out on their own
-        assert (by_distinct, by_runs) == (odd, runs), n
+        assert (by_distinct, by_runs) == (odd_ref, runs_ref), n
         assert 0 not in by_distinct.values() and 0 not in by_runs.values(), n
         assert sylvester_counts(n) == (by_distinct, by_runs), n
 
