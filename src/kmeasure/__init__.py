@@ -31,27 +31,14 @@ from .partitions import (
 from .identities import (
     IdentityReport,
     Mismatch,
-    bailey_daum,
     default_tasks,
     distinct_measure_gf_product,
     distinct_measure_gf_sum,
-    durfee_closed_check,
     durfee_gf_closed,
-    equidistribution_check,
-    euler_first,
-    euler_second,
-    generalized_heine,
-    heine_limit,
-    nonnegativity_check,
-    parity_check,
     partition_measure_gf_product,
     partition_measure_gf_sum,
-    product_form_check,
-    qdiff_check,
     qdiff_residual,
     run_suite,
-    sum_form_check,
-    sylvester_check,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Closed-form series builders and coefficient-exact identity checks.
 
 Each check assembles both sides of one identity as :class:`TriSeries`
-values and reports whether their difference is identically zero under the
-caps.  Because the arithmetic is exact, a passing check proves the identity
-for every retained coefficient; there is no tolerance anywhere.
+values and returns the first coefficient at which they differ under the
+caps, or None; :func:`run_suite` times it and writes its report.  Because
+the arithmetic is exact, a passing check proves the identity for every
+retained coefficient; there is no tolerance anywhere.
 
 Every infinite sum is built by :func:`_qsum`, which derives summand n+1
 from summand n by one monomial and a few binomial multiply/divide steps
@@ -276,16 +277,6 @@ class IdentityReport(_Record):
         return "" if self.first_failure is None else str(self.first_failure)
 
 
-def _verdict(name, k, qcap, zcap, started, fail) -> IdentityReport:
-    """The report of a check whose first failure, as (q, y, z, lhs, rhs)
-    in the check's scan order, is ``fail``, or None if it passed.  Series
-    checks take it from :func:`kmeasure.series._first_difference`."""
-    mismatch = None if fail is None else Mismatch(*fail)
-    return IdentityReport(
-        name, k, qcap, zcap, fail is None, mismatch, perf_counter() - started
-    )
-
-
 # ---------------------------------------------------------- shared series
 
 
@@ -318,68 +309,43 @@ class _Artifacts:
 
 
 # --------------------------------------------------- theorem-level checks
+#
+# Every check is called as check(memo, **task_kwargs), with the memo of its
+# unit, and returns its first failure as (q, y, z, lhs, rhs) in its scan
+# order, or None if it passed.
 
 
-def sum_form_check(
-    k: int, qcap: int, family: str = "all", name=None, artifacts=None
-) -> IdentityReport:
+def _sum_form(memo, k, qcap, family):
     """Alternating-sum closed form against the enumerated generating function."""
-    started = perf_counter()
     _check_family(family)
-    memo = artifacts or _Artifacts()
-    lhs = memo.closed_sum(k, qcap, family)
-    rhs = memo.measure(qcap, k, family)
-    fail = _first_difference(lhs, rhs)
-    return _verdict(name or f"sum-form[{family}]", k, qcap, None, started, fail)
+    return _first_difference(memo.closed_sum(k, qcap, family), memo.measure(qcap, k, family))
 
 
-def product_form_check(
-    k: int, qcap: int, zcap: int, family: str = "all", name=None, artifacts=None
-) -> IdentityReport:
+def _product_form(memo, k, qcap, zcap, family):
     """Product form against the sum form, on z-exponents up to zcap."""
-    started = perf_counter()
     _check_family(family)
-    if family == "all":
-        lhs = partition_measure_gf_product(k, qcap, zcap)
-    else:
-        lhs = distinct_measure_gf_product(k, qcap, zcap)
-    rhs = (artifacts or _Artifacts()).closed_sum(k, qcap, family)
-    return _verdict(
-        name or f"product-form[{family}]", k, qcap, zcap, started, _first_difference(lhs, rhs)
-    )
+    build = partition_measure_gf_product if family == "all" else distinct_measure_gf_product
+    return _first_difference(build(k, qcap, zcap), memo.closed_sum(k, qcap, family))
 
 
-def qdiff_check(
-    k: int, qcap: int, family: str = "all", name=None, artifacts=None
-) -> IdentityReport:
+def _qdiff(memo, k, qcap, family):
     """q-difference equation residual must vanish identically."""
-    started = perf_counter()
     _check_family(family)
-    g = (artifacts or _Artifacts()).measure(qcap, k, family)
-    fail = _first_difference(_qdiff_residual(g, k, family), TriSeries.zero(qcap))
-    return _verdict(name or f"qdiff[{family}]", k, qcap, None, started, fail)
+    residual = _qdiff_residual(memo.measure(qcap, k, family), k, family)
+    return _first_difference(residual, TriSeries.zero(qcap))
 
 
-def equidistribution_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
+def _equidistribution(memo, qcap):
     """Joint (length, 2-measure) distribution equals joint (length, Durfee)."""
-    started = perf_counter()
-    memo = artifacts or _Artifacts()
-    lhs = memo.measure(qcap, 2, "all")
-    rhs = memo.durfee(qcap)
-    fail = _first_difference(lhs, rhs)
-    return _verdict(name or "durfee-equidistribution", None, qcap, None, started, fail)
+    return _first_difference(memo.measure(qcap, 2, "all"), memo.durfee(qcap))
 
 
-def durfee_closed_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
+def _durfee_closed(memo, qcap):
     """Durfee-square closed form against the enumerated Durfee series."""
-    started = perf_counter()
-    lhs = durfee_gf_closed(qcap)
-    rhs = (artifacts or _Artifacts()).durfee(qcap)
-    fail = _first_difference(lhs, rhs)
-    return _verdict(name or "durfee-closed-form", None, qcap, None, started, fail)
+    return _first_difference(durfee_gf_closed(qcap), memo.durfee(qcap))
 
 
-def parity_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
+def _parity(memo, qcap):
     """Three-way signed-count agreement, coefficient by coefficient:
 
     (i) the excess of partitions of n with len + 2-measure even over odd,
@@ -388,35 +354,24 @@ def parity_check(qcap: int, name=None, artifacts=None) -> IdentityReport:
          by the distinct-odd oracle at y = z = 1,
     (iii) the q^n coefficient of (-q;q^2)_inf.
     """
-    started = perf_counter()
-    memo = artifacts or _Artifacts()
     signs = memo.measure(qcap, 2, "all").set_y(-1).set_z(-1)
     counts = memo.measure(qcap, 1, "distinct-odd").set_y(1).set_z(1)
     product = pochhammer_infinite(Monomial(-1, q=1), 2, qcap)
     # the least n at which either pair differs, (i) against (ii) first
     fails = [_first_difference(signs, counts), _first_difference(counts, product)]
-    fail = min((d for d in fails if d is not None), key=lambda d: d[0], default=None)
-    return _verdict(name or "parity-distinct-odd", None, qcap, None, started, fail)
+    return min((d for d in fails if d is not None), key=lambda d: d[0], default=None)
 
 
-def nonnegativity_check(
-    k: int, qcap: int, family: str = "all", name=None, artifacts=None
-) -> IdentityReport:
+def _nonnegative(memo, k, qcap, family):
     """Every coefficient of the closed-form series is a nonnegative integer.
 
     For the partition family both inner-Pochhammer variants are covered:
     the step-(k-1) series at parameter k and the step-k one, which is the
     same family at parameter k+1.
     """
-    started = perf_counter()
     _check_family(family)
-    memo = artifacts or _Artifacts()
-    if family == "all":
-        series_list = [memo.closed_sum(k, qcap, family), memo.closed_sum(k + 1, qcap, family)]
-    else:
-        series_list = [memo.closed_sum(k, qcap, family)]
-    fail = None
-    for series in series_list:
+    ks = (k, k + 1) if family == "all" else (k,)
+    for series in [memo.closed_sum(j, qcap, family) for j in ks]:
         packed = series._packed
         if packed.den == 1 and packed.is_nonnegative():
             continue
@@ -427,19 +382,18 @@ def nonnegativity_check(
             if (isinstance(c, Fraction) and c.denominator != 1) or c < 0
         ), None)
         if fail is not None:
-            break
-    return _verdict(name or f"nonnegative[{family}]", k, qcap, None, started, fail)
+            return fail
+    return None
 
 
-def sylvester_check(n_max: int, name=None) -> IdentityReport:
+def _sylvester(memo, n_max):
     """Sylvester's histogram equality for every n <= n_max, reported as
     (n, statistic value, 0) at the least differing n and value."""
-    started = perf_counter()
     fail = _first_difference(*sylvester_gfs(n_max))
-    if fail is not None:
-        n, _, value, lhs, rhs = fail
-        fail = (n, value, 0, lhs, rhs)
-    return _verdict(name or "sylvester-runs", None, n_max, None, started, fail)
+    if fail is None:
+        return None
+    n, _, value, lhs, rhs = fail
+    return n, value, 0, lhs, rhs
 
 
 # --------------------------------------------- building-block identities
@@ -460,13 +414,6 @@ def euler_first_sides(t: Monomial, qcap: int, zcap=None):
     return lhs, rhs
 
 
-def euler_first(t: Monomial, qcap: int, zcap=None, name=None) -> IdentityReport:
-    started = perf_counter()
-    lhs, rhs = euler_first_sides(t, qcap, zcap)
-    fail = _first_difference(lhs, rhs)
-    return _verdict(name or f"euler-first[t={t}]", None, qcap, zcap, started, fail)
-
-
 def euler_second_sides(t: Monomial, qcap: int, zcap=None):
     """Both sides of sum_m (-t)^m q^{m(m-1)/2}/(q;q)_m = (t;q)_inf.
 
@@ -481,13 +428,6 @@ def euler_second_sides(t: Monomial, qcap: int, zcap=None):
     )
     rhs = pochhammer_infinite(t, 1, qcap, zcap)
     return lhs, rhs
-
-
-def euler_second(t: Monomial, qcap: int, zcap=None, name=None) -> IdentityReport:
-    started = perf_counter()
-    lhs, rhs = euler_second_sides(t, qcap, zcap)
-    fail = _first_difference(lhs, rhs)
-    return _verdict(name or f"euler-second[t={t}]", None, qcap, zcap, started, fail)
 
 
 def bailey_daum_sides(a: Monomial, qcap: int, zcap=None):
@@ -505,13 +445,6 @@ def bailey_daum_sides(a: Monomial, qcap: int, zcap=None):
     return lhs, rhs
 
 
-def bailey_daum(a: Monomial, qcap: int, zcap=None, name=None) -> IdentityReport:
-    started = perf_counter()
-    lhs, rhs = bailey_daum_sides(a, qcap, zcap)
-    fail = _first_difference(lhs, rhs)
-    return _verdict(name or f"bailey-daum[a={a}]", None, qcap, zcap, started, fail)
-
-
 def heine_limit_sides(qcap: int, zcap: int):
     """Both sides of the limiting transformation
 
@@ -527,13 +460,6 @@ def heine_limit_sides(qcap: int, zcap: int):
         qcap, zcap, lambda n: Z, downs=((Q, 1, 1), (YQ, 1, 1)), prefactors=((Z, 1, False),)
     )
     return lhs, durfee_gf_closed(qcap, zcap)
-
-
-def heine_limit(qcap: int, zcap: int, name=None) -> IdentityReport:
-    started = perf_counter()
-    lhs, rhs = heine_limit_sides(qcap, zcap)
-    fail = _first_difference(lhs, rhs)
-    return _verdict(name or "heine-limit", None, qcap, zcap, started, fail)
 
 
 def generalized_heine_sides(
@@ -577,21 +503,9 @@ def generalized_heine_sides(
     return lhs, rhs
 
 
-def generalized_heine(
-    a: Monomial,
-    b: Monomial,
-    c: Monomial,
-    t: Monomial,
-    h: int,
-    qcap: int,
-    zcap=None,
-    name=None,
-) -> IdentityReport:
-    started = perf_counter()
-    lhs, rhs = generalized_heine_sides(a, b, c, t, h, qcap, zcap)
-    label = name or f"heine-general[a={a},b={b},c={c},t={t},h={h}]"
-    fail = _first_difference(lhs, rhs)
-    return _verdict(label, None, qcap, zcap, started, fail)
+def _sides_check(sides):
+    """The check that compares the two sides ``sides(**kwargs)`` builds."""
+    return lambda memo, **kwargs: _first_difference(*sides(**kwargs))
 
 
 # -------------------------------------------------------------- the suite
@@ -607,19 +521,19 @@ HEINE_GENERAL_PARAMS = (
 )
 
 _CHECK_FUNCS = {
-    "sum-form": sum_form_check,
-    "product-form": product_form_check,
-    "qdiff": qdiff_check,
-    "nonnegative": nonnegativity_check,
-    "durfee-equidistribution": equidistribution_check,
-    "durfee-closed-form": durfee_closed_check,
-    "parity-distinct-odd": parity_check,
-    "sylvester-runs": sylvester_check,
-    "euler-first": euler_first,
-    "euler-second": euler_second,
-    "bailey-daum": bailey_daum,
-    "heine-limit": heine_limit,
-    "heine-general": generalized_heine,
+    "sum-form": _sum_form,
+    "product-form": _product_form,
+    "qdiff": _qdiff,
+    "nonnegative": _nonnegative,
+    "durfee-equidistribution": _equidistribution,
+    "durfee-closed-form": _durfee_closed,
+    "parity-distinct-odd": _parity,
+    "sylvester-runs": _sylvester,
+    "euler-first": _sides_check(euler_first_sides),
+    "euler-second": _sides_check(euler_second_sides),
+    "bailey-daum": _sides_check(bailey_daum_sides),
+    "heine-limit": _sides_check(heine_limit_sides),
+    "heine-general": _sides_check(generalized_heine_sides),
 }
 
 
@@ -663,12 +577,9 @@ def default_tasks(qcap: int, zcap: int, ks) -> list[tuple[str, str, dict]]:
     return tasks
 
 
-# The checks that read shared series from an _Artifacts memo.  The Durfee
-# checks read the 2-measure series, so they join the ("all", 2) unit.
+# The Durfee checks read the 2-measure series, so they join the ("all", 2)
+# unit.
 _DURFEE_UNIT = ("durfee-equidistribution", "durfee-closed-form", "parity-distinct-odd")
-_READS_ARTIFACTS = frozenset(
-    ("sum-form", "product-form", "qdiff", "nonnegative") + _DURFEE_UNIT
-)
 
 
 def _unit_key(index, task):
@@ -681,40 +592,42 @@ def _unit_key(index, task):
     return index
 
 
-def _failed_report(task, elapsed, error) -> IdentityReport:
-    """The failed report of a task whose check raised or whose worker died."""
+def _report(task, elapsed, fail=None, error=None) -> IdentityReport:
+    """The report of a task.  ``fail`` is its check's first failure as
+    (q, y, z, lhs, rhs), or None; ``error`` says why the check raised or
+    its worker died.  k, the q-order and zcap come from the task kwargs."""
     name, _, kwargs = task
     return IdentityReport(
-        name, kwargs.get("k"), kwargs.get("qcap", kwargs.get("n_max")),
-        kwargs.get("zcap"), False, None, elapsed, error,
+        name, kwargs.get("k"), kwargs.get("qcap", kwargs.get("n_max")), kwargs.get("zcap"),
+        fail is None and error is None, None if fail is None else Mismatch(*fail), elapsed, error,
     )
 
 
 def _run_unit(unit) -> list[IdentityReport]:
-    """Run the tasks of one unit against one memo of shared series.
+    """Run the tasks of one unit against one memo of shared series, timing
+    each check.
 
     A check that raises becomes a failed report carrying the error, so its
     unit-mates still report.
     """
-    artifacts = _Artifacts()
+    memo = _Artifacts()
     reports = []
     for task in unit:
-        name, key, kwargs = task
-        extra = {"artifacts": artifacts} if key in _READS_ARTIFACTS else {}
+        _, key, kwargs = task
+        fail = error = None
         started = perf_counter()
         try:
-            reports.append(_CHECK_FUNCS[key](name=name, **kwargs, **extra))
+            fail = _CHECK_FUNCS[key](memo, **kwargs)
         except Exception as exc:
-            reports.append(_failed_report(
-                task, perf_counter() - started, f"{type(exc).__name__}: {exc}"
-            ))
+            error = f"{type(exc).__name__}: {exc}"
+        reports.append(_report(task, perf_counter() - started, fail, error))
     return reports
 
 
 def _lost_unit(unit, status) -> list[IdentityReport]:
     """The reports of a unit whose worker died with exit status ``status``."""
     error = f"ChildProcessError: worker exited with status {status}"
-    return [_failed_report(task, 0.0, error) for task in unit]
+    return [_report(task, 0.0, error=error) for task in unit]
 
 
 def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:

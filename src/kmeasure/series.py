@@ -309,24 +309,6 @@ class TriSeries:
     def is_zero(self) -> bool:
         return self._packed.is_zero()
 
-    def is_integral(self) -> bool:
-        """True iff every stored coefficient has denominator 1."""
-        for layer in self._layers:
-            for c in layer.values():
-                if isinstance(c, Fraction) and c.denominator != 1:
-                    return False
-        return True
-
-    def max_abs(self) -> Coeff:
-        """Largest absolute value among stored coefficients (0 if none)."""
-        best = 0
-        for layer in self._layers:
-            for c in layer.values():
-                a = -c if c < 0 else c
-                if a > best:
-                    best = a
-        return best
-
     def lines(self) -> list[str]:
         """Debug rendering: one ``c * q^j y^e z^f`` line per term.
 
@@ -419,9 +401,6 @@ class TriSeries:
 
         return _packed_build(build, max(self._packed.width, other._packed.width))
 
-    def __truediv__(self, other):
-        return self * other.invert()
-
     def times_monomial(self, m: Monomial) -> "TriSeries":
         """Multiply by a single monomial (exact shift and scale)."""
         return TriSeries(self.qcap, self.zcap)._sum(self, m)
@@ -429,17 +408,6 @@ class TriSeries:
     def times_one_minus(self, m: Monomial) -> "TriSeries":
         """Multiply by the binomial (1 - m) in O(terms)."""
         return _pochhammer_apply(self, m, 0, 1)
-
-    def divide_one_minus(self, m: Monomial) -> "TriSeries":
-        """Divide by the binomial (1 - m) in O(terms).
-
-        Solves out = self + m*out layer by layer, which needs m.q >= 1;
-        a divisor with q-order 0 goes through :meth:`invert`.  A factor that
-        is 1 under the caps returns this series unchanged.
-        """
-        if m.q == 0:
-            raise ValueError("divide_one_minus needs a positive q-exponent")
-        return _pochhammer_apply(self, m, 0, 1, divide=True)
 
     def invert(self) -> "TriSeries":
         """Multiplicative inverse under the caps.
@@ -828,7 +796,7 @@ class _Packed:
         if num == 0 or q > qcap or (zcap is not None and z > zcap):
             return
         if divide and q == 0:
-            raise ValueError("divide_one_minus needs a positive q-exponent")
+            raise ValueError("dividing by (1 - m) needs a positive q-exponent")
         limit = zcap - z if zcap is not None else maxsize
         shift = self.width * y
         # out_j = scale*self_j - num*m*self_{j-q}, or out_j = scale*self_j

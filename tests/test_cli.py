@@ -77,6 +77,32 @@ def test_verify_durfee_equidistribution_at_order_80(capsys):
     assert out.strip().splitlines()[-1].split()[0] == "1/1"
 
 
+# The reports the benchmark's output gate compares every run against,
+# recorded as (exit status, JSON reports minus elapsed_ms) per command.
+# Read only: the records pin the output, they are never rewritten here.
+RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("identity, qcap", [
+    (identity, qcap)
+    for identity, workload_qcap in (
+        ("suite", 30), ("product-form", 40), ("durfee-equidistribution", 44)
+    )
+    for qcap in (0, 6, workload_qcap)
+])
+def test_verify_matches_the_benchmark_records(capsys, identity, qcap, jobs):
+    recorded = json.loads((RECORDS / f"{identity}-q{qcap}.json").read_text())
+    args = ["verify", "--qcap", str(qcap), "--jobs", jobs, "--format", "json"]
+    if identity != "suite":
+        args += ["--identity", identity]
+    if identity != "durfee-equidistribution":  # recorded at the default ks
+        args += ["--k", "1,2,3,4,5,6,7"]
+    code, out, _ = run(capsys, *args)
+    reports = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in json.loads(out)]
+    assert {"exit_status": code, "reports": reports} == recorded
+
+
 def test_verify_unknown_identity_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--identity", "nosuch")
     assert code == 2
@@ -212,12 +238,9 @@ def test_verify_nonpositive_jobs_is_usage_error(capsys, jobs):
 
 def test_verify_exit_one_on_failing_check(monkeypatch, capsys):
     import kmeasure.identities as identities
-    from kmeasure.identities import IdentityReport, Mismatch
 
-    def failing(name=None):
-        return IdentityReport(
-            name or "demo-fail", None, 0, None, False, Mismatch(0, 0, 0, 1, 2), 0.0
-        )
+    def failing(memo):
+        return (0, 0, 0, 1, 2)
 
     monkeypatch.setitem(identities._CHECK_FUNCS, "demo-fail", failing)
     monkeypatch.setattr(
@@ -312,7 +335,7 @@ def test_passing_verify_decodes_no_series(monkeypatch, capsys):
 def test_verify_dead_worker_fails_only_its_check(monkeypatch, capsys):
     import kmeasure.identities as identities
 
-    monkeypatch.setitem(identities._CHECK_FUNCS, "sylvester-runs", lambda **kwargs: os._exit(3))
+    monkeypatch.setitem(identities._CHECK_FUNCS, "sylvester-runs", lambda memo, **kwargs: os._exit(3))
     code, out, err = run(capsys, "verify", "--qcap", "6", "--k", "1,2", "--jobs", "2")
     assert code == 1 and "Traceback" not in err
     failed = [line for line in out.splitlines() if " FAIL " in line]

@@ -15,31 +15,22 @@ from kmeasure.identities import (
     HEINE_GENERAL_PARAMS,
     IdentityReport,
     Mismatch,
-    bailey_daum,
+    _Artifacts,
     default_tasks,
     distinct_measure_gf_product,
     distinct_measure_gf_sum,
-    durfee_closed_check,
     durfee_gf_closed,
-    equidistribution_check,
-    euler_first,
     euler_first_sides,
-    euler_second,
-    generalized_heine,
-    heine_limit,
-    nonnegativity_check,
-    parity_check,
+    euler_second_sides,
+    generalized_heine_sides,
+    heine_limit_sides,
     partition_measure_gf_product,
     partition_measure_gf_sum,
-    product_form_check,
-    qdiff_check,
     qdiff_residual,
     reports_csv,
     reports_json,
     reports_table,
     run_suite,
-    sum_form_check,
-    sylvester_check,
 )
 from kmeasure.partitions import (
     _histograms,
@@ -170,9 +161,9 @@ def _reference_partition_sum(k, qcap):
     while n * (n + 1) // 2 <= qcap:
         front = Monomial((-1) ** n, q=n * (n + 1) // 2, y=n)
         term = pochhammer_finite(Z, k - 1, n, qcap).times_monomial(front)
-        total = total + term / pochhammer_finite(Q, 1, n, qcap)
+        total = total + term * pochhammer_finite(Q, 1, n, qcap).invert()
         n += 1
-    return total / pochhammer_infinite(YQ, 1, qcap)
+    return total * pochhammer_infinite(YQ, 1, qcap).invert()
 
 
 def _reference_partition_product(k, qcap, zcap):
@@ -180,8 +171,8 @@ def _reference_partition_product(k, qcap, zcap):
     total = TriSeries.zero(qcap, zcap)
     for n in range(zcap + 1):
         term = TriSeries.from_monomial(Monomial(1, z=n), qcap, zcap)
-        term = term / pochhammer_finite(base, k - 1, n, qcap, zcap)
-        term = term / pochhammer_finite(YQ, 1, (k - 1) * n, qcap, zcap)
+        term = term * pochhammer_finite(base, k - 1, n, qcap, zcap).invert()
+        term = term * pochhammer_finite(YQ, 1, (k - 1) * n, qcap, zcap).invert()
         total = total + term
     return total * pochhammer_infinite(Z, k - 1, qcap, zcap)
 
@@ -191,7 +182,7 @@ def _reference_distinct_sum(k, qcap):
     for n in range(qcap + 1):
         front = Monomial((-1) ** n, q=n, y=n)
         term = pochhammer_finite(Z, k, n, qcap).times_monomial(front)
-        total = total + term / pochhammer_finite(Q, 1, n, qcap)
+        total = total + term * pochhammer_finite(Q, 1, n, qcap).invert()
     return total * pochhammer_infinite(Monomial(-1, q=1, y=1), 1, qcap)
 
 
@@ -200,7 +191,7 @@ def _reference_distinct_product(k, qcap, zcap):
     for n in range(zcap + 1):
         term = pochhammer_finite(Monomial(-1, q=1, y=1), 1, k * n, qcap, zcap)
         term = term.times_monomial(Monomial(1, z=n))
-        term = term / pochhammer_finite(Monomial(1, q=k), k, n, qcap, zcap)
+        term = term * pochhammer_finite(Monomial(1, q=k), k, n, qcap, zcap).invert()
         total = total + term
     return total * pochhammer_infinite(Z, k, qcap, zcap)
 
@@ -210,8 +201,8 @@ def _reference_durfee(qcap, zcap):
     n = 0
     while n * n <= qcap:
         term = TriSeries.from_monomial(Monomial(1, q=n * n, y=n, z=n), qcap, zcap)
-        term = term / pochhammer_finite(YQ, 1, n, qcap, zcap)
-        total = total + term / pochhammer_finite(Q, 1, n, qcap, zcap)
+        term = term * pochhammer_finite(YQ, 1, n, qcap, zcap).invert()
+        total = total + term * pochhammer_finite(Q, 1, n, qcap, zcap).invert()
         n += 1
     return total
 
@@ -257,33 +248,45 @@ def test_qdiff_rejects_bad_family():
         qdiff_residual(2, 5, "weird")
 
 
-# ----------------------------------------------------- check wrappers
+# ------------------------------------------------------------ checks
+
+
+def _run(key, **kwargs):
+    """The report of one check, run alone as a one-task suite."""
+    (report,) = run_suite([(key, key, kwargs)])
+    return report
+
+
+def _passes(key, *kwargs_list):
+    return all(_run(key, **kwargs).passed for kwargs in kwargs_list)
 
 
 def test_sum_form_checks_pass():
     for family in ("all", "distinct"):
-        report = sum_form_check(3, 10, family)
-        assert report.passed and report.first_failure is None
-        assert report.k == 3 and report.qcap == 10
+        report = _run("sum-form", k=3, qcap=10, family=family)
+        assert report.passed and report.first_failure is None and report.error is None
+        assert report.k == 3 and report.qcap == 10 and report.zcap is None
 
 
 def test_product_form_checks_pass():
-    assert product_form_check(2, 8, 8, "all").passed
-    assert product_form_check(1, 8, 8, "distinct").passed
+    assert _passes("product-form", dict(k=2, qcap=8, zcap=8, family="all"),
+                   dict(k=1, qcap=8, zcap=8, family="distinct"))
+    report = _run("product-form", k=2, qcap=8, zcap=5, family="all")
+    assert (report.k, report.qcap, report.zcap) == (2, 8, 5)
 
 
 def test_qdiff_check_pass():
-    assert qdiff_check(2, 10, "all").passed
-    assert qdiff_check(2, 10, "distinct").passed
+    assert _passes("qdiff", dict(k=2, qcap=10, family="all"),
+                   dict(k=2, qcap=10, family="distinct"))
 
 
 def test_equidistribution_and_closed_form():
-    assert equidistribution_check(12).passed
-    assert durfee_closed_check(12).passed
+    assert _passes("durfee-equidistribution", dict(qcap=12))
+    assert _passes("durfee-closed-form", dict(qcap=12))
 
 
 def test_parity_check_passes_and_counts_n8():
-    assert parity_check(12).passed
+    assert _passes("parity-distinct-odd", dict(qcap=12))
     # n = 8 spot value: signed excess equals the two distinct-odd partitions
     signed = sum(
         -1 if (len(p) + kmeasure(p, 2)) % 2 else 1 for p in enumerate_partitions(8)
@@ -295,14 +298,15 @@ def test_parity_check_passes_and_counts_n8():
 
 
 def test_nonnegativity_checks_pass():
-    assert nonnegativity_check(2, 12, "all").passed
-    assert nonnegativity_check(1, 12, "distinct").passed
+    assert _passes("nonnegative", dict(k=2, qcap=12, family="all"),
+                   dict(k=1, qcap=12, family="distinct"))
 
 
 def test_sylvester_check_passes():
-    assert sylvester_check(20).passed
+    report = _run("sylvester-runs", n_max=20)
+    assert report.passed and report.qcap == 20 and report.k is None
     # q-order 80 counts 1.65 million partitions, which are never enumerated
-    assert sylvester_check(80).passed
+    assert _passes("sylvester-runs", dict(n_max=80))
 
 
 def _histogram_scan(odd, runs, n_max):
@@ -333,8 +337,8 @@ def test_failing_sylvester_reports_as_the_histogram_scan(monkeypatch, side, term
     sides = list(sylvester_gfs(n_max))
     sides[side] = sides[side] + TriSeries.from_terms(terms, n_max)
     monkeypatch.setattr(identities, "sylvester_gfs", lambda n: tuple(sides))
-    report = sylvester_check(n_max)
-    assert not report.passed
+    report = _run("sylvester-runs", n_max=n_max)
+    assert not report.passed and report.error is None
     assert report.first_failure == Mismatch(*_histogram_scan(*sides, n_max))
 
 
@@ -342,8 +346,7 @@ def test_failing_sylvester_reports_as_the_histogram_scan(monkeypatch, side, term
 
 
 def test_euler_first_parameters():
-    for t in EULER_FIRST_PARAMS:
-        assert euler_first(t, 8, 8).passed
+    assert _passes("euler-first", *(dict(t=t, qcap=8, zcap=8) for t in EULER_FIRST_PARAMS))
 
 
 def test_euler_first_partition_series():
@@ -353,14 +356,13 @@ def test_euler_first_partition_series():
 
 def test_euler_first_rejects_constant():
     with pytest.raises(ValueError):
-        euler_first(Monomial(1), 8, 8)
+        euler_first_sides(Monomial(1), 8, 8)
     with pytest.raises(ValueError):
-        euler_first(Z, 8, None)  # z parameter without a z-cap
+        euler_first_sides(Z, 8, None)  # z parameter without a z-cap
 
 
 def test_euler_second_parameters():
-    for t in EULER_SECOND_PARAMS:
-        assert euler_second(t, 10, 6).passed
+    assert _passes("euler-second", *(dict(t=t, qcap=10, zcap=6) for t in EULER_SECOND_PARAMS))
 
 
 def test_euler_second_pentagonal_layers():
@@ -375,47 +377,44 @@ def test_euler_second_pentagonal_layers():
         qcap,
     )
     assert pochhammer_infinite(Q, 1, qcap) == expected
-    assert euler_second(Q, qcap).passed
+    assert _passes("euler-second", dict(t=Q, qcap=qcap))
 
 
 def test_bailey_daum_parameters():
-    for a in BAILEY_DAUM_PARAMS:
-        assert bailey_daum(a, 12).passed
+    assert _passes("bailey-daum", *(dict(a=a, qcap=12) for a in BAILEY_DAUM_PARAMS))
 
 
 def test_heine_limit_passes():
-    assert heine_limit(12, 12).passed
+    assert _passes("heine-limit", dict(qcap=12, zcap=12))
 
 
 def test_heine_limit_matches_product_form_k2():
-    from kmeasure.identities import heine_limit_sides
-
     lhs, _ = heine_limit_sides(10, 10)
     assert lhs == partition_measure_gf_product(2, 10, 10)
 
 
 def test_generalized_heine_parameters():
-    for _, params in HEINE_GENERAL_PARAMS:
-        assert generalized_heine(qcap=10, zcap=10, **params).passed
+    assert _passes("heine-general", *(dict(qcap=10, zcap=10, **params)
+                                      for _, params in HEINE_GENERAL_PARAMS))
 
 
 def test_generalized_heine_rejects_bad_ratio():
     with pytest.raises(ValueError, match="parameter specialization unsupported"):
-        generalized_heine(
+        generalized_heine_sides(
             a=Q, b=Monomial(1, q=2), c=Q, t=Q, h=1, qcap=8, zcap=8
         )
 
 
 def test_generalized_heine_rejects_degenerate_params():
     with pytest.raises(ValueError):
-        generalized_heine(a=Q, b=Q, c=Q, t=Q, h=0, qcap=8, zcap=8)
+        generalized_heine_sides(a=Q, b=Q, c=Q, t=Q, h=0, qcap=8, zcap=8)
     with pytest.raises(ValueError):
-        generalized_heine(a=Q, b=Q, c=Monomial(1, q=2), t=Z, h=1, qcap=8, zcap=8)
+        generalized_heine_sides(a=Q, b=Q, c=Monomial(1, q=2), t=Z, h=1, qcap=8, zcap=8)
 
 
 def test_generalized_heine_rational_coefficients():
     # coefficient ratio c/b = 3/2 * q exercises the rational coefficient ring
-    report = generalized_heine(
+    assert _passes("heine-general", dict(
         a=YQ,
         b=Monomial(2, q=1),
         c=Monomial(3, q=2),
@@ -423,8 +422,23 @@ def test_generalized_heine_rational_coefficients():
         h=1,
         qcap=8,
         zcap=8,
+    ))
+
+
+def test_failing_building_block_reports_its_first_difference(monkeypatch):
+    # a right side off by q^3 y: the check reports the pair's first difference
+    qcap = 8
+    lhs, rhs = euler_second_sides(YQ, qcap, 4)
+    extra = TriSeries.from_terms([(3, 1, 0, 1)], qcap, 4)
+    expected = Mismatch(3, 1, 0, lhs.coefficient(3, 1), rhs.coefficient(3, 1) + 1)
+    real = identities.pochhammer_infinite
+    monkeypatch.setattr(
+        identities, "pochhammer_infinite", lambda *args: real(*args) + extra
     )
-    assert report.passed
+    report = _run("euler-second", t=YQ, qcap=qcap, zcap=4)
+    assert not report.passed and report.error is None
+    assert report.first_failure == expected
+    assert (report.k, report.qcap, report.zcap) == (None, qcap, 4)
 
 
 def test_statistic_bounds_in_closed_forms():
@@ -441,17 +455,24 @@ def test_report_failure_coordinates():
     lhs = TriSeries.one(5)
     rhs = TriSeries.from_terms([(0, 0, 0, 1), (2, 1, 0, 3)], 5)
     fail = _first_difference(lhs, rhs)
-    report = identities._verdict("demo", None, 5, None, 0.0, fail)
-    assert not report.passed
+    report = identities._report(("demo", "demo", dict(qcap=5)), 0.0, fail)
+    assert not report.passed and report.error is None
     assert report.first_failure == Mismatch(2, 1, 0, 0, 3)
     assert "q^2 y^1 z^0" in str(report.first_failure)
+    assert (report.k, report.qcap, report.zcap) == (None, 5, None)
 
 
 def _seeded(built):
     """A memo that hands these series to the checks."""
-    memo = identities._Artifacts()
+    memo = _Artifacts()
     memo._built.update(built)
     return memo
+
+
+def _run_seeded(monkeypatch, built, key, **kwargs):
+    """The report of one check whose unit memo starts from ``built``."""
+    monkeypatch.setattr(identities, "_Artifacts", lambda: _seeded(built))
+    return _run(key, **kwargs)
 
 
 @pytest.mark.parametrize("k, substitutions", [(1, [1]), (2, [1, 2])])
@@ -468,32 +489,34 @@ def test_qdiff_residual_substitutes_each_power_once(monkeypatch, k, substitution
     assert sorted(calls) == substitutions
 
 
-def test_failing_qdiff_reports_the_residual_against_zero():
+def test_failing_qdiff_reports_the_residual_against_zero(monkeypatch):
     qcap = 10
     g = measure_gf(qcap, 3)  # the series of the wrong k
     advanced = _pochhammer_apply(g.scale_y(2), YQ, 1, 2, divide=True)
     residual = g - g.scale_y(1) - advanced.times_monomial(Monomial(1, q=1, y=1, z=1))
     j, e, f, c = residual.terms()[0]
-    report = qdiff_check(2, qcap, artifacts=_seeded({("measure", qcap, 2, "all"): g}))
+    built = {("measure", qcap, 2, "all"): g}
+    report = _run_seeded(monkeypatch, built, "qdiff", k=2, qcap=qcap, family="all")
     assert report.first_failure == Mismatch(j, e, f, c, 0)
 
 
-def test_failing_nonnegativity_reports_the_first_bad_term():
+def test_failing_nonnegativity_reports_the_first_bad_term(monkeypatch):
     qcap = 8
     for series in (
         pochhammer_infinite(YQ, 1, qcap),  # packed, negative terms
-        TriSeries.one(qcap).divide_one_minus(Monomial(Fraction(1, 2), q=1)),  # fractions
+        _pochhammer_apply(TriSeries.one(qcap), Monomial(Fraction(1, 2), q=1), 0, 1,
+                          divide=True),  # fractions
         TriSeries.from_terms([(0, 0, 0, 1), (3, 1, 0, -2)], qcap),  # dict layers
     ):
         j, e, f, c = next(
             t for t in series.terms() if t[3] < 0 or Fraction(t[3]).denominator != 1
         )
-        memo = _seeded({("closed_sum", 1, qcap, "distinct"): series})
-        report = nonnegativity_check(1, qcap, "distinct", artifacts=memo)
+        built = {("closed_sum", 1, qcap, "distinct"): series}
+        report = _run_seeded(monkeypatch, built, "nonnegative", k=1, qcap=qcap, family="distinct")
         assert report.first_failure == Mismatch(j, e, f, c, 0)
 
 
-def test_failing_parity_reports_the_first_n_of_either_pair():
+def test_failing_parity_reports_the_first_n_of_either_pair(monkeypatch):
     def loop(signs, counts, product, qcap):
         # the per-n scan the check made before it compared series
         for n in range(qcap + 1):
@@ -519,13 +542,14 @@ def test_failing_parity_reports_the_first_n_of_either_pair():
         counts = memo.measure(qcap, 1, "distinct-odd").set_y(1).set_z(1)
         expected = loop(signs, counts, product, qcap)
         assert expected is not None
-        assert parity_check(qcap, artifacts=memo).first_failure == expected
+        report = _run_seeded(monkeypatch, built, "parity-distinct-odd", qcap=qcap)
+        assert report.first_failure == expected
 
 
 def test_report_serialization_round_trip():
-    report = sum_form_check(2, 6)
+    report = _run("sum-form", k=2, qcap=6, family="all")
     data = report.to_dict()
-    assert data["name"] == "sum-form[all]"
+    assert data["name"] == "sum-form"
     assert data["passed"] is True
     assert data["first_failure"] is None
     assert isinstance(data["elapsed_ms"], float)
@@ -606,7 +630,7 @@ def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
 
 def test_sharing_changes_no_report():
     tasks = default_tasks(10, 10, [1, 2, 3, 4])
-    alone = [identities._CHECK_FUNCS[key](name=name, **kwargs) for name, key, kwargs in tasks]
+    alone = [report for task in tasks for report in run_suite([task])]
     alone.sort(key=lambda r: (r.name, r.k if r.k is not None else 0))
     expected = _without_elapsed(alone)
     assert all(r.passed for r in alone)
@@ -661,10 +685,10 @@ def test_suite_forks_no_more_workers_than_units(monkeypatch):
 
 
 def _exit(status):
-    return lambda **kwargs: os._exit(status)
+    return lambda memo, **kwargs: os._exit(status)
 
 
-def _kill(**kwargs):
+def _kill(memo, **kwargs):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -716,8 +740,8 @@ def test_suite_reaps_its_workers_when_the_parent_raises(monkeypatch):
 def test_suite_runs_more_units_than_the_work_pipe_holds(monkeypatch):
     # 20,000 four-byte indices overflow a 64 KiB pipe, so the parent must
     # keep reading results while it waits to write the rest of the work
-    def instant(name=None):
-        return IdentityReport(name, None, 0, None, True, None, 0.0)
+    def instant(memo):
+        return None
 
     monkeypatch.setitem(identities._CHECK_FUNCS, "instant", instant)
     tasks = [(f"instant[{i}]", "instant", {}) for i in range(20_000)]
