@@ -60,7 +60,7 @@ def _default_jobs() -> int:
         raise ValueError("KMEASURE_JOBS must be a positive integer") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kmeasure",
         description="Exact verification of partition k-measure series identities.",
@@ -196,7 +196,7 @@ def cmd_table(n_max: int, pair: str, k: int, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

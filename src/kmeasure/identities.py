@@ -12,7 +12,7 @@ from summand n by one monomial and a few binomial multiply/divide steps
 summand is a multiple of the one before it, the sum stops exactly at the
 first summand that vanishes under the caps; no builder needs a truncation
 bound of its own.  Infinite Pochhammer prefactors are applied the same way,
-one binomial factor at a time, in the same packed kernel run as the sum
+one binomial factor at a time, on the same packed rows as the sum
 (see :mod:`kmeasure.series`).  Every series stays packed, and a passing
 check decodes none.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from time import perf_counter
 
 from .partitions import durfee_gf, measure_gf, sylvester_gfs
@@ -34,7 +33,6 @@ from .series import (
     _first_difference,
     _fmt_coeff,
     _Packed,
-    _packed_build,
     _pochhammer_apply,
     _Record,
     pochhammer_infinite,
@@ -56,27 +54,23 @@ def _qsum(qcap, zcap, ratio, ups=(), downs=(), prefactors=()) -> TriSeries:
     T_n, so the first T_n that vanishes under the caps ends the sum exactly.
     A summand holds its monomial factors as a pending offset, so its steps
     run only over the rows under the shifted caps.  The sum and its
-    prefactors stay in one packed kernel run, and the result stays packed.
+    prefactors stay packed, and each step widens them in place when it must.
     """
-
-    def build(width):
-        term = _Packed.pack(TriSeries.one(qcap, zcap), width)
-        total = term.copy()
-        n = 0
-        while True:
-            term.times_monomial(ratio(n))
-            for factors, divide in ((ups, False), (downs, True)):
-                for a, h, length in factors:
-                    term.pochhammer(a.shift_q(h * length * n), h, length, divide)
-            if term.is_zero():
-                break
-            total.add(term)
-            n += 1
-        for a, h, divide in prefactors:
-            total.pochhammer(a, h, None, divide)
-        return total
-
-    return _packed_build(build)
+    term = _Packed.pack(TriSeries.one(qcap, zcap))
+    total = term.copy()
+    n = 0
+    while True:
+        term.times_monomial(ratio(n))
+        for factors, divide in ((ups, False), (downs, True)):
+            for a, h, length in factors:
+                term.pochhammer(a.shift_q(h * length * n), h, length, divide)
+        if term.is_zero():
+            break
+        total.add(term)
+        n += 1
+    for a, h, divide in prefactors:
+        total.pochhammer(a, h, None, divide)
+    return TriSeries._from_packed(total)
 
 
 # ------------------------------------------------------------ closed forms
@@ -379,7 +373,7 @@ def _nonnegative(memo, k, qcap, family):
         # (q, y, z) order
         fail = next((
             (j, e, f, c, 0) for j, e, f, c in series.terms()
-            if (isinstance(c, Fraction) and c.denominator != 1) or c < 0
+            if c.denominator != 1 or c < 0
         ), None)
         if fail is not None:
             return fail

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .series import _START_WIDTH, TriSeries, _Packed, _Record, _width_for
+from .series import TriSeries, _Packed, _Record, _slot_width
 
 ORACLE_FAMILIES = ("all", "distinct", "odd", "distinct-odd")
 
@@ -224,12 +224,6 @@ def _counted(qcap, layers, counts, width) -> TriSeries:
     return TriSeries._from_packed(_Packed(qcap, None, width, 1, layers, counts))
 
 
-def _slot_width(counts) -> int:
-    """The slot width of a DP whose counts are at most ``counts[-1]``; at
-    least the kernel's, so that both sides of a check share one width."""
-    return max(_START_WIDTH, _width_for(counts[-1].bit_length()))
-
-
 def _unit(qcap):
     """The state of the empty partition."""
     layers = [{} for _ in range(qcap + 1)]
@@ -274,8 +268,9 @@ def _measure_series(qcap, k, family):
     distinct = family in ("distinct", "distinct-odd")
     odd = family in ("odd", "distinct-odd")
     counts = _partition_counts(qcap)
-    width = _slot_width(counts)
-    gaps = [[{} for _ in range(qcap + 1)] for _ in range(k - 1)] + [_unit(qcap)]
+    width = _slot_width(counts[-1].bit_length())
+    # a gap between parts of at most qcap stays below qcap, so a larger k acts as qcap + 1
+    gaps = [[{} for _ in range(qcap + 1)] for _ in range(min(k, qcap + 1) - 1)] + [_unit(qcap)]
     for v in range(1, qcap + 1):
         *lower, top = gaps
         taken = [{} for _ in range(qcap + 1)]
@@ -328,7 +323,7 @@ def durfee_gf(qcap: int) -> TriSeries:
     """
     _check_oracle_args(qcap, "all")
     counts = _partition_counts(qcap)
-    width = _slot_width(counts)
+    width = _slot_width(counts[-1].bit_length())
     layers = _unit(qcap)
     for v in range(qcap, 0, -1):
         short = (1 << (width * v)) - 1  # the slots of lengths below v
@@ -354,7 +349,7 @@ def runs_gf(qcap: int) -> TriSeries:
     """
     _check_oracle_args(qcap, "distinct")
     counts = _partition_counts(qcap)
-    width = _slot_width(counts)
+    width = _slot_width(counts[-1].bit_length())
     rest, ends = _unit(qcap), [{} for _ in range(qcap + 1)]  # ends: v - 1 is a part
     for v in range(1, qcap + 1):
         new_ends = [{} for _ in range(qcap + 1)]

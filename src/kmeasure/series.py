@@ -7,6 +7,7 @@ truncated at a fixed maximal q-exponent ``qcap`` and, optionally, a maximal
 z-exponent ``zcap``.  Coefficients are exact: plain Python integers where
 possible, ``fractions.Fraction`` otherwise, so equality of two series is a
 genuine identity of all retained coefficients, never a numerical tolerance.
+The :mod:`fractions` module is imported only when a rational appears.
 
 The z-cap exists because several product-form series carry a ``z^n`` term at
 q-order 0 for every n; a bounded ``zcap`` makes such sums finite while still
@@ -35,8 +36,9 @@ per pair of keys.  Three facts make them exact:
   only when a majorant kept in lockstep with every step (one nonnegative
   int per q-row, bounding the sum of the absolute numerators there)
   shows that every coefficient lies below 2^(W-1) in absolute value.
-  Otherwise the operation is run again at the width the majorant asks
-  for, so W follows from the input and is no setting.
+  Every operation writes its majorant before its rows, and widens the
+  slots in place first when the majorant asks for it, so a series always
+  fits its width, and W follows from the input and is no setting.
 
 Substituting for y (``scale_y``, ``set_y``) reads the W-bit slots of each
 int.  Equality and the checks of :mod:`kmeasure.identities` compare rows
@@ -48,27 +50,22 @@ view, decoded once when something reads coefficients back: ``terms``,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from sys import maxsize
-
-Coeff = int | Fraction
 
 _KEEP = object()  # sentinel: "keep the current z-cap"
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
+def _norm_coeff(c: int | Fraction) -> int | Fraction:
     """Collapse denominator-1 fractions to plain ints."""
-    if type(c) is Fraction and c.denominator == 1:
-        return int(c)
-    return c
+    return c.numerator if c.denominator == 1 else c
 
 
-def _fmt_coeff(c: Coeff) -> str:
+def _fmt_coeff(c: int | Fraction) -> str:
     """Render a coefficient: integers bare, rationals as num/den."""
-    if isinstance(c, Fraction) and c.denominator != 1:
+    if c.denominator != 1:
         return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
+    return str(c.numerator)
 
 
 class _Record:
@@ -106,10 +103,12 @@ class Monomial(_Record):
 
     __slots__ = ("coeff", "q", "y", "z")
 
-    def __init__(self, coeff: Coeff, q: int = 0, y: int = 0, z: int = 0):
+    def __init__(self, coeff: int | Fraction, q: int = 0, y: int = 0, z: int = 0):
         if q < 0 or y < 0 or z < 0:
             raise ValueError("monomial exponents must be nonnegative")
         if type(coeff) is not int:
+            from fractions import Fraction
+
             coeff = _norm_coeff(Fraction(coeff))
         init = object.__setattr__
         init(self, "coeff", coeff)
@@ -143,8 +142,15 @@ class Monomial(_Record):
             raise ZeroDivisionError("division by the zero monomial")
         if self.q < other.q or self.y < other.y or self.z < other.z:
             raise ValueError("monomial ratio has a negative exponent")
+        a, b = self.coeff, other.coeff
+        if type(a) is int and type(b) is int and a % b == 0:
+            ratio = a // b
+        else:
+            from fractions import Fraction
+
+            ratio = Fraction(a) / b
         return Monomial(
-            Fraction(self.coeff) / Fraction(other.coeff),
+            ratio,
             self.q - other.q,
             self.y - other.y,
             self.z - other.z,
@@ -282,7 +288,7 @@ class TriSeries:
             for layer in layers
         ]
         bound = [sum(map(abs, layer.values())) for layer in layers]
-        width = max(_START_WIDTH, _width_for(max(bound).bit_length()))
+        width = _slot_width(max(bound).bit_length())
         s._packed = _Packed(qcap, zcap, width, den, [_encode(layer, width) for layer in layers], bound)
         return s
 
@@ -296,7 +302,7 @@ class TriSeries:
                 out.append((j, e, f, layer[(e, f)]))
         return out
 
-    def coefficient(self, j: int, y_exp: int = 0, z_exp: int = 0) -> Coeff:
+    def coefficient(self, j: int, y_exp: int = 0, z_exp: int = 0) -> int | Fraction:
         """Exact coefficient of q^j y^y_exp z^z_exp; 0 if absent."""
         if j < 0 or j > self.qcap:
             raise ValueError("beyond truncation")
@@ -340,9 +346,6 @@ class TriSeries:
     __hash__ = None
 
     # ----------------------------------------------------------- arithmetic
-    #
-    # Each operation is a ``build(width)`` run by :func:`_packed_build`, from
-    # the widest width of its operands up, until its majorant fits.
 
     def _merged_caps(self, other):
         if self.qcap != other.qcap:
@@ -358,15 +361,11 @@ class TriSeries:
     def _sum(self, other, sign: Monomial) -> "TriSeries":
         """self + sign*other, over the least common denominator."""
         _, zcap = self._merged_caps(other)
-
-        def build(width):
-            total = _Packed.pack(self, width, zcap)
-            term = _Packed.pack(other, width, zcap)
-            term.times_monomial(sign)
-            total.add(term)
-            return total
-
-        return _packed_build(build, max(self._packed.width, other._packed.width))
+        total = _Packed.pack(self, zcap=zcap)
+        term = _Packed.pack(other, zcap=zcap)
+        term.times_monomial(sign)
+        total.add(term)
+        return TriSeries._from_packed(total)
 
     def __add__(self, other):
         return self._sum(other, ONE)
@@ -385,21 +384,16 @@ class TriSeries:
         """
         qcap, zcap = self._merged_caps(other)
         limit = maxsize if zcap is None else zcap
-
-        def build(width):
-            a, b = _Packed.pack(self, width, zcap), _Packed.pack(other, width, zcap)
-            bound = [
-                sum(a.bound[i] * b.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)
-            ]
-            product = _Packed(qcap, zcap, width, a.den * b.den, [{} for _ in bound], bound)
-            product._check()  # the majorant names the width before any row is built
-            for j1, ra in enumerate(a.rows):
-                if ra:
-                    for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
-                        _row_mul(product.rows[j1 + j2], ra, rb, limit)
-            return product
-
-        return _packed_build(build, max(self._packed.width, other._packed.width))
+        pa, pb = self._packed, other._packed
+        bound = [sum(pa.bound[i] * pb.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)]
+        width = _slot_width(max(bound).bit_length(), max(pa.width, pb.width))
+        a, b = _Packed.pack(self, width, zcap), _Packed.pack(other, width, zcap)
+        product = _Packed(qcap, zcap, width, a.den * b.den, [{} for _ in bound], bound)
+        for j1, ra in enumerate(a.rows):
+            if ra:
+                for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
+                    _row_mul(product.rows[j1 + j2], ra, rb, limit)
+        return TriSeries._from_packed(product)
 
     def times_monomial(self, m: Monomial) -> "TriSeries":
         """Multiply by a single monomial (exact shift and scale)."""
@@ -431,38 +425,34 @@ class TriSeries:
             raise ValueError("not a formal unit under these caps")
         top = zcap if len(base) > 1 else 0
         limit = maxsize if zcap is None else zcap
-
-        def build(width):
-            a = _Packed.pack(self, width)
-            den, rows, bound = a.den, a.rows, a.bound
-            w = {f: -v for f, v in rows[0].items() if f}
-            g, g_bound = {0: 1}, 1
-            for i in range(1, top + 1):
-                nxt = {0: den**i}
-                _row_mul(nxt, w, g, limit)
-                g, g_bound = nxt, den**i + (bound[0] - den) * g_bound
-            divisor, scale = den ** (top + 1), den ** (qcap * (top + 1))
-            inverse = _Packed(
-                qcap, zcap, width, den**top * scale,
-                [{f: v * scale for f, v in g.items()}], [g_bound * scale],
-            )
-            out, out_bound = inverse.rows, inverse.bound
-            for j in range(1, qcap + 1):
-                total = sum(bound[i] * out_bound[j - i] for i in range(1, j + 1))
-                out_bound.append(g_bound * total // divisor)
-            inverse._check()  # the majorant names the width before any row is built
-            for j in range(1, qcap + 1):
-                acc = {}
-                for i in range(1, j + 1):
-                    if rows[i]:
-                        _row_mul(acc, rows[i], out[j - i], limit)
-                if top:
-                    acc, terms = {}, acc
-                    _row_mul(acc, g, terms, limit)
-                out.append({f: -(v // divisor) for f, v in acc.items()})
-            return inverse
-
-        return _packed_build(build, p.width)
+        den, bound = p.den, p.bound
+        g_bound = 1
+        for i in range(1, top + 1):
+            g_bound = den**i + (bound[0] - den) * g_bound
+        divisor, scale = den ** (top + 1), den ** (qcap * (top + 1))
+        out_bound = [g_bound * scale]
+        for j in range(1, qcap + 1):
+            total = sum(bound[i] * out_bound[j - i] for i in range(1, j + 1))
+            out_bound.append(g_bound * total // divisor)
+        width = _slot_width(max(out_bound).bit_length(), p.width)
+        rows = _Packed.pack(self, width).rows
+        w = {f: -v for f, v in rows[0].items() if f}
+        g = {0: 1}
+        for i in range(1, top + 1):
+            nxt = {0: den**i}
+            _row_mul(nxt, w, g, limit)
+            g = nxt
+        out = [{f: v * scale for f, v in g.items()}]
+        for j in range(1, qcap + 1):
+            acc = {}
+            for i in range(1, j + 1):
+                if rows[i]:
+                    _row_mul(acc, rows[i], out[j - i], limit)
+            if top:
+                acc, terms = {}, acc
+                _row_mul(acc, g, terms, limit)
+            out.append({f: -(v // divisor) for f, v in acc.items()})
+        return TriSeries._from_packed(_Packed(qcap, zcap, width, den**top * scale, out, out_bound))
 
     # -------------------------------------------------------- substitution
 
@@ -477,49 +467,45 @@ class TriSeries:
             raise ValueError("scale_y exponent must be nonnegative")
         if j == 0:
             return self
-        qcap = self.qcap
+        qcap, p = self.qcap, self._packed
+        p._check()
+        bound = list(p.bound)  # bound[r] = sum_e bound[r - j*e], summed in place
+        for r in range(j, qcap + 1):
+            bound[r] += bound[r - j]
+        width = _slot_width(max(bound).bit_length(), p.width)
+        moved = [{} for _ in range(qcap + 1)]  # row -> z_exp -> {y_exp: slot}
+        for s, row in enumerate(p.rows):
+            for f, v in row.items():
+                for e, d in enumerate(_split(v, p.width)):
+                    if d and s + j * e <= qcap:
+                        moved[s + j * e].setdefault(f, {})[e] = d
+        rows = [{f: _join(slots, width) for f, slots in row.items()} for row in moved]
+        return TriSeries._from_packed(_Packed(qcap, self.zcap, width, p.den, rows, bound))
 
-        def build(width):
-            p = _Packed.pack(self, width)
-            moved = [{} for _ in range(qcap + 1)]  # row -> z_exp -> {y_exp: slot}
-            for s, row in enumerate(p.rows):
-                for f, v in row.items():
-                    for e, d in enumerate(_split(v, width)):
-                        if d and s + j * e <= qcap:
-                            moved[s + j * e].setdefault(f, {})[e] = d
-            rows = [{f: _join(slots, width) for f, slots in row.items()} for row in moved]
-            bound = p.bound  # bound[r] = sum_e bound[r - j*e], summed in place
-            for r in range(j, qcap + 1):
-                bound[r] += bound[r - j]
-            return _Packed(qcap, self.zcap, width, p.den, rows, bound)
-
-        return _packed_build(build, self._packed.width)
-
-    def set_y(self, value: Coeff) -> "TriSeries":
+    def set_y(self, value: int | Fraction) -> "TriSeries":
         """Substitute an exact rational value n/d for y: each key's slots
         c_e sum to the numerator sum_e c_e n^e d^(t-e) over d^t, t the
-        highest slot of the series."""
-        value = Fraction(value)
+        highest slot of the series.  The result holds slot 0 alone, the
+        same int at any width."""
         n, d = value.numerator, value.denominator
+        p = self._packed
+        p._check()
+        width = p.width
+        top = max((abs(v).bit_length() // width for row in p.rows for v in row.values()), default=0)
+        powers = [n**e * d ** (top - e) for e in range(top + 1)]
+        rows = []
+        for row in p.rows:
+            out = {}
+            for f, v in row.items():
+                c = sum(x * power for x, power in zip(_split(v, width), powers))
+                if c:
+                    out[f] = c
+            rows.append(out)
+        bound = [sum(map(abs, row.values())) for row in rows]
+        width = _slot_width(max(bound).bit_length(), width)
+        return TriSeries._from_packed(_Packed(self.qcap, self.zcap, width, p.den * d**top, rows, bound))
 
-        def build(width):
-            p = _Packed.pack(self, width)
-            top = max((abs(v).bit_length() // width for row in p.rows for v in row.values()), default=0)
-            powers = [n**e * d ** (top - e) for e in range(top + 1)]
-            rows = []
-            for row in p.rows:
-                out = {}
-                for f, v in row.items():
-                    c = sum(x * power for x, power in zip(_split(v, width), powers))
-                    if c:
-                        out[f] = c
-                rows.append(out)
-            bound = [sum(map(abs, row.values())) for row in rows]
-            return _Packed(self.qcap, self.zcap, width, p.den * d**top, rows, bound)
-
-        return _packed_build(build, self._packed.width)
-
-    def set_z(self, value: Coeff) -> "TriSeries":
+    def set_z(self, value: int | Fraction) -> "TriSeries":
         """Substitute an exact rational value n/d for z.
 
         The result carries no z content, so its zcap is unbounded.  If this
@@ -528,21 +514,17 @@ class TriSeries:
         ints v_f sum to sum_f v_f n^f d^(t-f) over d^t, t the highest
         z-exponent, and max(|n|, d)^t scales the majorant.
         """
-        value = Fraction(value)
         n, d = value.numerator, value.denominator
-
-        def build(width):
-            p = _Packed.pack(self, width)
-            top = max((f for row in p.rows for f in row), default=0)
-            powers = [n**f * d ** (top - f) for f in range(top + 1)]
-            rows = []
-            for row in p.rows:
-                v = sum(x * powers[f] for f, x in row.items())
-                rows.append({0: v} if v else {})
-            scale = max(abs(n), d) ** top
-            return _Packed(self.qcap, None, width, p.den * d**top, rows, [scale * b for b in p.bound])
-
-        return _packed_build(build, self._packed.width)
+        top = max((f for row in self._packed.rows for f in row), default=0)
+        powers = [n**f * d ** (top - f) for f in range(top + 1)]
+        scale = max(abs(n), d) ** top
+        bound = [scale * b for b in self._packed.bound]
+        p = _Packed.pack(self, _slot_width(max(bound).bit_length()))
+        rows = []
+        for row in p.rows:
+            v = sum(x * powers[f] for f, x in row.items())
+            rows.append({0: v} if v else {})
+        return TriSeries._from_packed(_Packed(self.qcap, None, p.width, p.den * d**top, rows, bound))
 
     def truncate(self, qcap: int | None = None, zcap=_KEEP) -> "TriSeries":
         """Re-truncate to tighter caps.
@@ -555,7 +537,7 @@ class TriSeries:
             raise ValueError("beyond truncation")
         if self.zcap is not None and (new_z is None or new_z > self.zcap):
             raise ValueError("beyond truncation")
-        p = _Packed.pack(self, self._packed.width, new_z)
+        p = _Packed.pack(self, zcap=new_z)
         p.qcap = new_q
         del p.rows[new_q + 1:], p.bound[new_q + 1:]
         return TriSeries._from_packed(p)
@@ -563,14 +545,17 @@ class TriSeries:
 
 # --------------------------------------------------------- packed kernel
 
-# Slot width a build starts from; the majorant widens it when it must.
+# The narrowest slot width; the majorant widens it when it must.
 _START_WIDTH = 64
 
 
-def _width_for(bits: int) -> int:
-    """The slot width that holds coefficients below 2^bits in absolute
-    value: one sign bit more, rounded up to whole bytes."""
-    return (bits + 8) // 8 * 8
+def _slot_width(bits: int, width: int = 0) -> int:
+    """``width`` if it holds coefficients below 2^bits in absolute value,
+    else the width that does: one sign bit more than ``bits``, rounded up
+    to whole bytes, and at least the kernel's start width."""
+    if bits < width:
+        return width
+    return max(_START_WIDTH, (bits + 8) // 8 * 8)
 
 
 def _halves(slots: int, width: int) -> bytes:
@@ -609,6 +594,20 @@ def _join(slots: dict, width: int) -> int:
     return int.from_bytes(raw, "little") - _high_bits(count, width)
 
 
+def _widened(v: int, old: int, width: int) -> int:
+    """The packed int v with its ``old``-bit slots moved to ``width`` bits.
+    Each balanced slot plus 2^(old-1) is a nonnegative digit, whose bytes
+    are copied into the wider slots at once; the offset is then taken off
+    at the new positions."""
+    size, wide = old // 8, width // 8
+    slots = abs(v).bit_length() // old + 1
+    raw = (v + _high_bits(slots, old)).to_bytes(slots * size, "little")
+    out = bytearray(slots * wide)
+    for k in range(size):
+        out[k::wide] = raw[k::size]
+    return int.from_bytes(out, "little") - (_high_bits(slots, width) >> (width - old))
+
+
 def _encode(layer: dict, width: int) -> dict:
     """A layer's ``{(y_exp, z_exp): c}`` as ``{z_exp: int}``, each y-polynomial
     evaluated at y = 2^width; every |c| must be below 2^(width-1)."""
@@ -616,14 +615,6 @@ def _encode(layer: dict, width: int) -> dict:
     for (e, f), c in layer.items():
         by_z.setdefault(f, {})[e] = c
     return {f: _join(slots, width) for f, slots in by_z.items()}
-
-
-class _Narrow(Exception):
-    """A packed value was about to be read at a width its majorant exceeds."""
-
-    def __init__(self, width: int):
-        super().__init__(width)
-        self.width = width
 
 
 _NO_OFFSET = (0, 0, 0, 1)
@@ -641,10 +632,11 @@ class _Packed:
     empty series for zero, needs every coefficient below 2^(width-1) in
     absolute value.  ``bound[j]`` is the majorant that vouches for it: at
     least the sum of the absolute numerators of row j, kept in lockstep
-    with every step.  Where it does not fit, :class:`_Narrow` names a wider
-    width and the build is run again (:func:`_packed_build`).
+    with every step.  Every operation keeps it within the width itself: it
+    writes its majorant first, then :meth:`widen` re-encodes the rows at
+    the width that majorant asks for, and only then does it write rows.
 
-    Inside a build a series may carry a pending monomial factor, ``offset =
+    Inside a sum a series may carry a pending monomial factor, ``offset =
     (q, y, z, coeff)``: it then stands for coeff q^q y^y z^z times its rows,
     and ``qcap``, ``zcap`` are the caps of the rows, the series' caps less
     the offset's exponents.  Binomial steps commute with the factor, so they
@@ -663,23 +655,23 @@ class _Packed:
         return cls(qcap, zcap, width, 1, [{} for _ in range(qcap + 1)], [0] * (qcap + 1))
 
     @classmethod
-    def pack(cls, s: TriSeries, width: int, zcap=_KEEP, den: int | None = None) -> "_Packed":
-        """A private copy of the rows of s at this width, over ``den``, a
-        multiple of their denominator, and without keys above ``zcap``."""
+    def pack(cls, s: TriSeries, width: int = 0, zcap=_KEEP, den: int | None = None) -> "_Packed":
+        """A private copy of the rows of s over ``den``, a multiple of their
+        denominator, and without keys above ``zcap``, at this width or at
+        their own, or wider where the rescaled majorant asks for it."""
         src = s._packed
         src._check()
         zcap = s.zcap if zcap is _KEEP else zcap
-        factor = 1 if den is None else den // src.den
-        p = cls(s.qcap, zcap, width, src.den * factor, [], [factor * b for b in src.bound])
-        p._check()
-        rows = src.rows
-        if width != src.width:
-            rows = [
-                {f: _join(dict(enumerate(_split(v, src.width))), width) for f, v in row.items()}
-                for row in rows
-            ]
         limit = maxsize if zcap is None else zcap
-        p.rows = [{f: factor * v for f, v in row.items() if f <= limit} for row in rows]
+        factor = 1 if den is None else den // src.den
+        p = cls(
+            s.qcap, zcap, src.width, src.den * factor,
+            [{f: v for f, v in row.items() if f <= limit} for row in src.rows],
+            [factor * b for b in src.bound],
+        )
+        p.widen(width)
+        if factor != 1:
+            p.rows = [{f: factor * v for f, v in row.items()} for row in p.rows]
         return p
 
     def copy(self) -> "_Packed":
@@ -691,9 +683,23 @@ class _Packed:
         return p
 
     def _check(self):
-        bits = max(self.bound, default=0).bit_length()
-        if bits >= self.width:
-            raise _Narrow(_width_for(bits))
+        """Refuse to read rows whose majorant does not fit their width."""
+        if max(self.bound, default=0).bit_length() >= self.width:
+            raise OverflowError(f"packed slots outgrow their width {self.width}")
+
+    def widen(self, width: int = 0):
+        """Re-encode the rows in place at ``width``, or at the width the
+        majorant asks for if that is wider, when it is wider than theirs.
+
+        The caller has written the new majorant but no row yet, so the rows
+        still fit the old width and decode there soundly.
+        """
+        width = _slot_width(max(self.bound, default=0).bit_length(), max(width, self.width))
+        old, self.width = self.width, width
+        if width > old:
+            for row in self.rows:
+                for f, v in row.items():
+                    row[f] = _widened(v, old, width)
 
     def is_zero(self) -> bool:
         """True iff the series is zero; an empty packed series proves it
@@ -735,26 +741,29 @@ class _Packed:
         for f, v in row.items():
             layer.update({(e, f): c for e, c in enumerate(_split(v, self.width)) if c})
         if self.den != 1:
+            from fractions import Fraction
+
             layer = {key: _norm_coeff(Fraction(c, self.den)) for key, c in layer.items()}
         return layer
-    def _rescale(self, den: int):
-        """Bring the common denominator up to ``den``, a multiple of it."""
-        factor = den // self.den
-        if factor != 1:
-            for row in self.rows:
-                for f in row:
-                    row[f] *= factor
-            self.bound = [factor * b for b in self.bound]
-            self.den = den
 
     def add(self, other: "_Packed"):
         """self += other, over the least common denominator of both,
-        applying other's pending offset; self carries none."""
+        applying other's pending offset; self carries none.  Both end at
+        the wider of their widths and the one the sum's majorant asks for."""
         q, y, z, coeff = other.offset
         num, cden = coeff.numerator, coeff.denominator
         den = lcm(self.den, other.den * cden)
-        self._rescale(den)
-        factor = num * (den // (other.den * cden))
+        rescale, factor = den // self.den, num * (den // (other.den * cden))
+        bound = self.bound = [rescale * b for b in self.bound]
+        for j, b in enumerate(other.bound, q):
+            bound[j] += abs(factor) * b
+        self.widen(other.width)
+        other.widen(self.width)
+        self.den = den
+        if rescale != 1:
+            for row in self.rows:
+                for f in row:
+                    row[f] *= rescale
         shift = self.width * y
         for tgt, row in zip(self.rows[q:], other.rows):
             for f, v in row.items():
@@ -763,9 +772,6 @@ class _Packed:
                     tgt[f + z] = w
                 else:
                     del tgt[f + z]
-        bound = self.bound
-        for j, b in enumerate(other.bound, q):
-            bound[j] += abs(factor) * b
 
     def times_monomial(self, m: Monomial):
         """self *= m, held as a pending offset: the rows stay as they are,
@@ -782,14 +788,15 @@ class _Packed:
                 for f in dropped:
                     row.pop(f, None)
 
-    def step(self, coeff: Coeff, q: int, y: int, z: int, divide: bool):
+    def step(self, coeff: int | Fraction, q: int, y: int, z: int, divide: bool):
         """Multiply by (1 - coeff y^y z^z q^q), or divide by it (q >= 1).
 
         The product reads row j - q before row j is written (descending j);
         the quotient solves out_j = self_j + m*out_{j-q} from rows already
         solved (ascending j).  A rational coefficient n/d scales the
         numerators by d for a product, and by d^K, K = qcap // q, for a
-        quotient, whose solved rows then divide exactly by d.
+        quotient, whose solved rows then divide exactly by d.  The majorant
+        follows the same recursion, and is written first.
         """
         qcap, zcap, rows, bound = self.qcap, self.zcap, self.rows, self.bound
         num, den = coeff.numerator, coeff.denominator
@@ -797,15 +804,19 @@ class _Packed:
             return
         if divide and q == 0:
             raise ValueError("dividing by (1 - m) needs a positive q-exponent")
-        limit = zcap - z if zcap is not None else maxsize
-        shift = self.width * y
         # out_j = scale*self_j - num*m*self_{j-q}, or out_j = scale*self_j
         # + num*m*out_{j-q}/den with out_{j-q} a multiple of den
         add, factor = (num > 0) == divide, abs(num)
         scale = den ** (qcap // q) if divide else den
         carried = den if divide else 1
         low = q if scale == 1 else 0  # rows below q change only by the scale
-        for j in range(low, qcap + 1) if divide else range(qcap, low - 1, -1):
+        order = range(low, qcap + 1) if divide else range(qcap, low - 1, -1)
+        for j in order:
+            bound[j] = scale * bound[j] + (factor * bound[j - q] // carried if j >= q else 0)
+        self.widen()
+        limit = zcap - z if zcap is not None else maxsize
+        shift = self.width * y
+        for j in order:
             tgt = rows[j]
             src = () if j < q else rows[j - q].items() if q else list(tgt.items())
             if scale != 1:
@@ -823,10 +834,6 @@ class _Packed:
                         tgt[f + z] = w
                     else:
                         del tgt[f + z]
-            if j < q:
-                bound[j] *= scale
-            else:
-                bound[j] = scale * bound[j] + factor * bound[j - q] // carried
         self.den *= scale
 
     def pochhammer(self, a: Monomial, h: int, n: int | None = None, divide=False):
@@ -837,18 +844,6 @@ class _Packed:
         while (n is None or i < n) and a.q + h * i <= self.qcap:
             self.step(a.coeff, a.q + h * i, a.y, a.z, divide)
             i += 1
-
-
-def _packed_build(build, width: int = _START_WIDTH) -> TriSeries:
-    """Run ``build(width) -> _Packed`` and keep its result packed, widening
-    the slots and running the build again whenever the majorant needs it."""
-    while True:
-        try:
-            p = build(width)
-            p._check()
-            return TriSeries._from_packed(p)
-        except _Narrow as narrow:
-            width = narrow.width
 
 
 def _first_difference(a: TriSeries, b: TriSeries):
@@ -867,7 +862,7 @@ def _first_difference(a: TriSeries, b: TriSeries):
     pa, pb = a._packed, b._packed
     den = lcm(pa.den, pb.den)
     bits = max(max(p.bound) * (den // p.den) for p in (pa, pb)).bit_length()
-    width = max(pa.width, pb.width, _width_for(bits))
+    width = _slot_width(bits, max(pa.width, pb.width))
     rows = (_Packed.pack(s, width, zcap, den).rows for s in (a, b))
     for j, (x, y) in enumerate(zip(*rows)):
         if x != y:
@@ -887,7 +882,7 @@ def _pochhammer_apply(
     s: TriSeries, a: Monomial, h: int, n: int | None = None, divide=False
 ) -> TriSeries:
     """Multiply s by (a;q^h)_n, or divide it by that product, one binomial
-    factor (1 - a*q^{h*i}) at a time, in one packed kernel run.
+    factor (1 - a*q^{h*i}) at a time, on one packed copy of s.
 
     ``n = None`` takes every factor under the q-cap and needs h >= 1.
     Factors that reduce to 1 under the caps are skipped; if all do, s
@@ -895,13 +890,9 @@ def _pochhammer_apply(
     """
     if a.coeff == 0 or n == 0 or a.q > s.qcap or (s.zcap is not None and a.z > s.zcap):
         return s
-
-    def build(width):
-        p = _Packed.pack(s, width)
-        p.pochhammer(a, h, n, divide)
-        return p
-
-    return _packed_build(build, s._packed.width)
+    p = _Packed.pack(s)
+    p.pochhammer(a, h, n, divide)
+    return TriSeries._from_packed(p)
 
 
 def pochhammer_finite(

@@ -274,6 +274,7 @@ def test_bad_jobs_env_is_usage_error(capsys, monkeypatch, value):
 
 
 def test_serial_verify_never_imports_the_pool():
+    # nor fractions: a default run builds no rational coefficient
     import kmeasure
 
     script = (
@@ -281,7 +282,7 @@ def test_serial_verify_never_imports_the_pool():
         "import kmeasure.cli\n"
         "code = kmeasure.cli.main(['verify', '--qcap', '4', '--jobs', '1'])\n"
         "assert code == 0, code\n"
-        "assert not {'pickle', 'select'} & set(sys.modules)\n"
+        "assert not {'pickle', 'select', 'fractions'} & set(sys.modules)\n"
         "code = kmeasure.cli.main(['verify', '--qcap', '4', '--jobs', '2'])\n"
         "assert code == 0, code\n"
         "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from kmeasure import partitions
+from kmeasure import partitions, series
 from kmeasure.partitions import (
     PartitionStats,
     consecutive_runs,
@@ -204,7 +204,7 @@ def test_durfee_gf_matches_enumeration():
 def test_counting_dps_are_exact_at_the_narrowest_width(monkeypatch):
     # Below the kernel's start width a DP takes W from p(qcap) alone:
     # p(24) = 1575 needs 16-bit slots, and a count of 129 overflows 8 bits
-    monkeypatch.setattr(partitions, "_START_WIDTH", 8)
+    monkeypatch.setattr(series, "_START_WIDTH", 8)
     qcap = 24
     for family in ("all", "distinct"):
         gf = measure_gf(qcap, 2, family)
@@ -216,6 +216,13 @@ def test_counting_dps_are_exact_at_the_narrowest_width(monkeypatch):
     gf = runs_gf(qcap)
     assert gf._packed.width == 16
     assert gf.set_z(1) == measure_gf(qcap, 1, "distinct").set_y(1).set_z(1)
+
+
+def test_measure_gf_takes_a_k_past_the_q_order_at_once():
+    # gaps between parts of at most qcap stay below qcap, so every k above
+    # qcap gives the series of k = qcap + 1, from as few gap states
+    for family in ("all", "distinct", "odd", "distinct-odd"):
+        assert measure_gf(10, 10**9, family) == measure_gf(10, 11, family)
 
 
 def test_durfee_gf_total_mass_at_order_80():

@@ -12,9 +12,11 @@ from kmeasure.series import (
     TriSeries,
     _encode,
     _first_difference,
-    _Narrow,
+    _join,
     _Packed,
     _pochhammer_apply,
+    _slot_width,
+    _split,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -344,6 +346,40 @@ def test_packed_chain_matches_dict_steps(s, a, h, n, divide):
     assert _pochhammer_apply(s, a, h, n, divide) == fold
 
 
+def one_minus_layers(m, zcap):
+    return layers_of([(0, 0, 0, 1), (m.q, m.y, m.z, -m.coeff)], QCAP, zcap)
+
+
+# Each public operation with a monomial m, and its dict reference.
+chain_ops = {
+    "step": (lambda s, m: s.times_one_minus(m),
+             lambda la, m, zcap: dict_mul(la, one_minus_layers(m, zcap), zcap)),
+    "add": (lambda s, m: s + s.times_monomial(m),
+            lambda la, m, zcap: dict_combine(la, dict_times_monomial(la, m, zcap), zcap, 1)),
+    "mul": (lambda s, m: s * TriSeries.one(QCAP, s.zcap).times_one_minus(m),
+            lambda la, m, zcap: dict_mul(la, one_minus_layers(m, zcap), zcap)),
+    "scale_y": (lambda s, m: s.scale_y(m.q + 1),
+                lambda la, m, zcap: dict_scale_y(la, m.q + 1)),
+}
+
+
+@given(
+    wide_series,
+    st.lists(st.tuples(st.sampled_from(sorted(chain_ops)), step_monomials), min_size=1, max_size=4),
+)
+@settings(max_examples=200)
+def test_chains_keep_every_series_within_its_width(s, ops):
+    # wide coefficients cross 64 bits partway through a chain, so steps
+    # widen series that are already packed
+    layers = layers_of(s.terms(), QCAP, s.zcap)
+    for name, m in ops:
+        op, reference = chain_ops[name]
+        s, layers = op(s, m), reference(layers, m, s.zcap)
+        p = s._packed
+        assert max(p.bound).bit_length() < p.width
+        assert_holds(s, layers)
+
+
 @given(series(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
 def test_scale_y_composes(s, i, j):
     assert s.scale_y(i).scale_y(j) == s.scale_y(i + j)
@@ -400,13 +436,13 @@ def dict_difference(a, b, zcap):
 
 
 def held_as(s, width):
-    """s as packed rows at the first width from ``width`` up that its
-    majorant allows."""
-    while True:
-        try:
-            return TriSeries._from_packed(_Packed.pack(s, width))
-        except _Narrow as narrow:
-            width = narrow.width
+    """s as packed rows at ``width``, or at the width its majorant asks for
+    if that is wider; unlike the kernel, this may narrow a series."""
+    p = s._packed
+    held = _slot_width(max(p.bound).bit_length(), width)
+    rows = [{f: _join(dict(enumerate(_split(v, p.width))), held) for f, v in row.items()}
+            for row in p.rows]
+    return TriSeries._from_packed(_Packed(p.qcap, p.zcap, held, p.den, rows, list(p.bound)))
 
 
 widths = st.sampled_from((8, 16, 64))
@@ -501,15 +537,18 @@ def test_sign_mask_reaches_the_top_slot():
 
 def test_comparison_refuses_slots_past_the_majorant():
     # 2^8 at y^0 and 1 at y^1 are the same int at W = 8; a side whose
-    # majorant does not fit the width must stop the comparison
+    # majorant does not fit the width must stop the comparison, and every
+    # other read, with an error that survives python -O
     wide = TriSeries._from_packed(_Packed(0, None, 8, 1, [{0: 256}], [256]))
     shifted = TriSeries._from_packed(_Packed(0, None, 8, 1, [{0: 256}], [1]))
-    with pytest.raises(_Narrow):
+    with pytest.raises(OverflowError):
         _first_difference(wide, shifted)
-    with pytest.raises(_Narrow):
+    with pytest.raises(OverflowError):
         _first_difference(shifted, wide)
-    with pytest.raises(_Narrow):
+    with pytest.raises(OverflowError):
         wide._packed.is_nonnegative()
+    with pytest.raises(OverflowError):
+        wide.scale_y(1)
 
 
 # --------------------------------------------- packed operations vs dicts

@@ -14,7 +14,6 @@ from kmeasure.series import (
     YQ,
     Z,
     _Packed,
-    _packed_build,
     _pochhammer_apply,
     pochhammer_finite,
     pochhammer_infinite,
@@ -174,24 +173,21 @@ def test_divide_one_minus_rejects_q_order_zero():
 # ----------------------------------------------------------- packed kernel
 
 
-def test_packed_build_widens_past_wide_input():
+def test_step_widens_past_wide_input():
+    # 3 * 2^100 needs 104-bit slots; times (1 - 5/2 y z q) it needs 112
     big = S([(0, 0, 0, 2**100), (1, 1, 0, 1 - 2**90), (2, 3, 1, Fraction(2**70, 3))], 4, 3)
-    widths = []
-
-    def build(width):
-        widths.append(width)
-        p = _Packed.pack(big, width)
-        p.step(Fraction(5, 2), 1, 1, 1, divide=False)
-        return p
-
+    p = _Packed.pack(big)
+    assert p.width == 104
+    p.step(Fraction(5, 2), 1, 1, 1, divide=False)
+    assert p.width == 112 and max(p.bound).bit_length() < p.width
     shifted = [(j + 1, e + 1, f + 1, Fraction(-5, 2) * c) for j, e, f, c in big.terms()]
-    assert _packed_build(build) == S(big.terms() + shifted, 4, 3)
-    assert len(widths) > 1 and widths == sorted(set(widths))
+    assert TriSeries._from_packed(p) == S(big.terms() + shifted, 4, 3)
 
 
 def test_packed_slots_at_the_width_edge_round_trip():
     # a key whose slots sum to 2^63 - 1 in absolute value, next to slots
-    # that borrow from it, and single slots just past a 64-bit slot's range
+    # that borrow from it, and single slots just past a 64-bit slot's range,
+    # held at their own width and re-encoded wider
     edge = 2**63 - 3
     for terms in (
         [(0, 0, 0, edge), (0, 1, 0, -1), (0, 2, 0, 1)],
@@ -200,7 +196,11 @@ def test_packed_slots_at_the_width_edge_round_trip():
         [(0, 1, 0, -(2**63)), (1, 0, 1, 2**63 - 1)],
     ):
         s = S(terms, 2, 2)
-        assert _packed_build(lambda width: _Packed.pack(s, width)) == s
+        assert s.terms() == sorted(terms)
+        for width in (0, 72, 128):
+            wide = TriSeries._from_packed(_Packed.pack(s, width))
+            assert wide._packed.width == max(width, s._packed.width)
+            assert wide == s and wide.terms() == s.terms()
 
 
 def test_packed_kernel_takes_unreduced_fractions():
