@@ -17,6 +17,7 @@ from . import identities
 from .partitions import (
     _histograms,
     durfee_gf,
+    format_partition,
     measure_gf,
     parse_partition,
     partition_stats,
@@ -137,7 +138,7 @@ def cmd_stats(text: str, ks, fmt: str) -> int:
             "measures": {str(k): v for k, v in sorted(stats.measures.items())},
         }, indent=2))
     else:
-        print(f"partition: {','.join(map(str, parts)) or '(empty)'}")
+        print(f"partition: {format_partition(parts) or '(empty)'}")
         print(f"size:      {stats.size}")
         print(f"length:    {stats.length}")
         print(f"smallest:  {stats.smallest}")

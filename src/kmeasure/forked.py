@@ -1,16 +1,19 @@
-"""Run units of work in forked workers that pull them from one pipe.
+"""Run units of work in forked workers, to which the parent hands them one
+at a time.
 
 :func:`kmeasure.identities.run_suite` imports this module only when it runs
 more than one unit in more than one worker, so a serial run neither
 compiles nor imports it, nor ``pickle`` and ``select``.
 
-The parent forks the workers, then writes one fixed-size index per unit,
-in plan order, into one work pipe that all of them read, so the longest
-units, which come first in the plan, start first.  Each worker has a
-result pipe of its own, on which it sends a header (index, 0) when it
-takes a unit and (index, n) followed by n bytes of pickled results when
-the unit is done.  The parent writes the work without blocking and polls
-every pipe, so no worker waits on a pipe the parent is not reading.
+Each worker has two pipes of its own.  On its task pipe the parent writes
+the fixed-size index of one unit; on its result pipe the worker sends back
+that unit's pickled results, prefixed by their length.  Only then does the
+parent write the next index, so each worker holds one unit at a time and
+the parent always knows which.  Units are handed out in plan order, so the
+longest units, which come first in the plan, start first.  With no unit
+left, the parent closes the worker's task pipe, and the worker exits.  The
+parent polls every result pipe, so no worker waits on a pipe the parent is
+not reading.
 
 A worker that dies (say, killed for memory) loses only the unit it held:
 that unit's results are made by the caller's ``lost`` function from the
@@ -27,12 +30,7 @@ import pickle
 import select
 
 _INDEX = 4  # bytes of a unit index
-_HEADER = _INDEX + 8  # a unit index and the length of the payload after it
-_MISSING = object()  # the result of a unit that has not come back
-
-
-def _frame(index: int, payload: bytes = b"") -> bytes:
-    return index.to_bytes(_INDEX, "little") + len(payload).to_bytes(8, "little") + payload
+_SIZE = 8  # bytes of the length of a unit's pickled results
 
 
 def _write_all(fd: int, data: bytes):
@@ -41,19 +39,24 @@ def _write_all(fd: int, data: bytes):
         view = view[os.write(fd, view):]
 
 
-def _worker(run_unit, plan, work_r, work_w, result_w):
-    """Body of a forked worker: run the units whose indices it reads from
-    the work pipe until the pipe ends.  It leaves only through
-    ``os._exit``, whatever a unit does, so it never flushes the buffers it
-    inherited or returns into the parent's caller."""
+def _read(fd: int, size: int) -> bytearray:
+    """``size`` bytes from ``fd``, or fewer if the pipe ends first."""
+    data = bytearray()
+    while len(data) < size and (chunk := os.read(fd, min(size - len(data), 1 << 16))):
+        data += chunk
+    return data
+
+
+def _worker(run_unit, plan, task_r, result_w):
+    """Body of a forked worker: run each unit whose index it reads from its
+    task pipe and send back the unit's results, until the pipe ends.  It
+    leaves only through ``os._exit``, whatever a unit does, so it never
+    flushes the buffers it inherited or returns into the parent's caller."""
     status = 1
     try:
-        if work_w is not None:
-            os.close(work_w)  # else the work pipe would never end
-        while record := os.read(work_r, _INDEX):
-            index = int.from_bytes(record, "little")
-            _write_all(result_w, _frame(index))
-            _write_all(result_w, _frame(index, pickle.dumps(run_unit(plan[index]))))
+        while index := os.read(task_r, _INDEX):
+            payload = pickle.dumps(run_unit(plan[int.from_bytes(index, "little")]))
+            _write_all(result_w, len(payload).to_bytes(_SIZE, "little") + payload)
         status = 0
     finally:
         os._exit(status)
@@ -64,86 +67,72 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
     processes; a unit whose worker died gives ``lost(unit, status)``, where
     status is ``os.waitstatus_to_exitcode`` of that worker (negative for a
     signal)."""
-    results = [_MISSING] * len(plan)
-    status_of = {}  # unit index -> exit status of the worker that died holding it
-    last_death = None
-    taken = 0
-    work_r, work_w = os.pipe()
-    os.set_blocking(work_w, False)
-    # a write of at most PIPE_BUF bytes is atomic, so no index is split
-    chunk = select.PIPE_BUF - select.PIPE_BUF % _INDEX
-    work = memoryview(b"".join(i.to_bytes(_INDEX, "little") for i in range(len(plan))))
+    results = [None] * len(plan)
+    handed = 0  # units handed out so far, in plan order
+    # result pipe -> [pid, the open ends of its task pipe, index of the unit held].
+    # The parent keeps the read end too, so writing to a worker that has just
+    # died cannot fail; its result pipe ends, and the unit is lost.
+    live = {}
     poller = select.poll()
-    poller.register(work_w, select.POLLOUT)
-    live = {}  # result pipe -> [pid, bytes not yet parsed, index of the unit held]
+
+    def end_task(worker):  # a worker holds a unit exactly while its task pipe is open
+        for fd in worker[1]:
+            os.close(fd)
+        worker[1:] = (), None
+
+    def hand_out(worker):
+        nonlocal handed
+        if handed < len(plan):
+            os.write(worker[1][1], handed.to_bytes(_INDEX, "little"))
+            worker[2] = handed
+            handed += 1
+        else:
+            end_task(worker)
 
     def fork_worker():
+        task = os.pipe()
         result_r, result_w = os.pipe()
         pid = os.fork()
         if pid == 0:
-            _worker(run_unit, plan, work_r, work_w, result_w)
+            # a task pipe ends only once every copy of its write end is closed
+            for fd in [task[1]] + [fd for _, ends, _ in live.values() for fd in ends]:
+                os.close(fd)
+            _worker(run_unit, plan, task[0], result_w)
         os.close(result_w)
-        live[result_r] = [pid, bytearray(), None]
+        live[result_r] = worker = [pid, task, None]
         poller.register(result_r, select.POLLIN)
+        hand_out(worker)
 
     try:
         for _ in range(workers):
             fork_worker()
         while live:
             for fd, _ in poller.poll():
-                if fd == work_w:
-                    try:
-                        work = work[os.write(work_w, work[:chunk]):]
-                    except BlockingIOError:
-                        continue
-                    if not work:
-                        poller.unregister(work_w)
-                        os.close(work_w)
-                        work_w = None
-                    continue
                 worker = live[fd]
-                data = os.read(fd, 1 << 16)
-                if data:
-                    buffer = worker[1]
-                    buffer += data
-                    while len(buffer) >= _HEADER:
-                        index = int.from_bytes(buffer[:_INDEX], "little")
-                        size = int.from_bytes(buffer[_INDEX:_HEADER], "little")
-                        if len(buffer) < _HEADER + size:
-                            break
-                        if size:
-                            results[index] = pickle.loads(buffer[_HEADER:_HEADER + size])
-                            worker[2] = None
-                        else:
-                            worker[2] = index
-                            taken += 1
-                        del buffer[:_HEADER + size]
+                header = _read(fd, _SIZE)
+                size = int.from_bytes(header, "little")
+                payload = _read(fd, size)
+                if len(header) == _SIZE and len(payload) == size:
+                    results[worker[2]] = pickle.loads(payload)
+                    hand_out(worker)
                     continue
                 # the pipe has ended, so the worker has exited
                 poller.unregister(fd)
                 os.close(fd)
-                del live[fd]
-                pid, _, held = worker
+                pid, _, held = live.pop(fd)
+                end_task(worker)
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if status:
-                    last_death = status
                 if held is not None:
-                    status_of[held] = status
-                    if taken < len(plan):
-                        fork_worker()
+                    results[held] = lost(plan[held], status)
+                if handed < len(plan):
+                    fork_worker()
     finally:
-        if work_w is not None:
-            os.close(work_w)
-        os.close(work_r)
         if live:  # the parent is raising: stop the workers still running
             import signal
 
-            for fd, (pid, *_) in live.items():
+            for fd, worker in live.items():
                 os.close(fd)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-    return [
-        lost(unit, status_of.get(index, last_death)) if result is _MISSING else result
-        for index, (unit, result) in enumerate(zip(plan, results))
-    ]
+                end_task(worker)
+                os.kill(worker[0], signal.SIGKILL)
+                os.waitpid(worker[0], 0)
+    return results

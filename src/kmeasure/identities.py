@@ -532,9 +532,10 @@ _CHECK_FUNCS = {
 
 
 def default_tasks(qcap: int, zcap: int, ks) -> list[tuple[str, str, dict]]:
-    """The full verification suite as (name, check key, kwargs) triples."""
+    """The full verification suite as (name, check key, kwargs) triples;
+    a k listed twice is checked once."""
     tasks = []
-    for k in ks:
+    for k in dict.fromkeys(ks):
         for family in CLOSED_FORM_FAMILIES:
             tasks.append(
                 (f"sum-form[{family}]", "sum-form",

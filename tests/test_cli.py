@@ -103,6 +103,15 @@ def test_verify_matches_the_benchmark_records(capsys, identity, qcap, jobs):
     assert {"exit_status": code, "reports": reports} == recorded
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_runs_a_repeated_k_once(monkeypatch, capsys, fmt):
+    import kmeasure.identities as identities
+
+    monkeypatch.setattr(identities, "perf_counter", lambda: 0.0)  # JSON timings read 0
+    args = ("verify", "--qcap", "6", "--jobs", "1", "--format", fmt, "--k")
+    assert run(capsys, *args, "2,2") == run(capsys, *args, "2")
+
+
 def test_verify_unknown_identity_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--identity", "nosuch")
     assert code == 2

@@ -725,6 +725,66 @@ def test_dead_worker_fails_only_its_unit(monkeypatch, dying):
     _assert_no_child_left()
 
 
+def test_lost_unit_carries_the_status_of_its_own_worker(monkeypatch):
+    # The worker that takes plan unit 0 dies (status 5) before it runs a
+    # check, and later workers die in the heine-general units (status 4).
+    tasks = default_tasks(6, 6, [1, 2])
+    expected = {(r["name"], r["k"]): r for r in _without_elapsed(run_suite(tasks, jobs=1))}
+    units = {}
+    for index, task in enumerate(tasks):
+        units.setdefault(identities._unit_key(index, task), []).append(task)
+    first = max(units.values(), key=len)  # plan unit 0, ("all", 2)
+    statuses = {(name, kwargs.get("k")): 5 for name, _, kwargs in first}
+    statuses.update({(name, None): 4 for name, key, _ in tasks if key == "heine-general"})
+    parent, real_read = os.getpid(), os.read
+
+    def read(fd, size):
+        data = real_read(fd, size)
+        if data == (0).to_bytes(4, "little") and os.getpid() != parent:
+            os._exit(5)  # a worker that has just read the index of unit 0
+        return data
+
+    monkeypatch.setattr(os, "read", read)
+    monkeypatch.setitem(identities._CHECK_FUNCS, "heine-general", _exit(4))
+    reports = _without_elapsed(run_suite(tasks, jobs=2))
+    assert len(reports) == len(tasks)
+    for report in reports:
+        key = (report["name"], report["k"])
+        want = expected[key]
+        if key in statuses:
+            want = dict(want, passed=False, first_failure=None,
+                        error=f"ChildProcessError: worker exited with status {statuses[key]}")
+        assert report == want
+    _assert_no_child_left()
+
+
+_FDS = "/proc/self/fd"
+
+
+def _unreadable(data):
+    raise RuntimeError("unreadable batch")
+
+
+@pytest.mark.skipif(not os.path.isdir(_FDS), reason="no /proc/self/fd to list")
+@pytest.mark.parametrize("case", ["normal", "dying", "raising"])
+def test_suite_leaves_no_pipe_open(monkeypatch, case):
+    import pickle
+
+    tasks = default_tasks(6, 6, [1, 2])
+    before = sorted(os.listdir(_FDS))
+    if case == "normal":
+        run_suite(tasks, jobs=2)
+    elif case == "dying":
+        monkeypatch.setitem(identities._CHECK_FUNCS, "durfee-closed-form", _exit(3))
+        run_suite(tasks, jobs=3)
+    else:
+        monkeypatch.setattr(pickle, "loads", _unreadable)
+        with pytest.raises(RuntimeError, match="unreadable batch"):
+            run_suite(tasks, jobs=2)
+    assert sorted(os.listdir(_FDS)) == before
+    _assert_no_child_left()
+
+
 def test_suite_reaps_its_workers_when_the_parent_raises(monkeypatch):
     import pickle
 
@@ -738,8 +798,7 @@ def test_suite_reaps_its_workers_when_the_parent_raises(monkeypatch):
 
 
 def test_suite_runs_more_units_than_the_work_pipe_holds(monkeypatch):
-    # 20,000 four-byte indices overflow a 64 KiB pipe, so the parent must
-    # keep reading results while it waits to write the rest of the work
+    # 20,000 units, each handed out and sent back in a round trip of its own
     def instant(memo):
         return None
 
