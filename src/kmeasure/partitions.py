@@ -221,7 +221,7 @@ def _partition_counts(qcap) -> list[int]:
 
 
 def _counted(qcap, layers, counts, width) -> TriSeries:
-    return TriSeries._from_packed(_Packed(qcap, None, width, 1, layers, counts))
+    return TriSeries._from_packed(_Packed(qcap, None, width, layers, counts))
 
 
 def _unit(qcap):

@@ -1,13 +1,15 @@
-"""Exact truncated power series in q, y, z over the rationals.
+"""Exact truncated power series in q, y, z over the integers.
 
 This is the arithmetic substrate for coefficient-exact verification of
 partition generating function identities.  A :class:`TriSeries` is a formal
 power series in ``q`` whose coefficients are polynomials in ``y`` and ``z``,
 truncated at a fixed maximal q-exponent ``qcap`` and, optionally, a maximal
-z-exponent ``zcap``.  Coefficients are exact: plain Python integers where
-possible, ``fractions.Fraction`` otherwise, so equality of two series is a
-genuine identity of all retained coefficients, never a numerical tolerance.
-The :mod:`fractions` module is imported only when a rational appears.
+z-exponent ``zcap``.  Coefficients are exact Python integers, so equality
+of two series is a genuine identity of all retained coefficients, never a
+numerical tolerance.  Every generating function of the paper has integer
+coefficients, and so does every monomial, Pochhammer argument and
+substituted value here: a non-integer is refused with ``TypeError``, and a
+monomial ratio that is not integral with ``ValueError``.
 
 The z-cap exists because several product-form series carry a ``z^n`` term at
 q-order 0 for every n; a bounded ``zcap`` makes such sums finite while still
@@ -17,24 +19,22 @@ formal-series replacement for an analytic smallness assumption on z.
 Storage is dense in q and packed in y (Kronecker substitution; von zur
 Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  A series is a
 list over q of ``{z_exp: int}`` rows, each int being the y-polynomial of
-that (q, z) key evaluated at y = 2^W, with rational coefficients held as
-integer numerators over one common denominator.  Every operation iterates
-q-rows, so truncation is a cheap index bound rather than a filter.  Series
-are immutable once built; all operations return new objects (or the
-operand itself when it is unchanged) and are safe to run concurrently.
+that (q, z) key evaluated at y = 2^W.  Every operation iterates q-rows, so
+truncation is a cheap index bound rather than a filter.  Series are
+immutable once built; all operations return new objects (or the operand
+itself when it is unchanged) and are safe to run concurrently.
 
 Sums, products, inverses and binomial steps (1 - c y^a z^b q^d), and so
 Pochhammer products, work on these ints directly: a binomial step costs
 one big-integer shift-and-add per key, a product one big-integer product
 per pair of keys.  Three facts make them exact:
 
-- every step is a ring operation of Z[y] (add, multiply, shift by W*a,
-  divide exactly by an integer), and evaluation at 2^W keeps all of them
-  exact whatever W is;
+- every step is a ring operation of Z[y] (add, multiply, shift by W*a),
+  and evaluation at 2^W keeps all of them exact whatever W is;
 - the q-cap and the z-cap drop whole keys, which is exact too;
 - a packed value is decoded, compared, or an empty one taken for zero,
   only when a majorant kept in lockstep with every step (one nonnegative
-  int per q-row, bounding the sum of the absolute numerators there)
+  int per q-row, bounding the sum of the absolute coefficients there)
   shows that every coefficient lies below 2^(W-1) in absolute value.
   Every operation writes its majorant before its rows, and widens the
   slots in place first when the majorant asks for it, so a series always
@@ -50,22 +50,16 @@ view, decoded once when something reads coefficients back: ``terms``,
 
 from __future__ import annotations
 
-from math import lcm
 from sys import maxsize
 
 _KEEP = object()  # sentinel: "keep the current z-cap"
 
 
-def _norm_coeff(c: int | Fraction) -> int | Fraction:
-    """Collapse denominator-1 fractions to plain ints."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _fmt_coeff(c: int | Fraction) -> str:
-    """Render a coefficient: integers bare, rationals as num/den."""
-    if c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(c.numerator)
+def _check_caps(qcap: int, zcap: int | None):
+    if qcap < 0:
+        raise ValueError("qcap must be nonnegative")
+    if zcap is not None and zcap < 0:
+        raise ValueError("zcap must be nonnegative or None")
 
 
 class _Record:
@@ -91,7 +85,7 @@ class _Record:
 
 
 class Monomial(_Record):
-    """A signed rational multiple of ``q^q * y^y * z^z``.
+    """A signed integer multiple of ``q^q * y^y * z^z``.
 
     Monomials are the parameter type for Pochhammer products and for
     specializing identities: the argument A of (A;q)_n, the t of Euler's
@@ -103,13 +97,11 @@ class Monomial(_Record):
 
     __slots__ = ("coeff", "q", "y", "z")
 
-    def __init__(self, coeff: int | Fraction, q: int = 0, y: int = 0, z: int = 0):
+    def __init__(self, coeff: int, q: int = 0, y: int = 0, z: int = 0):
         if q < 0 or y < 0 or z < 0:
             raise ValueError("monomial exponents must be nonnegative")
         if type(coeff) is not int:
-            from fractions import Fraction
-
-            coeff = _norm_coeff(Fraction(coeff))
+            raise TypeError(f"monomial coefficient {coeff!r} is not an int")
         init = object.__setattr__
         init(self, "coeff", coeff)
         init(self, "q", q)
@@ -137,18 +129,15 @@ class Monomial(_Record):
         )
 
     def divide(self, other: "Monomial") -> "Monomial":
-        """Exact monomial ratio self/other; exponents must not go negative."""
+        """Exact monomial ratio self/other; exponents must not go negative,
+        and the coefficient ratio must be an integer."""
         if other.coeff == 0:
             raise ZeroDivisionError("division by the zero monomial")
         if self.q < other.q or self.y < other.y or self.z < other.z:
             raise ValueError("monomial ratio has a negative exponent")
-        a, b = self.coeff, other.coeff
-        if type(a) is int and type(b) is int and a % b == 0:
-            ratio = a // b
-        else:
-            from fractions import Fraction
-
-            ratio = Fraction(a) / b
+        ratio, rest = divmod(self.coeff, other.coeff)
+        if rest:
+            raise ValueError("monomial ratio has a coefficient that is not an integer")
         return Monomial(
             ratio,
             self.q - other.q,
@@ -171,12 +160,12 @@ class Monomial(_Record):
                 parts.append(f"{sym}^{e}")
         body = "*".join(parts)
         if not body:
-            return _fmt_coeff(self.coeff)
+            return str(self.coeff)
         if self.coeff == 1:
             return body
         if self.coeff == -1:
             return "-" + body
-        return f"{_fmt_coeff(self.coeff)}*{body}"
+        return f"{self.coeff}*{body}"
 
 
 # Common monomials, handy when assembling identities.
@@ -214,10 +203,7 @@ class TriSeries:
     __slots__ = ("qcap", "zcap", "_decoded", "_packed")
 
     def __init__(self, qcap: int, zcap: int | None = None):
-        if qcap < 0:
-            raise ValueError("qcap must be nonnegative")
-        if zcap is not None and zcap < 0:
-            raise ValueError("zcap must be nonnegative or None")
+        _check_caps(qcap, zcap)
         self.qcap = qcap
         self.zcap = zcap
         self._decoded = None
@@ -265,32 +251,31 @@ class TriSeries:
     def from_terms(cls, terms, qcap: int, zcap: int | None = None) -> "TriSeries":
         """Build from an iterable of (q_exp, y_exp, z_exp, coeff) tuples.
 
-        Terms beyond the caps are dropped; repeated exponent triples are
-        accumulated.  Inverse of :meth:`terms`.  The rows are packed at the
-        narrowest width from the kernel's start up that the terms fit.
+        Every term must have nonnegative exponents and an int coefficient,
+        also one beyond the caps; such terms are dropped, and repeated
+        exponent triples are accumulated.  Inverse of :meth:`terms`.  The
+        rows are packed at the narrowest width from the kernel's start up
+        that the terms fit.
         """
-        s = cls(qcap, zcap)
+        _check_caps(qcap, zcap)
         layers = [{} for _ in range(qcap + 1)]
         for j, e, f, c in terms:
-            if j > qcap or (zcap is not None and f > zcap) or c == 0:
-                continue
             if j < 0 or e < 0 or f < 0:
                 raise ValueError("exponents must be nonnegative")
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an int")
+            if j > qcap or (zcap is not None and f > zcap) or c == 0:
+                continue
             key = (e, f)
             v = layers[j].get(key, 0) + c
             if v:
                 layers[j][key] = v
             else:
                 del layers[j][key]
-        den = lcm(*(c.denominator for layer in layers for c in layer.values()))
-        layers = [
-            {key: c.numerator * (den // c.denominator) for key, c in layer.items()}
-            for layer in layers
-        ]
         bound = [sum(map(abs, layer.values())) for layer in layers]
         width = _slot_width(max(bound).bit_length())
-        s._packed = _Packed(qcap, zcap, width, den, [_encode(layer, width) for layer in layers], bound)
-        return s
+        rows = [_encode(layer, width) for layer in layers]
+        return cls._from_packed(_Packed(qcap, zcap, width, rows, bound))
 
     # ------------------------------------------------------------- inspect
 
@@ -302,7 +287,7 @@ class TriSeries:
                 out.append((j, e, f, layer[(e, f)]))
         return out
 
-    def coefficient(self, j: int, y_exp: int = 0, z_exp: int = 0) -> int | Fraction:
+    def coefficient(self, j: int, y_exp: int = 0, z_exp: int = 0) -> int:
         """Exact coefficient of q^j y^y_exp z^z_exp; 0 if absent."""
         if j < 0 or j > self.qcap:
             raise ValueError("beyond truncation")
@@ -318,14 +303,13 @@ class TriSeries:
     def lines(self) -> list[str]:
         """Debug rendering: one ``c * q^j y^e z^f`` line per term.
 
-        Lines are sorted by ascending q-exponent, then y, then z; rationals
-        print as num/den and integers without a denominator.  This is the
-        stable format used by golden-file tests.
+        Lines are sorted by ascending q-exponent, then y, then z.  This is
+        the stable format used by golden-file tests.
         """
         out = []
         for j, layer in enumerate(self._layers):
             for (e, f) in sorted(layer):
-                out.append(f"{_fmt_coeff(layer[(e, f)])} * q^{j} y^{e} z^{f}")
+                out.append(f"{layer[(e, f)]} * q^{j} y^{e} z^{f}")
         return out
 
     def __str__(self):
@@ -359,7 +343,7 @@ class TriSeries:
         return self.qcap, min(self.zcap, other.zcap)
 
     def _sum(self, other, sign: Monomial) -> "TriSeries":
-        """self + sign*other, over the least common denominator."""
+        """self + sign*other."""
         _, zcap = self._merged_caps(other)
         total = _Packed.pack(self, zcap=zcap)
         term = _Packed.pack(other, zcap=zcap)
@@ -388,7 +372,7 @@ class TriSeries:
         bound = [sum(pa.bound[i] * pb.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)]
         width = _slot_width(max(bound).bit_length(), max(pa.width, pb.width))
         a, b = _Packed.pack(self, width, zcap), _Packed.pack(other, width, zcap)
-        product = _Packed(qcap, zcap, width, a.den * b.den, [{} for _ in bound], bound)
+        product = _Packed(qcap, zcap, width, [{} for _ in bound], bound)
         for j1, ra in enumerate(a.rows):
             if ra:
                 for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
@@ -411,38 +395,34 @@ class TriSeries:
         that the layer's geometric inverse terminates; otherwise the series
         is not a unit in the truncated ring.
 
-        With numerators A over the denominator d, the q^0 row is A_0 = d - w
-        and its inverse d/A_0 = g/d^t, g = sum_{i<=t} w^i d^(t-i), where t is
-        the z-cap if w is not empty (w carries z) and 0 if it is.  Row j of
-        the inverse is c_j = -(g/d^t) sum_{i=1..j} (A_i/d) c_{j-i}; over the
-        common denominator d^(t + qcap*(t+1)) each numerator row divides
-        exactly by d^(t+1), and the majorants follow the same recursion.
+        The q^0 row is A_0 = 1 - w, and its inverse is g = sum_{i<=t} w^i,
+        where t is the z-cap if w is not empty (w carries z) and 0 if it is.
+        Row j of the inverse is c_j = -g sum_{i=1..j} A_i c_{j-i}, and the
+        majorants follow the same recursion.
         """
         qcap, zcap, p = self.qcap, self.zcap, self._packed
         p._check()
         base = p.rows[0]
-        if base.get(0) != p.den or (len(base) > 1 and zcap is None):
+        if base.get(0) != 1 or (len(base) > 1 and zcap is None):
             raise ValueError("not a formal unit under these caps")
         top = zcap if len(base) > 1 else 0
         limit = maxsize if zcap is None else zcap
-        den, bound = p.den, p.bound
+        bound = p.bound
         g_bound = 1
-        for i in range(1, top + 1):
-            g_bound = den**i + (bound[0] - den) * g_bound
-        divisor, scale = den ** (top + 1), den ** (qcap * (top + 1))
-        out_bound = [g_bound * scale]
+        for _ in range(top):
+            g_bound = 1 + (bound[0] - 1) * g_bound
+        out_bound = [g_bound]
         for j in range(1, qcap + 1):
-            total = sum(bound[i] * out_bound[j - i] for i in range(1, j + 1))
-            out_bound.append(g_bound * total // divisor)
+            out_bound.append(g_bound * sum(bound[i] * out_bound[j - i] for i in range(1, j + 1)))
         width = _slot_width(max(out_bound).bit_length(), p.width)
         rows = _Packed.pack(self, width).rows
         w = {f: -v for f, v in rows[0].items() if f}
         g = {0: 1}
-        for i in range(1, top + 1):
-            nxt = {0: den**i}
+        for _ in range(top):
+            nxt = {0: 1}
             _row_mul(nxt, w, g, limit)
             g = nxt
-        out = [{f: v * scale for f, v in g.items()}]
+        out = [g]
         for j in range(1, qcap + 1):
             acc = {}
             for i in range(1, j + 1):
@@ -451,8 +431,8 @@ class TriSeries:
             if top:
                 acc, terms = {}, acc
                 _row_mul(acc, g, terms, limit)
-            out.append({f: -(v // divisor) for f, v in acc.items()})
-        return TriSeries._from_packed(_Packed(qcap, zcap, width, den**top * scale, out, out_bound))
+            out.append({f: -v for f, v in acc.items()})
+        return TriSeries._from_packed(_Packed(qcap, zcap, width, out, out_bound))
 
     # -------------------------------------------------------- substitution
 
@@ -480,19 +460,19 @@ class TriSeries:
                     if d and s + j * e <= qcap:
                         moved[s + j * e].setdefault(f, {})[e] = d
         rows = [{f: _join(slots, width) for f, slots in row.items()} for row in moved]
-        return TriSeries._from_packed(_Packed(qcap, self.zcap, width, p.den, rows, bound))
+        return TriSeries._from_packed(_Packed(qcap, self.zcap, width, rows, bound))
 
-    def set_y(self, value: int | Fraction) -> "TriSeries":
-        """Substitute an exact rational value n/d for y: each key's slots
-        c_e sum to the numerator sum_e c_e n^e d^(t-e) over d^t, t the
-        highest slot of the series.  The result holds slot 0 alone, the
-        same int at any width."""
-        n, d = value.numerator, value.denominator
+    def set_y(self, value: int) -> "TriSeries":
+        """Substitute an integer n for y: each key's slots c_e sum to
+        sum_e c_e n^e.  The result holds slot 0 alone, the same int at any
+        width."""
+        if type(value) is not int:
+            raise TypeError(f"set_y value {value!r} is not an int")
         p = self._packed
         p._check()
         width = p.width
         top = max((abs(v).bit_length() // width for row in p.rows for v in row.values()), default=0)
-        powers = [n**e * d ** (top - e) for e in range(top + 1)]
+        powers = [value**e for e in range(top + 1)]
         rows = []
         for row in p.rows:
             out = {}
@@ -503,28 +483,29 @@ class TriSeries:
             rows.append(out)
         bound = [sum(map(abs, row.values())) for row in rows]
         width = _slot_width(max(bound).bit_length(), width)
-        return TriSeries._from_packed(_Packed(self.qcap, self.zcap, width, p.den * d**top, rows, bound))
+        return TriSeries._from_packed(_Packed(self.qcap, self.zcap, width, rows, bound))
 
-    def set_z(self, value: int | Fraction) -> "TriSeries":
-        """Substitute an exact rational value n/d for z.
+    def set_z(self, value: int) -> "TriSeries":
+        """Substitute an integer n for z.
 
         The result carries no z content, so its zcap is unbounded.  If this
         series was z-truncated the substitution only sums the retained
         z-range (the caller decides whether that is meaningful).  Each row's
-        ints v_f sum to sum_f v_f n^f d^(t-f) over d^t, t the highest
-        z-exponent, and max(|n|, d)^t scales the majorant.
+        ints v_f sum to sum_f v_f n^f, and max(|n|, 1)^t scales the
+        majorant, t the highest z-exponent.
         """
-        n, d = value.numerator, value.denominator
+        if type(value) is not int:
+            raise TypeError(f"set_z value {value!r} is not an int")
         top = max((f for row in self._packed.rows for f in row), default=0)
-        powers = [n**f * d ** (top - f) for f in range(top + 1)]
-        scale = max(abs(n), d) ** top
+        powers = [value**f for f in range(top + 1)]
+        scale = max(abs(value), 1) ** top
         bound = [scale * b for b in self._packed.bound]
         p = _Packed.pack(self, _slot_width(max(bound).bit_length()))
         rows = []
         for row in p.rows:
             v = sum(x * powers[f] for f, x in row.items())
             rows.append({0: v} if v else {})
-        return TriSeries._from_packed(_Packed(self.qcap, None, p.width, p.den * d**top, rows, bound))
+        return TriSeries._from_packed(_Packed(self.qcap, None, p.width, rows, bound))
 
     def truncate(self, qcap: int | None = None, zcap=_KEEP) -> "TriSeries":
         """Re-truncate to tighter caps.
@@ -533,6 +514,7 @@ class TriSeries:
         """
         new_q = self.qcap if qcap is None else qcap
         new_z = self.zcap if zcap is _KEEP else zcap
+        _check_caps(new_q, new_z)
         if new_q > self.qcap:
             raise ValueError("beyond truncation")
         if self.zcap is not None and (new_z is None or new_z > self.zcap):
@@ -623,18 +605,17 @@ _NO_OFFSET = (0, 0, 0, 1)
 class _Packed:
     """A series with y packed into one integer per (q, z) key.
 
-    ``rows[j]`` maps a z-exponent f to the y-polynomial of q^j z^f
-    evaluated at y = 2^width; the polynomial holds integer numerators over
-    the common denominator ``den``.  Every step is a ring operation of Z[y]
-    (add, multiply, shift by width*a, divide exactly by an integer), which
-    evaluation at 2^width preserves whatever the width, and the caps drop
-    whole keys.  Only reading a value back, comparing it, or taking an
-    empty series for zero, needs every coefficient below 2^(width-1) in
-    absolute value.  ``bound[j]`` is the majorant that vouches for it: at
-    least the sum of the absolute numerators of row j, kept in lockstep
-    with every step.  Every operation keeps it within the width itself: it
-    writes its majorant first, then :meth:`widen` re-encodes the rows at
-    the width that majorant asks for, and only then does it write rows.
+    ``rows[j]`` maps a z-exponent f to the integer y-polynomial of q^j z^f
+    evaluated at y = 2^width.  Every step is a ring operation of Z[y] (add,
+    multiply, shift by width*a), which evaluation at 2^width preserves
+    whatever the width, and the caps drop whole keys.  Only reading a value
+    back, comparing it, or taking an empty series for zero, needs every
+    coefficient below 2^(width-1) in absolute value.  ``bound[j]`` is the
+    majorant that vouches for it: at least the sum of the absolute
+    coefficients of row j, kept in lockstep with every step.  Every
+    operation keeps it within the width itself: it writes its majorant
+    first, then :meth:`widen` re-encodes the rows at the width that
+    majorant asks for, and only then does it write rows.
 
     Inside a sum a series may carry a pending monomial factor, ``offset =
     (q, y, z, coeff)``: it then stands for coeff q^q y^y z^z times its rows,
@@ -643,42 +624,33 @@ class _Packed:
     run over the rows under those caps alone; :meth:`add` applies it.
     """
 
-    __slots__ = ("qcap", "zcap", "width", "den", "rows", "bound", "offset")
+    __slots__ = ("qcap", "zcap", "width", "rows", "bound", "offset")
 
-    def __init__(self, qcap, zcap, width: int, den: int, rows: list, bound: list):
-        self.qcap, self.zcap, self.width, self.den = qcap, zcap, width, den
+    def __init__(self, qcap, zcap, width: int, rows: list, bound: list):
+        self.qcap, self.zcap, self.width = qcap, zcap, width
         self.rows, self.bound = rows, bound
         self.offset = _NO_OFFSET
 
     @classmethod
     def zero(cls, qcap, zcap, width: int) -> "_Packed":
-        return cls(qcap, zcap, width, 1, [{} for _ in range(qcap + 1)], [0] * (qcap + 1))
+        return cls(qcap, zcap, width, [{} for _ in range(qcap + 1)], [0] * (qcap + 1))
 
     @classmethod
-    def pack(cls, s: TriSeries, width: int = 0, zcap=_KEEP, den: int | None = None) -> "_Packed":
-        """A private copy of the rows of s over ``den``, a multiple of their
-        denominator, and without keys above ``zcap``, at this width or at
-        their own, or wider where the rescaled majorant asks for it."""
+    def pack(cls, s: TriSeries, width: int = 0, zcap=_KEEP) -> "_Packed":
+        """A private copy of the rows of s without keys above ``zcap``, at
+        this width or at their own, whichever is wider."""
         src = s._packed
         src._check()
         zcap = s.zcap if zcap is _KEEP else zcap
         limit = maxsize if zcap is None else zcap
-        factor = 1 if den is None else den // src.den
-        p = cls(
-            s.qcap, zcap, src.width, src.den * factor,
-            [{f: v for f, v in row.items() if f <= limit} for row in src.rows],
-            [factor * b for b in src.bound],
-        )
+        rows = [{f: v for f, v in row.items() if f <= limit} for row in src.rows]
+        p = cls(s.qcap, zcap, src.width, rows, list(src.bound))
         p.widen(width)
-        if factor != 1:
-            p.rows = [{f: factor * v for f, v in row.items()} for row in p.rows]
         return p
 
     def copy(self) -> "_Packed":
-        p = _Packed(
-            self.qcap, self.zcap, self.width, self.den,
-            [dict(row) for row in self.rows], list(self.bound),
-        )
+        rows = [dict(row) for row in self.rows]
+        p = _Packed(self.qcap, self.zcap, self.width, rows, list(self.bound))
         p.offset = self.offset
         return p
 
@@ -710,7 +682,7 @@ class _Packed:
         return True
 
     def is_nonnegative(self) -> bool:
-        """True iff every numerator is >= 0, read off the packed ints.
+        """True iff every coefficient is >= 0, read off the packed ints.
 
         Under the majorant every balanced digit c of an int v lies in
         (-2^(W-1), 2^(W-1)).  If none is negative, v is their plain
@@ -740,34 +712,21 @@ class _Packed:
         layer = {}
         for f, v in row.items():
             layer.update({(e, f): c for e, c in enumerate(_split(v, self.width)) if c})
-        if self.den != 1:
-            from fractions import Fraction
-
-            layer = {key: _norm_coeff(Fraction(c, self.den)) for key, c in layer.items()}
         return layer
 
     def add(self, other: "_Packed"):
-        """self += other, over the least common denominator of both,
-        applying other's pending offset; self carries none.  Both end at
-        the wider of their widths and the one the sum's majorant asks for."""
+        """self += other, applying other's pending offset; self carries
+        none.  Both end at the wider of their widths and the one the sum's
+        majorant asks for."""
         q, y, z, coeff = other.offset
-        num, cden = coeff.numerator, coeff.denominator
-        den = lcm(self.den, other.den * cden)
-        rescale, factor = den // self.den, num * (den // (other.den * cden))
-        bound = self.bound = [rescale * b for b in self.bound]
         for j, b in enumerate(other.bound, q):
-            bound[j] += abs(factor) * b
+            self.bound[j] += abs(coeff) * b
         self.widen(other.width)
         other.widen(self.width)
-        self.den = den
-        if rescale != 1:
-            for row in self.rows:
-                for f in row:
-                    row[f] *= rescale
         shift = self.width * y
         for tgt, row in zip(self.rows[q:], other.rows):
             for f, v in row.items():
-                w = tgt.get(f + z, 0) + factor * (v << shift)
+                w = tgt.get(f + z, 0) + coeff * (v << shift)
                 if w:
                     tgt[f + z] = w
                 else:
@@ -788,42 +747,32 @@ class _Packed:
                 for f in dropped:
                     row.pop(f, None)
 
-    def step(self, coeff: int | Fraction, q: int, y: int, z: int, divide: bool):
+    def step(self, coeff: int, q: int, y: int, z: int, divide: bool):
         """Multiply by (1 - coeff y^y z^z q^q), or divide by it (q >= 1).
 
         The product reads row j - q before row j is written (descending j);
         the quotient solves out_j = self_j + m*out_{j-q} from rows already
-        solved (ascending j).  A rational coefficient n/d scales the
-        numerators by d for a product, and by d^K, K = qcap // q, for a
-        quotient, whose solved rows then divide exactly by d.  The majorant
+        solved (ascending j).  Rows below q do not change.  The majorant
         follows the same recursion, and is written first.
         """
         qcap, zcap, rows, bound = self.qcap, self.zcap, self.rows, self.bound
-        num, den = coeff.numerator, coeff.denominator
-        if num == 0 or q > qcap or (zcap is not None and z > zcap):
+        if coeff == 0 or q > qcap or (zcap is not None and z > zcap):
             return
         if divide and q == 0:
             raise ValueError("dividing by (1 - m) needs a positive q-exponent")
-        # out_j = scale*self_j - num*m*self_{j-q}, or out_j = scale*self_j
-        # + num*m*out_{j-q}/den with out_{j-q} a multiple of den
-        add, factor = (num > 0) == divide, abs(num)
-        scale = den ** (qcap // q) if divide else den
-        carried = den if divide else 1
-        low = q if scale == 1 else 0  # rows below q change only by the scale
-        order = range(low, qcap + 1) if divide else range(qcap, low - 1, -1)
+        # out_j = self_j - coeff*m*self_{j-q}, or out_j = self_j + coeff*m*out_{j-q}
+        add, factor = (coeff > 0) == divide, abs(coeff)
+        order = range(q, qcap + 1) if divide else range(qcap, q - 1, -1)
         for j in order:
-            bound[j] = scale * bound[j] + (factor * bound[j - q] // carried if j >= q else 0)
+            bound[j] += factor * bound[j - q]
         self.widen()
         limit = zcap - z if zcap is not None else maxsize
         shift = self.width * y
         for j in order:
             tgt = rows[j]
-            src = () if j < q else rows[j - q].items() if q else list(tgt.items())
-            if scale != 1:
-                for f in tgt:
-                    tgt[f] *= scale
-            if factor != 1 or carried != 1:
-                src = [(f, factor * (v // carried)) for f, v in src]
+            src = rows[j - q].items() if q else list(tgt.items())
+            if factor != 1:
+                src = [(f, factor * v) for f, v in src]
             for f, v in src:
                 if f <= limit:
                     if add:
@@ -834,7 +783,6 @@ class _Packed:
                         tgt[f + z] = w
                     else:
                         del tgt[f + z]
-        self.den *= scale
 
     def pochhammer(self, a: Monomial, h: int, n: int | None = None, divide=False):
         """Multiply by (a;q^h)_n, or divide by it, one binomial factor
@@ -850,20 +798,16 @@ def _first_difference(a: TriSeries, b: TriSeries):
     """The least (q, y, z) at which a and b differ under their merged caps,
     as ``(q, y, z, coefficient in a, coefficient in b)``; None if they agree.
 
-    Both sides are read at the widest width W of the two, over the least
-    common multiple of their denominators (wider where the rescaled
-    majorants need it), and rows are compared as ints.  Every slot of
-    either side then lies below 2^(W-1) in absolute value, so every slot of
-    the difference lies below 2^W, and a nonzero difference cannot vanish
-    at y = 2^W: equal ints are a proof.  Only the first row that differs is
-    decoded.
+    Both sides are read at the wider width W of the two, and rows are
+    compared as ints.  Every slot of either side then lies below 2^(W-1) in
+    absolute value, so every slot of the difference lies below 2^W, and a
+    nonzero difference cannot vanish at y = 2^W: equal ints are a proof.
+    Only the first row that differs is decoded.
     """
     _, zcap = a._merged_caps(b)
     pa, pb = a._packed, b._packed
-    den = lcm(pa.den, pb.den)
-    bits = max(max(p.bound) * (den // p.den) for p in (pa, pb)).bit_length()
-    width = _slot_width(bits, max(pa.width, pb.width))
-    rows = (_Packed.pack(s, width, zcap, den).rows for s in (a, b))
+    width = max(pa.width, pb.width)
+    rows = (_Packed.pack(s, width, zcap).rows for s in (a, b))
     for j, (x, y) in enumerate(zip(*rows)):
         if x != y:
             la, lb = pa.decode(pa.rows[j]), pb.decode(pb.rows[j])

@@ -283,7 +283,7 @@ def test_bad_jobs_env_is_usage_error(capsys, monkeypatch, value):
 
 
 def test_serial_verify_never_imports_the_pool():
-    # nor fractions: a default run builds no rational coefficient
+    # nor fractions: the series kernel is integer-only
     import kmeasure
 
     script = (
