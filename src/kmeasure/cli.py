@@ -1,7 +1,8 @@
 """Command-line interface: verification suites, partition statistics, tables.
 
 Exit status contract: 0 when everything checked passed, 1 when at least one
-identity or equidistribution claim failed, 2 on usage or parse errors.
+identity or equidistribution claim failed or the reader closed stdout, 2 on
+usage or parse errors.
 Plain and csv output carry no timings, so identical configurations produce
 byte-identical output; json includes per-check elapsed_ms.
 """
@@ -220,7 +221,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit raises no second error, and exit 1 as on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

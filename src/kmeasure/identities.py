@@ -31,7 +31,6 @@ from .series import (
     YQ,
     Z,
     _first_difference,
-    _Packed,
     _pochhammer_apply,
     _Record,
     pochhammer_infinite,
@@ -55,21 +54,21 @@ def _qsum(qcap, zcap, ratio, ups=(), downs=(), prefactors=()) -> TriSeries:
     run only over the rows under the shifted caps.  The sum and its
     prefactors stay packed, and each step widens them in place when it must.
     """
-    term = _Packed.pack(TriSeries.one(qcap, zcap))
-    total = term.copy()
+    term = TriSeries.one(qcap, zcap)
+    total = term._copy()
     n = 0
     while True:
-        term.times_monomial(ratio(n))
+        term._shift(ratio(n))
         for factors, divide in ((ups, False), (downs, True)):
             for a, h, length in factors:
-                term.pochhammer(a.shift_q(h * length * n), h, length, divide)
+                term._pochhammer(a.shift_q(h * length * n), h, length, divide)
         if term.is_zero():
             break
-        total.add(term)
+        total._add(term)
         n += 1
     for a, h, divide in prefactors:
-        total.pochhammer(a, h, None, divide)
-    return TriSeries._from_packed(total)
+        total._pochhammer(a, h, None, divide)
+    return total
 
 
 # ------------------------------------------------------------ closed forms
@@ -365,7 +364,7 @@ def _nonnegative(memo, k, qcap, family):
     _check_family(family)
     ks = (k, k + 1) if family == "all" else (k,)
     for series in [memo.closed_sum(j, qcap, family) for j in ks]:
-        if not series._packed.is_nonnegative():
+        if not series.is_nonnegative():
             # only a series that fails the packed test pays for the sort
             # into (q, y, z) order
             return next((j, e, f, c, 0) for j, e, f, c in series.terms() if c < 0)

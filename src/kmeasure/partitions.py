@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .series import TriSeries, _Packed, _Record, _slot_width
+from .series import TriSeries, _Record, _slot_width
 
 ORACLE_FAMILIES = ("all", "distinct", "odd", "distinct-odd")
 
@@ -195,7 +195,7 @@ def format_partition(parts) -> str:
 # and a state is a layered series, list index the size, with
 # {statistic: count} layers.  Each count is a polynomial in y, the length,
 # packed into one int evaluated at y = 2^W (the rows of
-# :class:`kmeasure.series._Packed`), so a part's y is a shift by W.  Every
+# :class:`kmeasure.series.TriSeries`), so a part's y is a shift by W.  Every
 # count of size j is a number of partitions of j, at most p(j), so it fits a
 # W-bit slot with W from p(qcap), and the counted series keeps its rows with
 # p(j) as the majorant of row j.  Each value is absent or present with some
@@ -218,10 +218,6 @@ def _partition_counts(qcap) -> list[int]:
         for j in range(v, qcap + 1):
             counts[j] += counts[j - v]
     return counts
-
-
-def _counted(qcap, layers, counts, width) -> TriSeries:
-    return TriSeries._from_packed(_Packed(qcap, None, width, layers, counts))
 
 
 def _unit(qcap):
@@ -289,7 +285,7 @@ def _measure_series(qcap, k, family):
     total = gaps.pop()
     for layers in gaps:
         _add_into(total, layers)
-    return _counted(qcap, total, counts, width)
+    return TriSeries(qcap, None, width, total, counts)
 
 
 def measure_gfs(qcap: int, ks, family: str = "all") -> dict[int, TriSeries]:
@@ -335,7 +331,7 @@ def durfee_gf(qcap: int) -> TriSeries:
                     tgt[side + 1] = tgt.get(side + 1, 0) + (widens << width)
                 if c != widens:
                     tgt[side] = tgt.get(side, 0) + ((c - widens) << width)
-    return _counted(qcap, layers, counts, width)
+    return TriSeries(qcap, None, width, layers, counts)
 
 
 def runs_gf(qcap: int) -> TriSeries:
@@ -359,7 +355,7 @@ def runs_gf(qcap: int) -> TriSeries:
         _add_into(rest, ends)
         ends = new_ends
     _add_into(rest, ends)
-    return _counted(qcap, rest, counts, width)
+    return TriSeries(qcap, None, width, rest, counts)
 
 
 def sylvester_gfs(n_max: int) -> tuple[TriSeries, TriSeries]:

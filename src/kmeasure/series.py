@@ -17,12 +17,14 @@ determining every coefficient with z-exponent <= zcap exactly.  It is the
 formal-series replacement for an analytic smallness assumption on z.
 
 Storage is dense in q and packed in y (Kronecker substitution; von zur
-Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  A series is a
-list over q of ``{z_exp: int}`` rows, each int being the y-polynomial of
-that (q, z) key evaluated at y = 2^W.  Every operation iterates q-rows, so
-truncation is a cheap index bound rather than a filter.  Series are
-immutable once built; all operations return new objects (or the operand
-itself when it is unchanged) and are safe to run concurrently.
+Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  One class holds
+it: a :class:`TriSeries` is a list over q of ``{z_exp: int}`` rows, each int
+being the y-polynomial of that (q, z) key evaluated at y = 2^W, plus the
+majorant below.  Every operation iterates q-rows, so truncation is a cheap
+index bound rather than a filter.  Public operations return new series (or
+the operand itself when it is unchanged), leave their operands as they
+were, and are safe to run concurrently; the in-place steps of a build are
+private methods that act only on a private copy or a fresh series.
 
 Sums, products, inverses and binomial steps (1 - c y^a z^b q^d), and so
 Pochhammer products, work on these ints directly: a binomial step costs
@@ -98,6 +100,8 @@ class Monomial(_Record):
     __slots__ = ("coeff", "q", "y", "z")
 
     def __init__(self, coeff: int, q: int = 0, y: int = 0, z: int = 0):
+        if type(q) is not int or type(y) is not int or type(z) is not int:
+            raise TypeError(f"monomial exponents {(q, y, z)!r} are not all ints")
         if q < 0 or y < 0 or z < 0:
             raise ValueError("monomial exponents must be nonnegative")
         if type(coeff) is not int:
@@ -195,37 +199,54 @@ class TriSeries:
     """Truncated trivariate formal power series with exact coefficients.
 
     ``qcap`` is the largest retained q-exponent; ``zcap`` is the largest
-    retained z-exponent, or ``None`` for no z truncation.  The series is
-    its packed rows, ``_packed``, whose majorant fits their width;
-    ``_layers`` is their dict view, decoded on first read.
+    retained z-exponent, or ``None`` for no z truncation.  With no rows the
+    series is zero; rows and bound are given together.
+
+    ``rows[j]`` maps a z-exponent f to the integer y-polynomial of q^j z^f
+    evaluated at y = 2^width.  Every step is a ring operation of Z[y] (add,
+    multiply, shift by width*a), which evaluation at 2^width preserves
+    whatever the width, and the caps drop whole keys.  Only reading a value
+    back, comparing it, or taking an empty series for zero, needs every
+    coefficient below 2^(width-1) in absolute value.  ``bound[j]`` is the
+    majorant that vouches for it: at least the sum of the absolute
+    coefficients of row j, kept in lockstep with every step, and every read
+    checks it.  An operation writes its majorant first, then :meth:`_widen`
+    re-encodes the rows at the width that majorant asks for, and only then
+    does it write rows.  ``_layers`` is the dict view of the rows, decoded
+    on first read.
+
+    Public operations return new series and leave their operands as they
+    were.  The private in-place methods (:meth:`_widen`, :meth:`_add`,
+    :meth:`_shift`, :meth:`_step`, :meth:`_pochhammer`) run only on a
+    :meth:`_copy`, or on a fresh series inside a build.  Inside a sum a
+    series may carry a pending monomial factor, ``offset = (q, y, z,
+    coeff)``: it then stands for coeff q^q y^y z^z times its rows, and
+    ``qcap``, ``zcap`` are the caps of the rows, the series' caps less the
+    offset's exponents.  Binomial steps commute with the factor, so they run
+    over the rows under those caps alone; :meth:`_add` applies it.
     """
 
-    __slots__ = ("qcap", "zcap", "_decoded", "_packed")
+    __slots__ = ("qcap", "zcap", "width", "rows", "bound", "offset", "_decoded")
 
-    def __init__(self, qcap: int, zcap: int | None = None):
+    def __init__(self, qcap: int, zcap: int | None = None, width: int | None = None,
+                 rows: list | None = None, bound: list | None = None):
         _check_caps(qcap, zcap)
-        self.qcap = qcap
-        self.zcap = zcap
+        if rows is None:
+            rows, bound = [{} for _ in range(qcap + 1)], [0] * (qcap + 1)
+        self.qcap, self.zcap = qcap, zcap
+        self.width = _START_WIDTH if width is None else width
+        self.rows, self.bound = rows, bound
+        self.offset = _NO_OFFSET
         self._decoded = None
-        self._packed = _Packed.zero(qcap, zcap, _START_WIDTH)
-
-    @classmethod
-    def _from_packed(cls, p: "_Packed") -> "TriSeries":
-        """The series of packed rows that no one mutates afterwards, whose
-        majorant fits their width and whose pending offset is the identity."""
-        s = cls.__new__(cls)
-        s.qcap = p.qcap
-        s.zcap = p.zcap
-        s._decoded = None
-        s._packed = p
-        return s
 
     @property
     def _layers(self) -> list[dict]:
         """Layer j is the ``{(y_exp, z_exp): coefficient}`` dict of q^j, a
-        read-only view of the packed rows, decoded once."""
+        read-only view of the rows, decoded once in time linear in their
+        slots."""
         if self._decoded is None:
-            self._decoded = self._packed.unpack()
+            self._check()
+            self._decoded = [self._decode(row) for row in self.rows]
         return self._decoded
 
     @property
@@ -251,15 +272,17 @@ class TriSeries:
     def from_terms(cls, terms, qcap: int, zcap: int | None = None) -> "TriSeries":
         """Build from an iterable of (q_exp, y_exp, z_exp, coeff) tuples.
 
-        Every term must have nonnegative exponents and an int coefficient,
-        also one beyond the caps; such terms are dropped, and repeated
-        exponent triples are accumulated.  Inverse of :meth:`terms`.  The
-        rows are packed at the narrowest width from the kernel's start up
-        that the terms fit.
+        Every term must have nonnegative int exponents and an int
+        coefficient, also one beyond the caps; such terms are dropped, and
+        repeated exponent triples are accumulated.  Inverse of
+        :meth:`terms`.  The rows are packed at the narrowest width from the
+        kernel's start up that the terms fit.
         """
         _check_caps(qcap, zcap)
         layers = [{} for _ in range(qcap + 1)]
         for j, e, f, c in terms:
+            if type(j) is not int or type(e) is not int or type(f) is not int:
+                raise TypeError(f"exponents {(j, e, f)!r} are not all ints")
             if j < 0 or e < 0 or f < 0:
                 raise ValueError("exponents must be nonnegative")
             if type(c) is not int:
@@ -274,8 +297,7 @@ class TriSeries:
                 del layers[j][key]
         bound = [sum(map(abs, layer.values())) for layer in layers]
         width = _slot_width(max(bound).bit_length())
-        rows = [_encode(layer, width) for layer in layers]
-        return cls._from_packed(_Packed(qcap, zcap, width, rows, bound))
+        return cls(qcap, zcap, width, [_encode(layer, width) for layer in layers], bound)
 
     # ------------------------------------------------------------- inspect
 
@@ -298,7 +320,32 @@ class TriSeries:
         return self._layers[j].get((y_exp, z_exp), 0)
 
     def is_zero(self) -> bool:
-        return self._packed.is_zero()
+        """True iff the series is zero; empty rows prove it only under the
+        majorant."""
+        if any(self.rows):
+            return False
+        self._check()
+        return True
+
+    def is_nonnegative(self) -> bool:
+        """True iff every coefficient is >= 0, read off the packed ints.
+
+        Under the majorant every balanced digit c of an int v lies in
+        (-2^(W-1), 2^(W-1)).  If none is negative, v is their plain
+        base-2^W expansion: v >= 0 and bit W-1 of each slot is clear.  If
+        one is, either v < 0, or the lowest negative digit takes a borrow
+        from the slots above it and sets bit W-1 of its own.  One mask of
+        bit W-1 in every slot up to v's top slot tests both: in two's
+        complement a negative v sets every bit from its bit length up,
+        bit W-1 of that top slot among them.
+        """
+        self._check()
+        width = self.width
+        for row in self.rows:
+            for v in row.values():
+                if v & _high_bits(v.bit_length() // width + 1, width):
+                    return False
+        return True
 
     def lines(self) -> list[str]:
         """Debug rendering: one ``c * q^j y^e z^f`` line per term.
@@ -345,11 +392,10 @@ class TriSeries:
     def _sum(self, other, sign: Monomial) -> "TriSeries":
         """self + sign*other."""
         _, zcap = self._merged_caps(other)
-        total = _Packed.pack(self, zcap=zcap)
-        term = _Packed.pack(other, zcap=zcap)
-        term.times_monomial(sign)
-        total.add(term)
-        return TriSeries._from_packed(total)
+        total, term = self._copy(zcap=zcap), other._copy(zcap=zcap)
+        term._shift(sign)
+        total._add(term)
+        return total
 
     def __add__(self, other):
         return self._sum(other, ONE)
@@ -368,16 +414,15 @@ class TriSeries:
         """
         qcap, zcap = self._merged_caps(other)
         limit = maxsize if zcap is None else zcap
-        pa, pb = self._packed, other._packed
-        bound = [sum(pa.bound[i] * pb.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)]
-        width = _slot_width(max(bound).bit_length(), max(pa.width, pb.width))
-        a, b = _Packed.pack(self, width, zcap), _Packed.pack(other, width, zcap)
-        product = _Packed(qcap, zcap, width, [{} for _ in bound], bound)
+        bound = [sum(self.bound[i] * other.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)]
+        width = _slot_width(max(bound).bit_length(), max(self.width, other.width))
+        a, b = self._copy(width, zcap), other._copy(width, zcap)
+        product = TriSeries(qcap, zcap, width, [{} for _ in bound], bound)
         for j1, ra in enumerate(a.rows):
             if ra:
                 for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
                     _row_mul(product.rows[j1 + j2], ra, rb, limit)
-        return TriSeries._from_packed(product)
+        return product
 
     def times_monomial(self, m: Monomial) -> "TriSeries":
         """Multiply by a single monomial (exact shift and scale)."""
@@ -400,22 +445,22 @@ class TriSeries:
         Row j of the inverse is c_j = -g sum_{i=1..j} A_i c_{j-i}, and the
         majorants follow the same recursion.
         """
-        qcap, zcap, p = self.qcap, self.zcap, self._packed
-        p._check()
-        base = p.rows[0]
+        qcap, zcap = self.qcap, self.zcap
+        self._check()
+        base = self.rows[0]
         if base.get(0) != 1 or (len(base) > 1 and zcap is None):
             raise ValueError("not a formal unit under these caps")
         top = zcap if len(base) > 1 else 0
         limit = maxsize if zcap is None else zcap
-        bound = p.bound
+        bound = self.bound
         g_bound = 1
         for _ in range(top):
             g_bound = 1 + (bound[0] - 1) * g_bound
         out_bound = [g_bound]
         for j in range(1, qcap + 1):
             out_bound.append(g_bound * sum(bound[i] * out_bound[j - i] for i in range(1, j + 1)))
-        width = _slot_width(max(out_bound).bit_length(), p.width)
-        rows = _Packed.pack(self, width).rows
+        width = _slot_width(max(out_bound).bit_length(), self.width)
+        rows = self._copy(width).rows
         w = {f: -v for f, v in rows[0].items() if f}
         g = {0: 1}
         for _ in range(top):
@@ -432,7 +477,7 @@ class TriSeries:
                 acc, terms = {}, acc
                 _row_mul(acc, g, terms, limit)
             out.append({f: -v for f, v in acc.items()})
-        return TriSeries._from_packed(_Packed(qcap, zcap, width, out, out_bound))
+        return TriSeries(qcap, zcap, width, out, out_bound)
 
     # -------------------------------------------------------- substitution
 
@@ -447,20 +492,20 @@ class TriSeries:
             raise ValueError("scale_y exponent must be nonnegative")
         if j == 0:
             return self
-        qcap, p = self.qcap, self._packed
-        p._check()
-        bound = list(p.bound)  # bound[r] = sum_e bound[r - j*e], summed in place
+        qcap = self.qcap
+        self._check()
+        bound = list(self.bound)  # bound[r] = sum_e bound[r - j*e], summed in place
         for r in range(j, qcap + 1):
             bound[r] += bound[r - j]
-        width = _slot_width(max(bound).bit_length(), p.width)
+        width = _slot_width(max(bound).bit_length(), self.width)
         moved = [{} for _ in range(qcap + 1)]  # row -> z_exp -> {y_exp: slot}
-        for s, row in enumerate(p.rows):
+        for s, row in enumerate(self.rows):
             for f, v in row.items():
-                for e, d in enumerate(_split(v, p.width)):
+                for e, d in enumerate(_split(v, self.width)):
                     if d and s + j * e <= qcap:
                         moved[s + j * e].setdefault(f, {})[e] = d
         rows = [{f: _join(slots, width) for f, slots in row.items()} for row in moved]
-        return TriSeries._from_packed(_Packed(qcap, self.zcap, width, rows, bound))
+        return TriSeries(qcap, self.zcap, width, rows, bound)
 
     def set_y(self, value: int) -> "TriSeries":
         """Substitute an integer n for y: each key's slots c_e sum to
@@ -468,13 +513,12 @@ class TriSeries:
         width."""
         if type(value) is not int:
             raise TypeError(f"set_y value {value!r} is not an int")
-        p = self._packed
-        p._check()
-        width = p.width
-        top = max((abs(v).bit_length() // width for row in p.rows for v in row.values()), default=0)
+        self._check()
+        width = self.width
+        top = max((abs(v).bit_length() // width for row in self.rows for v in row.values()), default=0)
         powers = [value**e for e in range(top + 1)]
         rows = []
-        for row in p.rows:
+        for row in self.rows:
             out = {}
             for f, v in row.items():
                 c = sum(x * power for x, power in zip(_split(v, width), powers))
@@ -483,7 +527,7 @@ class TriSeries:
             rows.append(out)
         bound = [sum(map(abs, row.values())) for row in rows]
         width = _slot_width(max(bound).bit_length(), width)
-        return TriSeries._from_packed(_Packed(self.qcap, self.zcap, width, rows, bound))
+        return TriSeries(self.qcap, self.zcap, width, rows, bound)
 
     def set_z(self, value: int) -> "TriSeries":
         """Substitute an integer n for z.
@@ -496,16 +540,16 @@ class TriSeries:
         """
         if type(value) is not int:
             raise TypeError(f"set_z value {value!r} is not an int")
-        top = max((f for row in self._packed.rows for f in row), default=0)
+        top = max((f for row in self.rows for f in row), default=0)
         powers = [value**f for f in range(top + 1)]
         scale = max(abs(value), 1) ** top
-        bound = [scale * b for b in self._packed.bound]
-        p = _Packed.pack(self, _slot_width(max(bound).bit_length()))
+        bound = [scale * b for b in self.bound]
+        p = self._copy(_slot_width(max(bound).bit_length()))
         rows = []
         for row in p.rows:
             v = sum(x * powers[f] for f, x in row.items())
             rows.append({0: v} if v else {})
-        return TriSeries._from_packed(_Packed(self.qcap, None, p.width, rows, bound))
+        return TriSeries(self.qcap, None, p.width, rows, bound)
 
     def truncate(self, qcap: int | None = None, zcap=_KEEP) -> "TriSeries":
         """Re-truncate to tighter caps.
@@ -519,16 +563,136 @@ class TriSeries:
             raise ValueError("beyond truncation")
         if self.zcap is not None and (new_z is None or new_z > self.zcap):
             raise ValueError("beyond truncation")
-        p = _Packed.pack(self, zcap=new_z)
-        p.qcap = new_q
-        del p.rows[new_q + 1:], p.bound[new_q + 1:]
-        return TriSeries._from_packed(p)
+        s = self._copy(zcap=new_z)
+        s.qcap = new_q
+        del s.rows[new_q + 1:], s.bound[new_q + 1:]
+        return s
+
+    # ------------------------------------------------------ in-place kernel
+
+    def _check(self):
+        """Refuse to read rows whose majorant does not fit their width."""
+        if max(self.bound, default=0).bit_length() >= self.width:
+            raise OverflowError(f"packed slots outgrow their width {self.width}")
+
+    def _copy(self, width: int = 0, zcap=_KEEP) -> "TriSeries":
+        """A private copy of the rows without keys above ``zcap``, at this
+        width or at their own, whichever is wider."""
+        self._check()
+        zcap = self.zcap if zcap is _KEEP else zcap
+        limit = maxsize if zcap is None else zcap
+        rows = [{f: v for f, v in row.items() if f <= limit} for row in self.rows]
+        s = TriSeries(self.qcap, zcap, self.width, rows, list(self.bound))
+        s._widen(width)
+        return s
+
+    def _decode(self, row: dict) -> dict:
+        """One row as a ``{(y_exp, z_exp): c}`` layer; the caller has
+        checked the majorant."""
+        layer = {}
+        for f, v in row.items():
+            layer.update({(e, f): c for e, c in enumerate(_split(v, self.width)) if c})
+        return layer
+
+    def _widen(self, width: int = 0):
+        """Re-encode the rows in place at ``width``, or at the width the
+        majorant asks for if that is wider, when it is wider than theirs.
+
+        The caller has written the new majorant but no row yet, so the rows
+        still fit the old width and decode there soundly.
+        """
+        width = _slot_width(max(self.bound, default=0).bit_length(), max(width, self.width))
+        old, self.width = self.width, width
+        if width > old:
+            for row in self.rows:
+                for f, v in row.items():
+                    row[f] = _widened(v, old, width)
+
+    def _add(self, other: "TriSeries"):
+        """self += other, applying other's pending offset; self carries
+        none.  Both end at the wider of their widths and the one the sum's
+        majorant asks for."""
+        q, y, z, coeff = other.offset
+        for j, b in enumerate(other.bound, q):
+            self.bound[j] += abs(coeff) * b
+        self._widen(other.width)
+        other._widen(self.width)
+        shift = self.width * y
+        for tgt, row in zip(self.rows[q:], other.rows):
+            for f, v in row.items():
+                w = tgt.get(f + z, 0) + coeff * (v << shift)
+                if w:
+                    tgt[f + z] = w
+                else:
+                    del tgt[f + z]
+
+    def _shift(self, m: Monomial):
+        """self *= m, held as a pending offset: the rows stay as they are,
+        and only those that m pushes past the caps are dropped."""
+        q, y, z, coeff = self.offset
+        self.offset = (q + m.q, y + m.y, z + m.z, coeff * m.coeff)
+        self.qcap = self.qcap - m.q if m.coeff else -1
+        keep = max(self.qcap + 1, 0)
+        del self.rows[keep:], self.bound[keep:]
+        if self.zcap is not None and m.z:
+            self.zcap -= m.z
+            dropped = range(max(self.zcap + 1, 0), self.zcap + m.z + 1)
+            for row in self.rows:
+                for f in dropped:
+                    row.pop(f, None)
+
+    def _step(self, coeff: int, q: int, y: int, z: int, divide: bool):
+        """Multiply by (1 - coeff y^y z^z q^q), or divide by it (q >= 1).
+
+        The product reads row j - q before row j is written (descending j);
+        the quotient solves out_j = self_j + m*out_{j-q} from rows already
+        solved (ascending j).  Rows below q do not change.  The majorant
+        follows the same recursion, and is written first.
+        """
+        qcap, zcap, rows, bound = self.qcap, self.zcap, self.rows, self.bound
+        if coeff == 0 or q > qcap or (zcap is not None and z > zcap):
+            return
+        if divide and q == 0:
+            raise ValueError("dividing by (1 - m) needs a positive q-exponent")
+        # out_j = self_j - coeff*m*self_{j-q}, or out_j = self_j + coeff*m*out_{j-q}
+        add, factor = (coeff > 0) == divide, abs(coeff)
+        order = range(q, qcap + 1) if divide else range(qcap, q - 1, -1)
+        for j in order:
+            bound[j] += factor * bound[j - q]
+        self._widen()
+        limit = zcap - z if zcap is not None else maxsize
+        shift = self.width * y
+        for j in order:
+            tgt = rows[j]
+            src = rows[j - q].items() if q else list(tgt.items())
+            if factor != 1:
+                src = [(f, factor * v) for f, v in src]
+            for f, v in src:
+                if f <= limit:
+                    if add:
+                        w = tgt.get(f + z, 0) + (v << shift)
+                    else:
+                        w = tgt.get(f + z, 0) - (v << shift)
+                    if w:
+                        tgt[f + z] = w
+                    else:
+                        del tgt[f + z]
+
+    def _pochhammer(self, a: Monomial, h: int, n: int | None = None, divide=False):
+        """Multiply by (a;q^h)_n, or divide by it, one binomial factor
+        (1 - a*q^{h*i}) at a time; ``n = None`` takes every factor under the
+        q-cap and needs h >= 1."""
+        i = 0
+        while (n is None or i < n) and a.q + h * i <= self.qcap:
+            self._step(a.coeff, a.q + h * i, a.y, a.z, divide)
+            i += 1
 
 
 # --------------------------------------------------------- packed kernel
 
 # The narrowest slot width; the majorant widens it when it must.
 _START_WIDTH = 64
+_NO_OFFSET = (0, 0, 0, 1)
 
 
 def _slot_width(bits: int, width: int = 0) -> int:
@@ -599,201 +763,6 @@ def _encode(layer: dict, width: int) -> dict:
     return {f: _join(slots, width) for f, slots in by_z.items()}
 
 
-_NO_OFFSET = (0, 0, 0, 1)
-
-
-class _Packed:
-    """A series with y packed into one integer per (q, z) key.
-
-    ``rows[j]`` maps a z-exponent f to the integer y-polynomial of q^j z^f
-    evaluated at y = 2^width.  Every step is a ring operation of Z[y] (add,
-    multiply, shift by width*a), which evaluation at 2^width preserves
-    whatever the width, and the caps drop whole keys.  Only reading a value
-    back, comparing it, or taking an empty series for zero, needs every
-    coefficient below 2^(width-1) in absolute value.  ``bound[j]`` is the
-    majorant that vouches for it: at least the sum of the absolute
-    coefficients of row j, kept in lockstep with every step.  Every
-    operation keeps it within the width itself: it writes its majorant
-    first, then :meth:`widen` re-encodes the rows at the width that
-    majorant asks for, and only then does it write rows.
-
-    Inside a sum a series may carry a pending monomial factor, ``offset =
-    (q, y, z, coeff)``: it then stands for coeff q^q y^y z^z times its rows,
-    and ``qcap``, ``zcap`` are the caps of the rows, the series' caps less
-    the offset's exponents.  Binomial steps commute with the factor, so they
-    run over the rows under those caps alone; :meth:`add` applies it.
-    """
-
-    __slots__ = ("qcap", "zcap", "width", "rows", "bound", "offset")
-
-    def __init__(self, qcap, zcap, width: int, rows: list, bound: list):
-        self.qcap, self.zcap, self.width = qcap, zcap, width
-        self.rows, self.bound = rows, bound
-        self.offset = _NO_OFFSET
-
-    @classmethod
-    def zero(cls, qcap, zcap, width: int) -> "_Packed":
-        return cls(qcap, zcap, width, [{} for _ in range(qcap + 1)], [0] * (qcap + 1))
-
-    @classmethod
-    def pack(cls, s: TriSeries, width: int = 0, zcap=_KEEP) -> "_Packed":
-        """A private copy of the rows of s without keys above ``zcap``, at
-        this width or at their own, whichever is wider."""
-        src = s._packed
-        src._check()
-        zcap = s.zcap if zcap is _KEEP else zcap
-        limit = maxsize if zcap is None else zcap
-        rows = [{f: v for f, v in row.items() if f <= limit} for row in src.rows]
-        p = cls(s.qcap, zcap, src.width, rows, list(src.bound))
-        p.widen(width)
-        return p
-
-    def copy(self) -> "_Packed":
-        rows = [dict(row) for row in self.rows]
-        p = _Packed(self.qcap, self.zcap, self.width, rows, list(self.bound))
-        p.offset = self.offset
-        return p
-
-    def _check(self):
-        """Refuse to read rows whose majorant does not fit their width."""
-        if max(self.bound, default=0).bit_length() >= self.width:
-            raise OverflowError(f"packed slots outgrow their width {self.width}")
-
-    def widen(self, width: int = 0):
-        """Re-encode the rows in place at ``width``, or at the width the
-        majorant asks for if that is wider, when it is wider than theirs.
-
-        The caller has written the new majorant but no row yet, so the rows
-        still fit the old width and decode there soundly.
-        """
-        width = _slot_width(max(self.bound, default=0).bit_length(), max(width, self.width))
-        old, self.width = self.width, width
-        if width > old:
-            for row in self.rows:
-                for f, v in row.items():
-                    row[f] = _widened(v, old, width)
-
-    def is_zero(self) -> bool:
-        """True iff the series is zero; an empty packed series proves it
-        only under the majorant."""
-        if any(self.rows):
-            return False
-        self._check()
-        return True
-
-    def is_nonnegative(self) -> bool:
-        """True iff every coefficient is >= 0, read off the packed ints.
-
-        Under the majorant every balanced digit c of an int v lies in
-        (-2^(W-1), 2^(W-1)).  If none is negative, v is their plain
-        base-2^W expansion: v >= 0 and bit W-1 of each slot is clear.  If
-        one is, either v < 0, or the lowest negative digit takes a borrow
-        from the slots above it and sets bit W-1 of its own.  One mask of
-        bit W-1 in every slot up to v's top slot tests both: in two's
-        complement a negative v sets every bit from its bit length up,
-        bit W-1 of that top slot among them.
-        """
-        self._check()
-        width = self.width
-        for row in self.rows:
-            for v in row.values():
-                if v & _high_bits(v.bit_length() // width + 1, width):
-                    return False
-        return True
-
-    def unpack(self) -> list[dict]:
-        """The dict layers, decoded in time linear in their slots."""
-        self._check()
-        return [self.decode(row) for row in self.rows]
-
-    def decode(self, row: dict) -> dict:
-        """One row as a ``{(y_exp, z_exp): c}`` layer; the caller has
-        checked the majorant."""
-        layer = {}
-        for f, v in row.items():
-            layer.update({(e, f): c for e, c in enumerate(_split(v, self.width)) if c})
-        return layer
-
-    def add(self, other: "_Packed"):
-        """self += other, applying other's pending offset; self carries
-        none.  Both end at the wider of their widths and the one the sum's
-        majorant asks for."""
-        q, y, z, coeff = other.offset
-        for j, b in enumerate(other.bound, q):
-            self.bound[j] += abs(coeff) * b
-        self.widen(other.width)
-        other.widen(self.width)
-        shift = self.width * y
-        for tgt, row in zip(self.rows[q:], other.rows):
-            for f, v in row.items():
-                w = tgt.get(f + z, 0) + coeff * (v << shift)
-                if w:
-                    tgt[f + z] = w
-                else:
-                    del tgt[f + z]
-
-    def times_monomial(self, m: Monomial):
-        """self *= m, held as a pending offset: the rows stay as they are,
-        and only those that m pushes past the caps are dropped."""
-        q, y, z, coeff = self.offset
-        self.offset = (q + m.q, y + m.y, z + m.z, coeff * m.coeff)
-        self.qcap = self.qcap - m.q if m.coeff else -1
-        keep = max(self.qcap + 1, 0)
-        del self.rows[keep:], self.bound[keep:]
-        if self.zcap is not None and m.z:
-            self.zcap -= m.z
-            dropped = range(max(self.zcap + 1, 0), self.zcap + m.z + 1)
-            for row in self.rows:
-                for f in dropped:
-                    row.pop(f, None)
-
-    def step(self, coeff: int, q: int, y: int, z: int, divide: bool):
-        """Multiply by (1 - coeff y^y z^z q^q), or divide by it (q >= 1).
-
-        The product reads row j - q before row j is written (descending j);
-        the quotient solves out_j = self_j + m*out_{j-q} from rows already
-        solved (ascending j).  Rows below q do not change.  The majorant
-        follows the same recursion, and is written first.
-        """
-        qcap, zcap, rows, bound = self.qcap, self.zcap, self.rows, self.bound
-        if coeff == 0 or q > qcap or (zcap is not None and z > zcap):
-            return
-        if divide and q == 0:
-            raise ValueError("dividing by (1 - m) needs a positive q-exponent")
-        # out_j = self_j - coeff*m*self_{j-q}, or out_j = self_j + coeff*m*out_{j-q}
-        add, factor = (coeff > 0) == divide, abs(coeff)
-        order = range(q, qcap + 1) if divide else range(qcap, q - 1, -1)
-        for j in order:
-            bound[j] += factor * bound[j - q]
-        self.widen()
-        limit = zcap - z if zcap is not None else maxsize
-        shift = self.width * y
-        for j in order:
-            tgt = rows[j]
-            src = rows[j - q].items() if q else list(tgt.items())
-            if factor != 1:
-                src = [(f, factor * v) for f, v in src]
-            for f, v in src:
-                if f <= limit:
-                    if add:
-                        w = tgt.get(f + z, 0) + (v << shift)
-                    else:
-                        w = tgt.get(f + z, 0) - (v << shift)
-                    if w:
-                        tgt[f + z] = w
-                    else:
-                        del tgt[f + z]
-
-    def pochhammer(self, a: Monomial, h: int, n: int | None = None, divide=False):
-        """Multiply by (a;q^h)_n, or divide by it, one binomial factor
-        (1 - a*q^{h*i}) at a time; ``n = None`` takes every factor under the
-        q-cap and needs h >= 1."""
-        i = 0
-        while (n is None or i < n) and a.q + h * i <= self.qcap:
-            self.step(a.coeff, a.q + h * i, a.y, a.z, divide)
-            i += 1
-
-
 def _first_difference(a: TriSeries, b: TriSeries):
     """The least (q, y, z) at which a and b differ under their merged caps,
     as ``(q, y, z, coefficient in a, coefficient in b)``; None if they agree.
@@ -805,12 +774,11 @@ def _first_difference(a: TriSeries, b: TriSeries):
     Only the first row that differs is decoded.
     """
     _, zcap = a._merged_caps(b)
-    pa, pb = a._packed, b._packed
-    width = max(pa.width, pb.width)
-    rows = (_Packed.pack(s, width, zcap).rows for s in (a, b))
+    width = max(a.width, b.width)
+    rows = (s._copy(width, zcap).rows for s in (a, b))
     for j, (x, y) in enumerate(zip(*rows)):
         if x != y:
-            la, lb = pa.decode(pa.rows[j]), pb.decode(pb.rows[j])
+            la, lb = a._decode(a.rows[j]), b._decode(b.rows[j])
             e, f = min(
                 key for key in la.keys() | lb.keys()
                 if (zcap is None or key[1] <= zcap) and la.get(key, 0) != lb.get(key, 0)
@@ -826,7 +794,7 @@ def _pochhammer_apply(
     s: TriSeries, a: Monomial, h: int, n: int | None = None, divide=False
 ) -> TriSeries:
     """Multiply s by (a;q^h)_n, or divide it by that product, one binomial
-    factor (1 - a*q^{h*i}) at a time, on one packed copy of s.
+    factor (1 - a*q^{h*i}) at a time, on one copy of s.
 
     ``n = None`` takes every factor under the q-cap and needs h >= 1.
     Factors that reduce to 1 under the caps are skipped; if all do, s
@@ -834,9 +802,9 @@ def _pochhammer_apply(
     """
     if a.coeff == 0 or n == 0 or a.q > s.qcap or (s.zcap is not None and a.z > s.zcap):
         return s
-    p = _Packed.pack(s)
-    p.pochhammer(a, h, n, divide)
-    return TriSeries._from_packed(p)
+    p = s._copy()
+    p._pochhammer(a, h, n, divide)
+    return p
 
 
 def pochhammer_finite(
@@ -849,6 +817,8 @@ def pochhammer_finite(
     q-exponent exceeds qcap (or whose z-exponent exceeds a bounded zcap)
     reduce to 1 under truncation and are skipped.
     """
+    if type(h) is not int or type(n) is not int:
+        raise TypeError(f"pochhammer step {h!r} and length {n!r} must be ints")
     if h < 0:
         raise ValueError("pochhammer step must be nonnegative")
     if n < 0:

@@ -282,10 +282,36 @@ def test_bad_jobs_env_is_usage_error(capsys, monkeypatch, value):
     assert code == 0
 
 
-def test_serial_verify_never_imports_the_pool():
-    # nor fractions: the series kernel is integer-only
+def src_env():
+    """The environment of a subprocess that imports this checkout's kmeasure."""
     import kmeasure
 
+    src = str(Path(kmeasure.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--qcap", "4", "--k", ",".join(map(str, range(1, 301))), "--jobs", "1"],
+    ["verify", "--qcap", "4", "--k", ",".join(map(str, range(1, 301))), "--jobs", "1", "--format", "json"],
+    ["table", "--n-max", "30"],
+    ["stats", "4,3,1", "--k", ",".join(map(str, range(1, 2001)))],
+], ids=["verify", "verify-json", "table", "stats"])
+def test_closed_stdout_exits_one_without_a_traceback(argv):
+    # as `kmeasure ... | head -1` when head has already exited
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "kmeasure.cli", *argv], env=src_env(), stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
+
+def test_serial_verify_never_imports_the_pool():
+    # nor fractions: the series kernel is integer-only
     script = (
         "import sys\n"
         "import kmeasure.cli\n"
@@ -296,11 +322,8 @@ def test_serial_verify_never_imports_the_pool():
         "assert code == 0, code\n"
         "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
     )
-    src = str(Path(kmeasure.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
 
@@ -308,18 +331,13 @@ def test_serial_verify_never_imports_the_pool():
 def test_cli_import_pulls_in_no_dataclasses():
     # the records are plain classes: dataclasses, and the inspect module it
     # imports, would add about 10 ms to the start-up of every process
-    import kmeasure
-
     script = (
         "import sys\n"
         "import kmeasure.cli\n"
         "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
     )
-    src = str(Path(kmeasure.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
 
@@ -327,19 +345,19 @@ def test_cli_import_pulls_in_no_dataclasses():
 def test_passing_verify_decodes_no_series(monkeypatch, capsys):
     # every check compares, substitutes and inverts packed rows: a passing
     # run reads no coefficient back, so it decodes no series
-    from kmeasure.series import _Packed
+    from kmeasure.series import TriSeries
 
-    unpacked = []
-    real_unpack = _Packed.unpack
+    decoded = []
+    real_decode = TriSeries._decode
 
-    def counted(self):
-        unpacked.append(self)
-        return real_unpack(self)
+    def counted(self, row):
+        decoded.append(self)
+        return real_decode(self, row)
 
-    monkeypatch.setattr(_Packed, "unpack", counted)
+    monkeypatch.setattr(TriSeries, "_decode", counted)
     code, out, _ = run(capsys, "verify", "--qcap", "30", "--k", "1,2,3,4,5,6,7", "--jobs", "1")
     assert code == 0 and "72/72 checks passed" in out
-    assert unpacked == []
+    assert decoded == []
 
 
 def test_verify_dead_worker_fails_only_its_check(monkeypatch, capsys):

@@ -208,13 +208,13 @@ def test_counting_dps_are_exact_at_the_narrowest_width(monkeypatch):
     qcap = 24
     for family in ("all", "distinct"):
         gf = measure_gf(qcap, 2, family)
-        assert gf._packed.width == 16
+        assert gf.width == 16
         assert gf == _enumerated_gf(qcap, lambda parts: kmeasure(parts, 2), family)
     gf = durfee_gf(qcap)
-    assert gf._packed.width == 16 and max(abs(c) for *_, c in gf.terms()) == 129
+    assert gf.width == 16 and max(abs(c) for *_, c in gf.terms()) == 129
     assert gf == _enumerated_gf(qcap, durfee)
     gf = runs_gf(qcap)
-    assert gf._packed.width == 16
+    assert gf.width == 16
     assert gf.set_z(1) == measure_gf(qcap, 1, "distinct").set_y(1).set_z(1)
 
 

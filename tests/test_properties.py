@@ -11,7 +11,6 @@ from kmeasure.series import (
     _encode,
     _first_difference,
     _join,
-    _Packed,
     _pochhammer_apply,
     _slot_width,
     _split,
@@ -361,8 +360,7 @@ def test_chains_keep_every_series_within_its_width(s, ops):
     for name, m in ops:
         op, reference = chain_ops[name]
         s, layers = op(s, m), reference(layers, m, s.zcap)
-        p = s._packed
-        assert max(p.bound).bit_length() < p.width
+        assert max(s.bound).bit_length() < s.width
         assert_holds(s, layers)
 
 
@@ -424,11 +422,10 @@ def dict_difference(a, b, zcap):
 def held_as(s, width):
     """s as packed rows at ``width``, or at the width its majorant asks for
     if that is wider; unlike the kernel, this may narrow a series."""
-    p = s._packed
-    held = _slot_width(max(p.bound).bit_length(), width)
-    rows = [{f: _join(dict(enumerate(_split(v, p.width))), held) for f, v in row.items()}
-            for row in p.rows]
-    return TriSeries._from_packed(_Packed(p.qcap, p.zcap, held, rows, list(p.bound)))
+    held = _slot_width(max(s.bound).bit_length(), width)
+    rows = [{f: _join(dict(enumerate(_split(v, s.width))), held) for f, v in row.items()}
+            for row in s.rows]
+    return TriSeries(s.qcap, s.zcap, held, rows, list(s.bound))
 
 
 widths = st.sampled_from((8, 16, 64))
@@ -481,9 +478,7 @@ def edge_packed(layers):
     """Layers packed at EDGE_WIDTH.  A comparison, a decode and the sign
     mask need only every slot below 2^(W-1), so the majorant is EDGE."""
     rows = [_encode(layer, EDGE_WIDTH) for layer in layers]
-    return TriSeries._from_packed(
-        _Packed(QCAP, ZCAP, EDGE_WIDTH, rows, [EDGE] * (QCAP + 1))
-    )
+    return TriSeries(QCAP, ZCAP, EDGE_WIDTH, rows, [EDGE] * (QCAP + 1))
 
 
 @given(edge_layers, st.integers(0, QCAP), st.tuples(st.integers(0, 3), st.integers(0, ZCAP)),
@@ -509,7 +504,7 @@ def test_slots_at_the_width_edge_compare_and_decode(layers, j, key, change):
 @settings(max_examples=300)
 def test_sign_mask_at_the_width_edge(layers):
     expected = all(c > 0 for layer in layers for c in layer.values())
-    assert edge_packed(layers)._packed.is_nonnegative() == expected
+    assert edge_packed(layers).is_nonnegative() == expected
 
 
 def test_sign_mask_reaches_the_top_slot():
@@ -517,23 +512,26 @@ def test_sign_mask_reaches_the_top_slot():
     # slot's bit W-1 shows it
     for terms in ([(0, 1, 0, -1)], [(2, 3, 1, -EDGE)], [(1, 0, 0, 5), (1, 2, 0, -1)]):
         layers = TriSeries.from_terms(terms, QCAP, ZCAP)._layers
-        assert not edge_packed(layers)._packed.is_nonnegative()
+        assert not edge_packed(layers).is_nonnegative()
 
 
 def test_comparison_refuses_slots_past_the_majorant():
     # 2^8 at y^0 and 1 at y^1 are the same int at W = 8; a side whose
     # majorant does not fit the width must stop the comparison, and every
     # other read, with an error that survives python -O
-    wide = TriSeries._from_packed(_Packed(0, None, 8, [{0: 256}], [256]))
-    shifted = TriSeries._from_packed(_Packed(0, None, 8, [{0: 256}], [1]))
+    wide = TriSeries(0, None, 8, [{0: 256}], [256])
+    shifted = TriSeries(0, None, 8, [{0: 256}], [1])
     with pytest.raises(OverflowError):
         _first_difference(wide, shifted)
     with pytest.raises(OverflowError):
         _first_difference(shifted, wide)
     with pytest.raises(OverflowError):
-        wide._packed.is_nonnegative()
+        wide.is_nonnegative()
     with pytest.raises(OverflowError):
         wide.scale_y(1)
+    for read in (wide.terms, lambda: wide.coefficient(0), wide.__str__):
+        with pytest.raises(OverflowError):
+            read()
 
 
 # --------------------------------------------- packed operations vs dicts
@@ -576,8 +574,7 @@ def assert_holds(got, layers):
     """got decodes to the reference layers, and its majorant bounds the
     absolute coefficients of every row."""
     assert got._layers == layers
-    p = got._packed
-    for bound, layer in zip(p.bound, layers):
+    for bound, layer in zip(got.bound, layers):
         assert bound >= sum(map(abs, layer.values()))
 
 
@@ -632,6 +629,48 @@ def test_packed_truncate_matches_dicts(a, qcap, zcap):
     a, layers = a
     expected = [{key: c for key, c in layer.items() if key[1] <= zcap} for layer in layers]
     assert_holds(a.truncate(qcap, zcap), expected[: qcap + 1])
+
+
+# ------------------------------------------------ operands stay as they were
+
+
+def snapshot(s):
+    return s.width, [dict(row) for row in s.rows], list(s.bound), s.offset
+
+
+# Each public operation with an operand a and a monomial m.
+unary_ops = {
+    "neg": lambda a, m: -a,
+    "times_monomial": lambda a, m: a.times_monomial(m),
+    "times_one_minus": lambda a, m: a.times_one_minus(m),
+    "scale_y": lambda a, m: a.scale_y(m.q + 1),
+    "set_y": lambda a, m: a.set_y(m.coeff),
+    "set_z": lambda a, m: a.set_z(m.coeff),
+    "truncate": lambda a, m: a.truncate(QCAP - m.q, 1),
+    "pochhammer": lambda a, m: _pochhammer_apply(a, m.shift_q(1), 1, 3, divide=m.coeff > 0),
+}
+binary_ops = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "first_difference": _first_difference,
+}
+
+
+@given(operands(), operands(), unit_operands(), small_monomials)
+@settings(max_examples=200)
+def test_no_public_operation_changes_its_operands(a, b, u, m):
+    # the in-place kernel steps run only on copies: operands held at 8,
+    # 16 and 64 bits keep their width, rows, majorant and offset
+    (a, _), (b, _), (u, _) = a, b, u
+    before = [snapshot(s) for s in (a, b, u)]
+    for op in unary_ops.values():
+        op(a, m)
+    for op in binary_ops.values():
+        op(a, b)
+        op(b, a)
+    u.invert()
+    assert [snapshot(s) for s in (a, b, u)] == before
 
 
 @st.composite

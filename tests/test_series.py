@@ -13,7 +13,6 @@ from kmeasure.series import (
     Y,
     YQ,
     Z,
-    _Packed,
     _pochhammer_apply,
     pochhammer_finite,
     pochhammer_infinite,
@@ -177,12 +176,12 @@ def test_step_widens_past_wide_input():
     # a majorant past 2^100 needs 104-bit slots; times (1 - 256 y z q) it
     # needs 112
     big = S([(0, 0, 0, 2**100), (1, 1, 0, 1 - 2**90), (2, 3, 1, 3 * 2**70)], 4, 3)
-    p = _Packed.pack(big)
+    p = big._copy()
     assert p.width == 104
-    p.step(256, 1, 1, 1, divide=False)
+    p._step(256, 1, 1, 1, divide=False)
     assert p.width == 112 and max(p.bound).bit_length() < p.width
     shifted = [(j + 1, e + 1, f + 1, -256 * c) for j, e, f, c in big.terms()]
-    assert TriSeries._from_packed(p) == S(big.terms() + shifted, 4, 3)
+    assert p == S(big.terms() + shifted, 4, 3)
 
 
 def test_packed_slots_at_the_width_edge_round_trip():
@@ -199,8 +198,8 @@ def test_packed_slots_at_the_width_edge_round_trip():
         s = S(terms, 2, 2)
         assert s.terms() == sorted(terms)
         for width in (0, 72, 128):
-            wide = TriSeries._from_packed(_Packed.pack(s, width))
-            assert wide._packed.width == max(width, s._packed.width)
+            wide = s._copy(width)
+            assert wide.width == max(width, s.width)
             assert wide == s and wide.terms() == s.terms()
 
 
@@ -208,7 +207,7 @@ def test_qsum_trusts_an_empty_summand_only_under_the_majorant():
     # 2^64 - y evaluates to 0 at y = 2^64, so at 64-bit slots only the
     # majorant tells an empty summand from a zero one; no integer summand
     # of _qsum can end there, so the empty rows are built by hand
-    empty = _Packed(0, None, 64, [{}], [2**64])
+    empty = TriSeries(0, None, 64, [{}], [2**64])
     with pytest.raises(OverflowError):
         empty.is_zero()
 
@@ -367,13 +366,23 @@ def test_monomial_str_and_ops():
 
 
 def test_non_integers_are_refused():
-    # every coefficient and substituted value is an int; a ratio that is
-    # not integral is no monomial
+    # every coefficient, exponent, Pochhammer step and length, and
+    # substituted value is an int; a ratio that is not integral is no
+    # monomial
     for value in (0.5, Fraction(1, 2), Fraction(2, 1), 1.0):
         with pytest.raises(TypeError):
             Monomial(value)
         with pytest.raises(TypeError):
             S([(0, 0, 0, value)], 3)
+        for exponents in ((value, 0, 0), (0, value, 0), (0, 0, value)):
+            with pytest.raises(TypeError):
+                Monomial(1, *exponents)
+            with pytest.raises(TypeError):
+                S([(*exponents, 1)], 3, 2)
+        with pytest.raises(TypeError):
+            pochhammer_finite(Monomial(-1, q=1), value, 2, 4)
+        with pytest.raises(TypeError):
+            pochhammer_finite(Monomial(-1, q=1), 1, value, 4)
         with pytest.raises(TypeError):
             TriSeries.one(3).set_y(value)
         with pytest.raises(TypeError):
@@ -398,8 +407,9 @@ def test_from_terms_checks_terms_the_caps_drop():
     for term in ((0, -1, 0, 1), (5, -1, 0, 1), (1, -1, 9, 1)):
         with pytest.raises(ValueError, match="nonnegative"):
             S([term], 3, 2)
-    with pytest.raises(TypeError):
-        S([(5, 0, 0, 0.5)], 3, 2)
+    for term in ((5, 0, 0, 0.5), (0, 0, 2.5, 1), (4.5, 0, 0, 1)):
+        with pytest.raises(TypeError):
+            S([term], 3, 2)
     assert S([(5, 0, 0, 1), (1, 0, 9, 1)], 3, 2).is_zero()
 
 
