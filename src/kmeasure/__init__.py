@@ -5,7 +5,6 @@ from .series import (
     TriSeries,
     ONE,
     Q,
-    Y,
     Z,
     YQ,
     pochhammer_finite,
@@ -37,7 +36,6 @@ from .identities import (
     durfee_gf_closed,
     partition_measure_gf_product,
     partition_measure_gf_sum,
-    qdiff_residual,
     run_suite,
 )
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from time import perf_counter
 
 from .partitions import durfee_gf, measure_gf, sylvester_gfs
@@ -32,7 +33,6 @@ from .series import (
     Z,
     _first_difference,
     _pochhammer_apply,
-    _Record,
     pochhammer_infinite,
 )
 
@@ -160,7 +160,12 @@ def durfee_gf_closed(qcap: int, zcap: int | None = None) -> TriSeries:
     )
 
 
-def qdiff_residual(k: int, qcap: int, family: str = "all") -> TriSeries:
+def _check_family(family):
+    if family not in CLOSED_FORM_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+
+
+def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
     """Residual of the q-difference equation satisfied by the enumerated
     generating function g(y) = sum y^len z^{k-measure} q^size:
 
@@ -170,17 +175,6 @@ def qdiff_residual(k: int, qcap: int, family: str = "all") -> TriSeries:
     The equation encodes removing all parts of size at most k from a
     partition with smallest part 1.  The residual must be the zero series.
     """
-    _check_family(family)
-    return _qdiff_residual(measure_gf(qcap, k, family), k, family)
-
-
-def _check_family(family):
-    if family not in CLOSED_FORM_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-
-
-def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
-    """:func:`qdiff_residual` of the enumerated series ``g``."""
     if family == "all":
         a, length, divide = YQ, k, True
     else:
@@ -193,21 +187,14 @@ def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
 # ------------------------------------------------------------ reports
 
 
-class Mismatch(_Record):
+class Mismatch(namedtuple("Mismatch", "q_exp y_exp z_exp lhs rhs")):
     """First failing coefficient of a check, in (q, y, z) scan order.
 
     Scalar-per-n checks (parity counts, histograms) reuse the slots as
     (n, statistic value, 0).
     """
 
-    __slots__ = ("q_exp", "y_exp", "z_exp", "lhs", "rhs")
-
-    def __init__(self, q_exp: int, y_exp: int, z_exp: int, lhs: int, rhs: int):
-        self.q_exp = q_exp
-        self.y_exp = y_exp
-        self.z_exp = z_exp
-        self.lhs = lhs
-        self.rhs = rhs
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -225,24 +212,13 @@ class Mismatch(_Record):
         )
 
 
-class IdentityReport(_Record):
+class IdentityReport(namedtuple(
+    "IdentityReport", "name k qcap zcap passed first_failure elapsed error", defaults=(None,)
+)):
     """Outcome of one verification run; ``error`` is "<ExceptionType>:
     <message>" if the check raised."""
 
-    __slots__ = ("name", "k", "qcap", "zcap", "passed", "first_failure", "elapsed", "error")
-
-    def __init__(
-        self, name: str, k: int | None, qcap: int, zcap: int | None, passed: bool,
-        first_failure: Mismatch | None, elapsed: float, error: str | None = None,
-    ):
-        self.name = name
-        self.k = k
-        self.qcap = qcap
-        self.zcap = zcap
-        self.passed = passed
-        self.first_failure = first_failure
-        self.elapsed = elapsed
-        self.error = error
+    __slots__ = ()
 
     def to_dict(self):
         out = {
@@ -371,10 +347,10 @@ def _nonnegative(memo, k, qcap, family):
     return None
 
 
-def _sylvester(memo, n_max):
-    """Sylvester's histogram equality for every n <= n_max, reported as
+def _sylvester(memo, qcap):
+    """Sylvester's histogram equality for every n <= qcap, reported as
     (n, statistic value, 0) at the least differing n and value."""
-    fail = _first_difference(*sylvester_gfs(n_max))
+    fail = _first_difference(*sylvester_gfs(qcap))
     if fail is None:
         return None
     n, _, value, lhs, rhs = fail
@@ -387,13 +363,14 @@ def _sylvester(memo, n_max):
 def euler_first_sides(t: Monomial, qcap: int, zcap=None):
     """Both sides of sum_m t^m/(q;q)_m = 1/(t;q)_inf.
 
-    The summands vanish under the caps only if t carries a positive
-    q-exponent, or carries z under a bounded zcap.  The right side inverts
-    the dense product on purpose: it is an independent route to the
-    binomial division steps of the left side.
+    t must carry a positive q-exponent: then the summands vanish under the
+    q-cap, and the dense product has the constant term 1 that
+    :meth:`TriSeries.invert` needs.  The right side inverts that product on
+    purpose: it is an independent route to the binomial division steps of
+    the left side.
     """
-    if not (t.q >= 1 or (t.q == 0 and t.z >= 1 and zcap is not None)):
-        raise ValueError("sum does not terminate: parameter needs q-order or a z-cap")
+    if t.q < 1:
+        raise ValueError("parameter needs a positive q-exponent")
     lhs = _qsum(qcap, zcap, lambda m: t, downs=((Q, 1, 1),))
     rhs = pochhammer_infinite(t, 1, qcap, zcap).invert()
     return lhs, rhs
@@ -547,7 +524,7 @@ def default_tasks(qcap: int, zcap: int, ks) -> list[tuple[str, str, dict]]:
     tasks.append(("durfee-equidistribution", "durfee-equidistribution", dict(qcap=qcap)))
     tasks.append(("durfee-closed-form", "durfee-closed-form", dict(qcap=qcap)))
     tasks.append(("parity-distinct-odd", "parity-distinct-odd", dict(qcap=qcap)))
-    tasks.append(("sylvester-runs", "sylvester-runs", dict(n_max=qcap)))
+    tasks.append(("sylvester-runs", "sylvester-runs", dict(qcap=qcap)))
     for t in EULER_FIRST_PARAMS:
         tasks.append((f"euler-first[t={t}]", "euler-first", dict(t=t, qcap=qcap, zcap=zcap)))
     for t in EULER_SECOND_PARAMS:
@@ -581,10 +558,10 @@ def _unit_key(index, task):
 def _report(task, elapsed, fail=None, error=None) -> IdentityReport:
     """The report of a task.  ``fail`` is its check's first failure as
     (q, y, z, lhs, rhs), or None; ``error`` says why the check raised or
-    its worker died.  k, the q-order and zcap come from the task kwargs."""
+    its worker died.  k, qcap and zcap come from the task kwargs."""
     name, _, kwargs = task
     return IdentityReport(
-        name, kwargs.get("k"), kwargs.get("qcap", kwargs.get("n_max")), kwargs.get("zcap"),
+        name, kwargs.get("k"), kwargs.get("qcap"), kwargs.get("zcap"),
         fail is None and error is None, None if fail is None else Mismatch(*fail), elapsed, error,
     )
 

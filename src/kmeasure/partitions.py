@@ -20,9 +20,9 @@ backs the per-partition statistics.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 
-from .series import TriSeries, _Record, _slot_width
+from .series import TriSeries, _slot_width
 
 ORACLE_FAMILIES = ("all", "distinct", "odd", "distinct-odd")
 
@@ -132,18 +132,11 @@ def consecutive_runs(parts) -> int:
     return runs
 
 
-class PartitionStats(_Record):
+class PartitionStats(namedtuple("PartitionStats", "size length smallest durfee measures")):
     """Bundle of the statistics of one partition; ``smallest`` is 0 for the
-    empty partition."""
+    empty partition, and ``measures`` maps each k to the k-measure."""
 
-    __slots__ = ("size", "length", "smallest", "durfee", "measures")
-
-    def __init__(self, size: int, length: int, smallest: int, durfee: int, measures=None):
-        self.size = size
-        self.length = length
-        self.smallest = smallest
-        self.durfee = durfee
-        self.measures = {} if measures is None else measures
+    __slots__ = ()
 
 
 def partition_stats(parts, ks=(1, 2, 3, 4, 5)) -> PartitionStats:

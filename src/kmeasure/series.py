@@ -42,9 +42,13 @@ per pair of keys.  Three facts make them exact:
   slots in place first when the majorant asks for it, so a series always
   fits its width, and W follows from the input and is no setting.
 
-Substituting for y (``scale_y``, ``set_y``) reads the W-bit slots of each
-int.  Equality and the checks of :mod:`kmeasure.identities` compare rows
-as ints, which is a proof under the majorant (:func:`_first_difference`).
+``scale_y`` reads the W-bit slots of each int.  Substitutions take y, z =
+1 or -1 only, the values at which the paper specializes its identities:
+``set_y`` takes each key's balanced residue modulo 2^W - 1 or 2^W + 1, and
+``set_z`` adds or subtracts the ints of a row.  ``invert`` takes only a
+series whose q^0 row is exactly 1.  Equality and the checks of
+:mod:`kmeasure.identities` compare rows as ints, which is a proof under the
+majorant (:func:`_first_difference`).
 The ``{(y_exp, z_exp): coefficient}`` dict layers of a series are only a
 view, decoded once when something reads coefficients back: ``terms``,
 ``coefficient``, a rendering, or a failure report.
@@ -64,29 +68,16 @@ def _check_caps(qcap: int, zcap: int | None):
         raise ValueError("zcap must be nonnegative or None")
 
 
-class _Record:
-    """A plain record: its fields are its ``__slots__``, compared and shown
-    in that order the way a dataclass would, without the import cost of
-    :mod:`dataclasses`."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+def _check_sign(sign) -> int:
+    """``sign`` if it is 1 or -1, the only values substituted for y or z."""
+    if type(sign) is not int:
+        raise TypeError(f"substituted value {sign!r} is not an int")
+    if sign not in (1, -1):
+        raise ValueError(f"only 1 or -1 can be substituted, not {sign}")
+    return sign
 
 
-class Monomial(_Record):
+class Monomial:
     """A signed integer multiple of ``q^q * y^y * z^z``.
 
     Monomials are the parameter type for Pochhammer products and for
@@ -118,11 +109,22 @@ class Monomial(_Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        return self.coeff, self.q, self.y, self.z
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
     def __hash__(self):
         return hash(self._values())
 
     def __reduce__(self):
         return Monomial, self._values()
+
+    def __repr__(self):
+        return "Monomial(coeff=%r, q=%r, y=%r, z=%r)" % self._values()
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(
@@ -175,7 +177,6 @@ class Monomial(_Record):
 # Common monomials, handy when assembling identities.
 ONE = Monomial(1)
 Q = Monomial(1, q=1)
-Y = Monomial(1, y=1)
 Z = Monomial(1, z=1)
 YQ = Monomial(1, q=1, y=1)
 _MINUS_ONE = Monomial(-1)
@@ -433,49 +434,29 @@ class TriSeries:
         return _pochhammer_apply(self, m, 0, 1)
 
     def invert(self) -> "TriSeries":
-        """Multiplicative inverse under the caps.
+        """Multiplicative inverse under the caps, of a series whose q^0 row
+        is exactly 1, as every divisor of the engine's identities is.
 
-        The constant coefficient must be exactly 1.  If the q^0 layer has
-        further terms they must all carry z, and zcap must be bounded, so
-        that the layer's geometric inverse terminates; otherwise the series
-        is not a unit in the truncated ring.
-
-        The q^0 row is A_0 = 1 - w, and its inverse is g = sum_{i<=t} w^i,
-        where t is the z-cap if w is not empty (w carries z) and 0 if it is.
-        Row j of the inverse is c_j = -g sum_{i=1..j} A_i c_{j-i}, and the
+        Row j of the inverse is c_j = -sum_{i=1..j} A_i c_{j-i}, and the
         majorants follow the same recursion.
         """
         qcap, zcap = self.qcap, self.zcap
         self._check()
-        base = self.rows[0]
-        if base.get(0) != 1 or (len(base) > 1 and zcap is None):
+        if self.rows[0] != {0: 1}:
             raise ValueError("not a formal unit under these caps")
-        top = zcap if len(base) > 1 else 0
         limit = maxsize if zcap is None else zcap
         bound = self.bound
-        g_bound = 1
-        for _ in range(top):
-            g_bound = 1 + (bound[0] - 1) * g_bound
-        out_bound = [g_bound]
+        out_bound = [1]
         for j in range(1, qcap + 1):
-            out_bound.append(g_bound * sum(bound[i] * out_bound[j - i] for i in range(1, j + 1)))
+            out_bound.append(sum(bound[i] * out_bound[j - i] for i in range(1, j + 1)))
         width = _slot_width(max(out_bound).bit_length(), self.width)
         rows = self._copy(width).rows
-        w = {f: -v for f, v in rows[0].items() if f}
-        g = {0: 1}
-        for _ in range(top):
-            nxt = {0: 1}
-            _row_mul(nxt, w, g, limit)
-            g = nxt
-        out = [g]
+        out = [{0: 1}]
         for j in range(1, qcap + 1):
             acc = {}
             for i in range(1, j + 1):
                 if rows[i]:
                     _row_mul(acc, rows[i], out[j - i], limit)
-            if top:
-                acc, terms = {}, acc
-                _row_mul(acc, g, terms, limit)
             out.append({f: -v for f, v in acc.items()})
         return TriSeries(qcap, zcap, width, out, out_bound)
 
@@ -507,49 +488,42 @@ class TriSeries:
         rows = [{f: _join(slots, width) for f, slots in row.items()} for row in moved]
         return TriSeries(qcap, self.zcap, width, rows, bound)
 
-    def set_y(self, value: int) -> "TriSeries":
-        """Substitute an integer n for y: each key's slots c_e sum to
-        sum_e c_e n^e.  The result holds slot 0 alone, the same int at any
-        width."""
-        if type(value) is not int:
-            raise TypeError(f"set_y value {value!r} is not an int")
+    def set_y(self, sign: int) -> "TriSeries":
+        """Substitute y = sign, 1 or -1.
+
+        Modulo 2^W - sign, 2^W is sign, so each key's int is congruent to
+        the signed sum of its slots.  The majorant keeps that sum below half
+        the modulus, so it is the int's balanced residue: slot 0 alone, the
+        same int at any width, under the same majorant.
+        """
+        modulus = (1 << self.width) - _check_sign(sign)
+        half = modulus // 2
         self._check()
-        width = self.width
-        top = max((abs(v).bit_length() // width for row in self.rows for v in row.values()), default=0)
-        powers = [value**e for e in range(top + 1)]
         rows = []
         for row in self.rows:
             out = {}
             for f, v in row.items():
-                c = sum(x * power for x, power in zip(_split(v, width), powers))
+                c = (v + half) % modulus - half
                 if c:
                     out[f] = c
             rows.append(out)
-        bound = [sum(map(abs, row.values())) for row in rows]
-        width = _slot_width(max(bound).bit_length(), width)
-        return TriSeries(self.qcap, self.zcap, width, rows, bound)
+        return TriSeries(self.qcap, self.zcap, self.width, rows, list(self.bound))
 
-    def set_z(self, value: int) -> "TriSeries":
-        """Substitute an integer n for z.
+    def set_z(self, sign: int) -> "TriSeries":
+        """Substitute z = sign, 1 or -1: each row's ints, negated at odd
+        z-exponents when sign is -1, sum to one int of the same width under
+        the same majorant.
 
         The result carries no z content, so its zcap is unbounded.  If this
         series was z-truncated the substitution only sums the retained
-        z-range (the caller decides whether that is meaningful).  Each row's
-        ints v_f sum to sum_f v_f n^f, and max(|n|, 1)^t scales the
-        majorant, t the highest z-exponent.
+        z-range (the caller decides whether that is meaningful).
         """
-        if type(value) is not int:
-            raise TypeError(f"set_z value {value!r} is not an int")
-        top = max((f for row in self.rows for f in row), default=0)
-        powers = [value**f for f in range(top + 1)]
-        scale = max(abs(value), 1) ** top
-        bound = [scale * b for b in self.bound]
-        p = self._copy(_slot_width(max(bound).bit_length()))
+        _check_sign(sign)
         rows = []
-        for row in p.rows:
-            v = sum(x * powers[f] for f, x in row.items())
+        for row in self.rows:
+            v = sum(x * sign**f for f, x in row.items())
             rows.append({0: v} if v else {})
-        return TriSeries(self.qcap, None, p.width, rows, bound)
+        return TriSeries(self.qcap, None, self.width, rows, list(self.bound))
 
     def truncate(self, qcap: int | None = None, zcap=_KEEP) -> "TriSeries":
         """Re-truncate to tighter caps.

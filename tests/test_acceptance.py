@@ -16,6 +16,7 @@ from kmeasure.identities import (
     EULER_FIRST_PARAMS,
     EULER_SECOND_PARAMS,
     HEINE_GENERAL_PARAMS,
+    _qdiff_residual,
     bailey_daum_sides,
     distinct_measure_gf_product,
     distinct_measure_gf_sum,
@@ -26,7 +27,6 @@ from kmeasure.identities import (
     heine_limit_sides,
     partition_measure_gf_product,
     partition_measure_gf_sum,
-    qdiff_residual,
 )
 from kmeasure.partitions import (
     durfee,
@@ -34,6 +34,7 @@ from kmeasure.partitions import (
     enumerate_partitions,
     kmeasure,
     kmeasure_bruteforce,
+    measure_gf,
     measure_gfs,
 )
 from kmeasure.series import Monomial, pochhammer_infinite
@@ -145,7 +146,7 @@ def test_criterion_04_qdiff_residuals():
         (k, family)
         for k in KS
         for family in ("all", "distinct")
-        if not qdiff_residual(k, 25, family).is_zero()
+        if not _qdiff_residual(measure_gf(25, k, family), k, family).is_zero()
     ]
     announce(4, not bad, "q-difference residuals, both families, k=1..5, qcap 25", started)
 

@@ -15,6 +15,7 @@ from kmeasure.identities import (
     IdentityReport,
     Mismatch,
     _Artifacts,
+    _qdiff_residual,
     default_tasks,
     distinct_measure_gf_product,
     distinct_measure_gf_sum,
@@ -25,7 +26,6 @@ from kmeasure.identities import (
     heine_limit_sides,
     partition_measure_gf_product,
     partition_measure_gf_sum,
-    qdiff_residual,
     reports_csv,
     reports_json,
     reports_table,
@@ -231,20 +231,20 @@ def test_durfee_closed_form_matches_summands_built_from_scratch():
 @pytest.mark.parametrize("family", ["all", "distinct"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_qdiff_residual_zero(family, k):
-    assert qdiff_residual(k, 10, family).is_zero()
+    assert _qdiff_residual(measure_gf(10, k, family), k, family).is_zero()
 
 
 def test_qdiff_residual_zero_order():
-    assert qdiff_residual(3, 0, "all").is_zero()
+    assert _qdiff_residual(measure_gf(0, 3), 3, "all").is_zero()
 
 
 def test_qdiff_residual_distinct_k4():
-    assert qdiff_residual(4, 12, "distinct").is_zero()
+    assert _qdiff_residual(measure_gf(12, 4, "distinct"), 4, "distinct").is_zero()
 
 
 def test_qdiff_rejects_bad_family():
-    with pytest.raises(ValueError, match="unknown family"):
-        qdiff_residual(2, 5, "weird")
+    report = _run("qdiff", k=2, qcap=5, family="weird")
+    assert report.error == "ValueError: unknown family 'weird'"
 
 
 # ------------------------------------------------------------ checks
@@ -302,10 +302,10 @@ def test_nonnegativity_checks_pass():
 
 
 def test_sylvester_check_passes():
-    report = _run("sylvester-runs", n_max=20)
+    report = _run("sylvester-runs", qcap=20)
     assert report.passed and report.qcap == 20 and report.k is None
     # q-order 80 counts 1.65 million partitions, which are never enumerated
-    assert _passes("sylvester-runs", dict(n_max=80))
+    assert _passes("sylvester-runs", dict(qcap=80))
 
 
 def _histogram_scan(odd, runs, n_max):
@@ -336,7 +336,7 @@ def test_failing_sylvester_reports_as_the_histogram_scan(monkeypatch, side, term
     sides = list(sylvester_gfs(n_max))
     sides[side] = sides[side] + TriSeries.from_terms(terms, n_max)
     monkeypatch.setattr(identities, "sylvester_gfs", lambda n: tuple(sides))
-    report = _run("sylvester-runs", n_max=n_max)
+    report = _run("sylvester-runs", qcap=n_max)
     assert not report.passed and report.error is None
     assert report.first_failure == Mismatch(*_histogram_scan(*sides, n_max))
 
@@ -481,7 +481,7 @@ def test_qdiff_residual_substitutes_each_power_once(monkeypatch, k, substitution
         return scale_y(self, j)
 
     monkeypatch.setattr(TriSeries, "scale_y", counted)
-    assert qdiff_residual(k, 12).is_zero()
+    assert _qdiff_residual(measure_gf(12, k), k, "all").is_zero()
     assert sorted(calls) == substitutions
 
 

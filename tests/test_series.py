@@ -10,13 +10,15 @@ from kmeasure.series import (
     Monomial,
     Q,
     TriSeries,
-    Y,
     YQ,
     Z,
     _pochhammer_apply,
     pochhammer_finite,
     pochhammer_infinite,
 )
+
+
+Y = Monomial(1, y=1)
 
 
 def S(terms, qcap, zcap=None):
@@ -114,7 +116,7 @@ def test_invert_round_trip():
     for s in [
         pochhammer_infinite(YQ, 1, 8),
         pochhammer_finite(Q, 1, 3, 8),
-        pochhammer_infinite(Z, 1, 6, 4),          # q^0 layer is 1 - z
+        pochhammer_infinite(Monomial(1, q=1, z=1), 1, 6, 4),
         pochhammer_finite(Monomial(2, q=1, y=2), 1, 2, 8),
     ]:
         assert s * s.invert() == TriSeries.one(s.qcap, s.zcap)
@@ -135,12 +137,14 @@ def test_invert_rejects_pure_y_constant_layer():
         s.invert()
 
 
-def test_invert_z_layer_needs_bounded_zcap():
-    s = TriSeries.one(4).times_one_minus(Z)
-    with pytest.raises(ValueError, match="not a formal unit"):
-        s.invert()
-    bounded = TriSeries.one(4, zcap=3).times_one_minus(Z)
-    assert bounded * bounded.invert() == TriSeries.one(4, 3)
+def test_invert_rejects_z_in_the_constant_layer():
+    # 1 - z has a geometric inverse under a z-cap, but invert takes only a
+    # q^0 row of exactly 1, under either cap
+    for zcap in (None, 3):
+        for m in (Z, Monomial(1, y=1, z=1), Monomial(-2, z=2)):
+            s = TriSeries.one(4, zcap).times_one_minus(m)
+            with pytest.raises(ValueError, match="not a formal unit"):
+                s.invert()
 
 
 def _divide_one_minus(s, m):
@@ -429,7 +433,7 @@ def _substitute_with_fractions(s, value, which):
     return out
 
 
-@pytest.mark.parametrize("value", [-1, 0, 1, 2])
+@pytest.mark.parametrize("value", [-1, 1])
 def test_substitution_matches_the_fraction_loop(value):
     def typed(layers):
         return [{key: (type(c), c) for key, c in layer.items()} for layer in layers]
@@ -440,3 +444,12 @@ def test_substitution_matches_the_fraction_loop(value):
             got = substitute(value)
             assert typed(got._layers) == typed(_substitute_with_fractions(s, value, which))
             assert got.zcap == (s.zcap if which == "y" else None)
+
+
+@pytest.mark.parametrize("value", [0, 2, -2])
+def test_substitution_refuses_all_but_signs(value):
+    s = measure_gf(6, 2)
+    with pytest.raises(ValueError, match="only 1 or -1"):
+        s.set_y(value)
+    with pytest.raises(ValueError, match="only 1 or -1"):
+        s.set_z(value)
