@@ -71,7 +71,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run identity checks")
     verify.add_argument("--qcap", type=int, default=20, help="q-truncation order")
-    verify.add_argument("--zcap", type=int, default=None, help="z-truncation order (default: qcap)")
     verify.add_argument("--k", type=_parse_k_list, default=[1, 2, 3, 4, 5],
                         help="comma-separated k values")
     verify.add_argument("--identity", default=None,
@@ -100,8 +99,8 @@ def make_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------ verify
 
 
-def cmd_verify(qcap: int, zcap: int, ks, identity: str | None, fmt: str, jobs: int) -> int:
-    tasks = identities.default_tasks(qcap, zcap, ks)
+def cmd_verify(qcap: int, ks, identity: str | None, fmt: str, jobs: int) -> int:
+    tasks = identities.default_tasks(qcap, ks)
     if identity is not None:
         tasks = [task for task in tasks if identity in task[0]]
         if not tasks:
@@ -210,11 +209,10 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        zcap = args.qcap if args.zcap is None else args.zcap
-        if args.qcap < 0 or zcap < 0:
-            print("error: caps must be nonnegative", file=sys.stderr)
+        if args.qcap < 0:
+            print("error: --qcap must be nonnegative", file=sys.stderr)
             return USAGE_ERROR
-        return cmd_verify(args.qcap, zcap, args.k, args.identity, args.fmt, jobs)
+        return cmd_verify(args.qcap, args.k, args.identity, args.fmt, jobs)
     if args.command == "stats":
         return cmd_stats(args.partition, args.k, args.fmt)
     return cmd_table(args.n_max, args.pair, args.k, args.fmt)

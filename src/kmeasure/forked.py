@@ -19,8 +19,9 @@ A worker that dies (say, killed for memory) loses only the unit it held:
 that unit's results are made by the caller's ``lost`` function from the
 worker's exit status, and a new worker takes its place while units are
 left.  Workers leave only through ``os._exit``, and the parent reaps every
-one of them, also when it raises.  The program starts no threads, so
-forking is safe.
+one of them, also when it raises.  When a pipe or a fork fails, the
+``OSError`` reaches the caller once every worker is reaped and every pipe
+closed.  The program starts no threads, so forking is safe.
 """
 
 from __future__ import annotations
@@ -90,9 +91,16 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
             end_task(worker)
 
     def fork_worker():
-        task = os.pipe()
-        result_r, result_w = os.pipe()
-        pid = os.fork()
+        pipes = []
+        try:
+            pipes.append(os.pipe())
+            pipes.append(os.pipe())
+            pid = os.fork()
+        except OSError:  # no worker started: close its pipes
+            for fd in (fd for pipe in pipes for fd in pipe):
+                os.close(fd)
+            raise
+        task, (result_r, result_w) = pipes
         if pid == 0:
             # a task pipe ends only once every copy of its write end is closed
             for fd in [task[1]] + [fd for _, ends, _ in live.values() for fd in ends]:

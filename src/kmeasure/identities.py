@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import namedtuple
 from time import perf_counter
 
@@ -91,19 +92,18 @@ def partition_measure_gf_sum(k: int, qcap: int) -> TriSeries:
     )
 
 
-def partition_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
+def partition_measure_gf_product(k: int, qcap: int, zcap: int | None) -> TriSeries:
     """Product-form counterpart for k >= 2:
 
         (z;q^{k-1})_inf * sum_n z^n / ((q^{k-1};q^{k-1})_n (yq;q)_{(k-1)n})
 
     Each summand carries exactly z^n, so the summands vanish past the
-    z-cap and every coefficient with z-exponent <= zcap is exact.  k = 1 is
-    rejected: the base q^0 makes both Pochhammers degenerate.
+    z-cap (None: the q-cap) and every coefficient with z-exponent <= zcap
+    is exact.  k = 1 is rejected: the base q^0 makes both Pochhammers
+    degenerate.
     """
     if k < 2:
         raise ValueError("degenerate base q^0")
-    if zcap is None:
-        raise ValueError("a bounded zcap is required")
     return _qsum(
         qcap, zcap, lambda n: Z,
         downs=((Monomial(1, q=k - 1), k - 1, 1), (YQ, 1, k - 1)),
@@ -127,18 +127,16 @@ def distinct_measure_gf_sum(k: int, qcap: int) -> TriSeries:
     )
 
 
-def distinct_measure_gf_product(k: int, qcap: int, zcap: int) -> TriSeries:
+def distinct_measure_gf_product(k: int, qcap: int, zcap: int | None) -> TriSeries:
     """Product-form counterpart for the distinct family, any k >= 1:
 
         (z;q^k)_inf * sum_n (-yq;q)_{kn} z^n / (q^k;q^k)_n
 
     As in the partition case, the summand carries exactly z^n, so the
-    summands vanish past the z-cap.
+    summands vanish past the z-cap (None: the q-cap).
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if zcap is None:
-        raise ValueError("a bounded zcap is required")
     return _qsum(
         qcap, zcap, lambda n: Z,
         ups=((MINUS_YQ, 1, k),), downs=((Monomial(1, q=k), k, 1),),
@@ -151,8 +149,8 @@ def durfee_gf_closed(qcap: int, zcap: int | None = None) -> TriSeries:
 
         sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n)
 
-    A square of side n contributes q-order n^2 (and z^n, which a bounded
-    zcap also truncates), so the summands vanish under the caps.
+    A square of side n contributes q-order n^2 (and z^n, which the z-cap
+    also truncates), so the summands vanish under the caps.
     """
     return _qsum(
         qcap, zcap, lambda n: Monomial(1, q=2 * n + 1, y=1, z=1),
@@ -407,17 +405,16 @@ def bailey_daum_sides(a: Monomial, qcap: int, zcap=None):
     return lhs, rhs
 
 
-def heine_limit_sides(qcap: int, zcap: int):
+def heine_limit_sides(qcap: int, zcap: int | None):
     """Both sides of the limiting transformation
 
         (z;q)_inf sum_n z^n/((q;q)_n (yq;q)_n)
             = sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n)
 
     The left sum's n-th summand carries exactly z^n, so its summands vanish
-    past the z-cap; the right side is :func:`durfee_gf_closed`.
+    past the z-cap (None: the q-cap); the right side is
+    :func:`durfee_gf_closed`.
     """
-    if zcap is None:
-        raise ValueError("a bounded zcap is required")
     lhs = _qsum(
         qcap, zcap, lambda n: Z, downs=((Q, 1, 1), (YQ, 1, 1)), prefactors=((Z, 1, False),)
     )
@@ -435,9 +432,9 @@ def generalized_heine_sides(
 
     Monomial parameters only: c/b must again be a monomial with
     nonnegative exponents.  t and c need positive q-order so the left
-    summands vanish (t^n) and every divisor is a formal unit; b needs
-    positive q-order, or a z-exponent under a bounded zcap, for the right
-    summands to vanish.
+    summands vanish (t^n) and every divisor is a formal unit; b needs a
+    positive q- or z-exponent for the right summands to vanish under the
+    caps.
     """
     if h < 1:
         raise ValueError("step must be positive")
@@ -445,8 +442,8 @@ def generalized_heine_sides(
         raise ValueError("t and c must carry a positive q-exponent")
     if b.coeff == 0:
         raise ValueError("parameter specialization unsupported")
-    if not (b.q >= 1 or (b.z >= 1 and zcap is not None)):
-        raise ValueError("sum does not terminate: b needs q-order or a z-cap")
+    if b.q == 0 and b.z == 0:
+        raise ValueError("sum does not terminate: b needs q-order or z-order")
     try:
         ratio = c.divide(b)
     except ValueError:
@@ -499,9 +496,10 @@ _CHECK_FUNCS = {
 }
 
 
-def default_tasks(qcap: int, zcap: int, ks) -> list[tuple[str, str, dict]]:
+def default_tasks(qcap: int, ks) -> list[tuple[str, str, dict]]:
     """The full verification suite as (name, check key, kwargs) triples;
-    a k listed twice is checked once."""
+    a k listed twice is checked once.  Every z-capped check runs at
+    z-cap qcap."""
     tasks = []
     for k in dict.fromkeys(ks):
         for family in CLOSED_FORM_FAMILIES:
@@ -512,7 +510,7 @@ def default_tasks(qcap: int, zcap: int, ks) -> list[tuple[str, str, dict]]:
             if family == "distinct" or k >= 2:
                 tasks.append(
                     (f"product-form[{family}]", "product-form",
-                     dict(k=k, qcap=qcap, zcap=zcap, family=family))
+                     dict(k=k, qcap=qcap, zcap=qcap, family=family))
                 )
             tasks.append(
                 (f"qdiff[{family}]", "qdiff", dict(k=k, qcap=qcap, family=family))
@@ -526,16 +524,16 @@ def default_tasks(qcap: int, zcap: int, ks) -> list[tuple[str, str, dict]]:
     tasks.append(("parity-distinct-odd", "parity-distinct-odd", dict(qcap=qcap)))
     tasks.append(("sylvester-runs", "sylvester-runs", dict(qcap=qcap)))
     for t in EULER_FIRST_PARAMS:
-        tasks.append((f"euler-first[t={t}]", "euler-first", dict(t=t, qcap=qcap, zcap=zcap)))
+        tasks.append((f"euler-first[t={t}]", "euler-first", dict(t=t, qcap=qcap, zcap=qcap)))
     for t in EULER_SECOND_PARAMS:
-        tasks.append((f"euler-second[t={t}]", "euler-second", dict(t=t, qcap=qcap, zcap=zcap)))
+        tasks.append((f"euler-second[t={t}]", "euler-second", dict(t=t, qcap=qcap, zcap=qcap)))
     for a in BAILEY_DAUM_PARAMS:
         tasks.append((f"bailey-daum[a={a}]", "bailey-daum", dict(a=a, qcap=qcap)))
-    tasks.append(("heine-limit", "heine-limit", dict(qcap=qcap, zcap=zcap)))
+    tasks.append(("heine-limit", "heine-limit", dict(qcap=qcap, zcap=qcap)))
     for label, params in HEINE_GENERAL_PARAMS:
         tasks.append(
             (f"heine-general[{label}]", "heine-general",
-             dict(qcap=qcap, zcap=zcap, **params))
+             dict(qcap=qcap, zcap=qcap, **params))
         )
     return tasks
 
@@ -599,19 +597,25 @@ def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:
     Tasks are grouped into units by the shared series they read, and units
     run longest first.  With more than one unit and jobs > 1, they run in
     min(jobs, units) forked workers (see :mod:`kmeasure.forked`); otherwise,
-    or where the platform has no fork, they run in this process.
+    where the platform has no fork, or when a pipe or a worker cannot be
+    made, they run in this process.
     """
     units = {}
     for index, task in enumerate(tasks):
         units.setdefault(_unit_key(index, task), []).append(task)
     plan = sorted(units.values(), key=len, reverse=True)
     workers = min(jobs, len(plan)) if hasattr(os, "fork") else 1
-    if workers < 2:
-        batches = [_run_unit(unit) for unit in plan]
-    else:
+    batches = None
+    if workers > 1:
         from .forked import run_forked  # serial runs never compile or import it
 
-        batches = run_forked(_run_unit, _lost_unit, plan, workers)
+        try:
+            batches = run_forked(_run_unit, _lost_unit, plan, workers)
+        except OSError as exc:  # run_forked has reaped every worker it started
+            print(f"kmeasure: cannot run workers ({exc}); running in this process",
+                  file=sys.stderr)
+    if batches is None:
+        batches = [_run_unit(unit) for unit in plan]
     reports = [report for batch in batches for report in batch]
     return sorted(reports, key=lambda r: (r.name, r.k if r.k is not None else 0))
 

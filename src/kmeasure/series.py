@@ -3,18 +3,23 @@
 This is the arithmetic substrate for coefficient-exact verification of
 partition generating function identities.  A :class:`TriSeries` is a formal
 power series in ``q`` whose coefficients are polynomials in ``y`` and ``z``,
-truncated at a fixed maximal q-exponent ``qcap`` and, optionally, a maximal
-z-exponent ``zcap``.  Coefficients are exact Python integers, so equality
+truncated at a fixed maximal q-exponent ``qcap`` and a maximal z-exponent
+``zcap``.  Coefficients are exact Python integers, so equality
 of two series is a genuine identity of all retained coefficients, never a
 numerical tolerance.  Every generating function of the paper has integer
 coefficients, and so does every monomial, Pochhammer argument and
 substituted value here: a non-integer is refused with ``TypeError``, and a
 monomial ratio that is not integral with ``ValueError``.
 
-The z-cap exists because several product-form series carry a ``z^n`` term at
-q-order 0 for every n; a bounded ``zcap`` makes such sums finite while still
-determining every coefficient with z-exponent <= zcap exactly.  It is the
-formal-series replacement for an analytic smallness assumption on z.
+Every series carries an integer z-cap: the q-cap, unless a caller gives
+one.  Several product-form series carry a ``z^n`` term at q-order 0 for
+every n, and the z-cap makes such sums finite while still determining every
+coefficient with z-exponent <= zcap exactly; it is the formal-series
+replacement for an analytic smallness assumption on z.  Since no monomial
+has a negative exponent, dropping the terms past a cap commutes with every
+ring operation.  The default cap loses nothing in the paper's series: a
+k-measure, a Durfee side or a number of runs never exceeds the length, nor
+the length the size, so their z-exponent is at most their q-exponent.
 
 Storage is dense in q and packed in y (Kronecker substitution; von zur
 Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  One class holds
@@ -56,16 +61,15 @@ view, decoded once when something reads coefficients back: ``terms``,
 
 from __future__ import annotations
 
-from sys import maxsize
 
-_KEEP = object()  # sentinel: "keep the current z-cap"
-
-
-def _check_caps(qcap: int, zcap: int | None):
+def _check_caps(qcap: int, zcap: int | None) -> int:
+    """The z-cap, which None makes the q-cap, once both caps are checked."""
     if qcap < 0:
         raise ValueError("qcap must be nonnegative")
-    if zcap is not None and zcap < 0:
-        raise ValueError("zcap must be nonnegative or None")
+    zcap = qcap if zcap is None else zcap
+    if zcap < 0:
+        raise ValueError("zcap must be nonnegative")
+    return zcap
 
 
 def _check_sign(sign) -> int:
@@ -199,9 +203,10 @@ def _row_mul(acc: dict, ra: dict, rb: dict, limit: int):
 class TriSeries:
     """Truncated trivariate formal power series with exact coefficients.
 
-    ``qcap`` is the largest retained q-exponent; ``zcap`` is the largest
-    retained z-exponent, or ``None`` for no z truncation.  With no rows the
-    series is zero; rows and bound are given together.
+    ``qcap`` is the largest retained q-exponent and ``zcap`` the largest
+    retained z-exponent; a ``zcap`` of None at construction means the
+    q-cap.  With no rows the series is zero; rows and bound are given
+    together.
 
     ``rows[j]`` maps a z-exponent f to the integer y-polynomial of q^j z^f
     evaluated at y = 2^width.  Every step is a ring operation of Z[y] (add,
@@ -231,7 +236,7 @@ class TriSeries:
 
     def __init__(self, qcap: int, zcap: int | None = None, width: int | None = None,
                  rows: list | None = None, bound: list | None = None):
-        _check_caps(qcap, zcap)
+        zcap = _check_caps(qcap, zcap)
         if rows is None:
             rows, bound = [{} for _ in range(qcap + 1)], [0] * (qcap + 1)
         self.qcap, self.zcap = qcap, zcap
@@ -273,13 +278,13 @@ class TriSeries:
     def from_terms(cls, terms, qcap: int, zcap: int | None = None) -> "TriSeries":
         """Build from an iterable of (q_exp, y_exp, z_exp, coeff) tuples.
 
-        Every term must have nonnegative int exponents and an int
-        coefficient, also one beyond the caps; such terms are dropped, and
-        repeated exponent triples are accumulated.  Inverse of
-        :meth:`terms`.  The rows are packed at the narrowest width from the
-        kernel's start up that the terms fit.
+        ``zcap = None`` means the q-cap.  Every term must have nonnegative
+        int exponents and an int coefficient, also one beyond the caps; such
+        terms are dropped, and repeated exponent triples are accumulated.
+        Inverse of :meth:`terms`.  The rows are packed at the narrowest
+        width from the kernel's start up that the terms fit.
         """
-        _check_caps(qcap, zcap)
+        zcap = _check_caps(qcap, zcap)
         layers = [{} for _ in range(qcap + 1)]
         for j, e, f, c in terms:
             if type(j) is not int or type(e) is not int or type(f) is not int:
@@ -288,7 +293,7 @@ class TriSeries:
                 raise ValueError("exponents must be nonnegative")
             if type(c) is not int:
                 raise TypeError(f"coefficient {c!r} is not an int")
-            if j > qcap or (zcap is not None and f > zcap) or c == 0:
+            if j > qcap or f > zcap or c == 0:
                 continue
             key = (e, f)
             v = layers[j].get(key, 0) + c
@@ -312,9 +317,7 @@ class TriSeries:
 
     def coefficient(self, j: int, y_exp: int = 0, z_exp: int = 0) -> int:
         """Exact coefficient of q^j y^y_exp z^z_exp; 0 if absent."""
-        if j < 0 or j > self.qcap:
-            raise ValueError("beyond truncation")
-        if self.zcap is not None and z_exp > self.zcap:
+        if j < 0 or j > self.qcap or z_exp > self.zcap:
             raise ValueError("beyond truncation")
         if y_exp < 0 or z_exp < 0:
             raise ValueError("exponents must be nonnegative")
@@ -384,10 +387,6 @@ class TriSeries:
             raise ValueError(
                 f"mismatched q-caps: {self.qcap} vs {other.qcap}"
             )
-        if self.zcap is None:
-            return self.qcap, other.zcap
-        if other.zcap is None:
-            return self.qcap, self.zcap
         return self.qcap, min(self.zcap, other.zcap)
 
     def _sum(self, other, sign: Monomial) -> "TriSeries":
@@ -414,7 +413,6 @@ class TriSeries:
         and its majorant is the same Cauchy sum of the majorants.
         """
         qcap, zcap = self._merged_caps(other)
-        limit = maxsize if zcap is None else zcap
         bound = [sum(self.bound[i] * other.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)]
         width = _slot_width(max(bound).bit_length(), max(self.width, other.width))
         a, b = self._copy(width, zcap), other._copy(width, zcap)
@@ -422,7 +420,7 @@ class TriSeries:
         for j1, ra in enumerate(a.rows):
             if ra:
                 for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
-                    _row_mul(product.rows[j1 + j2], ra, rb, limit)
+                    _row_mul(product.rows[j1 + j2], ra, rb, zcap)
         return product
 
     def times_monomial(self, m: Monomial) -> "TriSeries":
@@ -444,7 +442,6 @@ class TriSeries:
         self._check()
         if self.rows[0] != {0: 1}:
             raise ValueError("not a formal unit under these caps")
-        limit = maxsize if zcap is None else zcap
         bound = self.bound
         out_bound = [1]
         for j in range(1, qcap + 1):
@@ -456,7 +453,7 @@ class TriSeries:
             acc = {}
             for i in range(1, j + 1):
                 if rows[i]:
-                    _row_mul(acc, rows[i], out[j - i], limit)
+                    _row_mul(acc, rows[i], out[j - i], zcap)
             out.append({f: -v for f, v in acc.items()})
         return TriSeries(qcap, zcap, width, out, out_bound)
 
@@ -514,28 +511,26 @@ class TriSeries:
         z-exponents when sign is -1, sum to one int of the same width under
         the same majorant.
 
-        The result carries no z content, so its zcap is unbounded.  If this
-        series was z-truncated the substitution only sums the retained
-        z-range (the caller decides whether that is meaningful).
+        The result keeps this series' z-cap.  It sums only the retained
+        z-range, which is all of it for a series whose z-exponent never
+        exceeds its q-exponent.
         """
         _check_sign(sign)
         rows = []
         for row in self.rows:
             v = sum(x * sign**f for f, x in row.items())
             rows.append({0: v} if v else {})
-        return TriSeries(self.qcap, None, self.width, rows, list(self.bound))
+        return TriSeries(self.qcap, self.zcap, self.width, rows, list(self.bound))
 
-    def truncate(self, qcap: int | None = None, zcap=_KEEP) -> "TriSeries":
-        """Re-truncate to tighter caps.
+    def truncate(self, qcap: int | None = None, zcap: int | None = None) -> "TriSeries":
+        """Re-truncate to tighter caps; a cap of None keeps the current one.
 
         Loosening a cap is an error: the dropped terms are unknown.
         """
         new_q = self.qcap if qcap is None else qcap
-        new_z = self.zcap if zcap is _KEEP else zcap
+        new_z = self.zcap if zcap is None else zcap
         _check_caps(new_q, new_z)
-        if new_q > self.qcap:
-            raise ValueError("beyond truncation")
-        if self.zcap is not None and (new_z is None or new_z > self.zcap):
+        if new_q > self.qcap or new_z > self.zcap:
             raise ValueError("beyond truncation")
         s = self._copy(zcap=new_z)
         s.qcap = new_q
@@ -549,13 +544,13 @@ class TriSeries:
         if max(self.bound, default=0).bit_length() >= self.width:
             raise OverflowError(f"packed slots outgrow their width {self.width}")
 
-    def _copy(self, width: int = 0, zcap=_KEEP) -> "TriSeries":
-        """A private copy of the rows without keys above ``zcap``, at this
-        width or at their own, whichever is wider."""
+    def _copy(self, width: int = 0, zcap: int | None = None) -> "TriSeries":
+        """A private copy of the rows without keys above ``zcap`` (None:
+        this series' z-cap), at this width or at their own, whichever is
+        wider."""
         self._check()
-        zcap = self.zcap if zcap is _KEEP else zcap
-        limit = maxsize if zcap is None else zcap
-        rows = [{f: v for f, v in row.items() if f <= limit} for row in self.rows]
+        zcap = self.zcap if zcap is None else zcap
+        rows = [{f: v for f, v in row.items() if f <= zcap} for row in self.rows]
         s = TriSeries(self.qcap, zcap, self.width, rows, list(self.bound))
         s._widen(width)
         return s
@@ -608,7 +603,7 @@ class TriSeries:
         self.qcap = self.qcap - m.q if m.coeff else -1
         keep = max(self.qcap + 1, 0)
         del self.rows[keep:], self.bound[keep:]
-        if self.zcap is not None and m.z:
+        if m.z:
             self.zcap -= m.z
             dropped = range(max(self.zcap + 1, 0), self.zcap + m.z + 1)
             for row in self.rows:
@@ -624,7 +619,7 @@ class TriSeries:
         follows the same recursion, and is written first.
         """
         qcap, zcap, rows, bound = self.qcap, self.zcap, self.rows, self.bound
-        if coeff == 0 or q > qcap or (zcap is not None and z > zcap):
+        if coeff == 0 or q > qcap or z > zcap:
             return
         if divide and q == 0:
             raise ValueError("dividing by (1 - m) needs a positive q-exponent")
@@ -634,7 +629,7 @@ class TriSeries:
         for j in order:
             bound[j] += factor * bound[j - q]
         self._widen()
-        limit = zcap - z if zcap is not None else maxsize
+        limit = zcap - z
         shift = self.width * y
         for j in order:
             tgt = rows[j]
@@ -755,7 +750,7 @@ def _first_difference(a: TriSeries, b: TriSeries):
             la, lb = a._decode(a.rows[j]), b._decode(b.rows[j])
             e, f = min(
                 key for key in la.keys() | lb.keys()
-                if (zcap is None or key[1] <= zcap) and la.get(key, 0) != lb.get(key, 0)
+                if key[1] <= zcap and la.get(key, 0) != lb.get(key, 0)
             )
             return j, e, f, la.get((e, f), 0), lb.get((e, f), 0)
     return None
@@ -774,7 +769,7 @@ def _pochhammer_apply(
     Factors that reduce to 1 under the caps are skipped; if all do, s
     itself is returned.
     """
-    if a.coeff == 0 or n == 0 or a.q > s.qcap or (s.zcap is not None and a.z > s.zcap):
+    if a.coeff == 0 or n == 0 or a.q > s.qcap or a.z > s.zcap:
         return s
     p = s._copy()
     p._pochhammer(a, h, n, divide)
@@ -788,8 +783,8 @@ def pochhammer_finite(
 
     Step ``h = 1`` gives the classical (a;q)_n; general h gives (a;q^h)_n.
     ``h = 0`` is legal and yields the binomial power (1-a)^n.  Factors whose
-    q-exponent exceeds qcap (or whose z-exponent exceeds a bounded zcap)
-    reduce to 1 under truncation and are skipped.
+    q-exponent exceeds qcap (or whose z-exponent exceeds zcap, by default
+    the q-cap) reduce to 1 under truncation and are skipped.
     """
     if type(h) is not int or type(n) is not int:
         raise TypeError(f"pochhammer step {h!r} and length {n!r} must be ints")

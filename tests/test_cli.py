@@ -1,5 +1,6 @@
 """CLI contract: exit codes, formats, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -253,11 +254,30 @@ def test_verify_exit_one_on_failing_check(monkeypatch, capsys):
 
     monkeypatch.setitem(identities._CHECK_FUNCS, "demo-fail", failing)
     monkeypatch.setattr(
-        identities, "default_tasks", lambda qcap, zcap, ks: [("demo-fail", "demo-fail", {})]
+        identities, "default_tasks", lambda qcap, ks: [("demo-fail", "demo-fail", {})]
     )
     code, out, _ = run(capsys, "verify", "--jobs", "1")
     assert code == 1
     assert "FAIL" in out and "1 != 2" in out
+
+
+def test_verify_has_no_zcap_option(capsys):
+    code, out, err = run(capsys, "verify", "--qcap", "3", "--zcap", "3")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --zcap 3" in err and "Traceback" not in err
+
+
+def test_verify_runs_in_the_parent_when_fork_fails(monkeypatch, capsys):
+    args = ("verify", "--qcap", "6", "--k", "1,2,3", "--format", "csv")
+    code, serial, _ = run(capsys, *args, "--jobs", "1")
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    pooled_code, pooled, err = run(capsys, *args, "--jobs", "2")
+    assert (code, pooled_code) == (0, 0) and pooled == serial
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_jobs_env_override(monkeypatch):
@@ -385,7 +405,7 @@ def test_bad_k_list_is_usage_error(capsys):
 def test_verify_raising_check_fails_alone(monkeypatch, capsys, jobs):
     import kmeasure.identities as identities
 
-    real_tasks = identities.default_tasks(4, 4, [1, 2])
+    real_tasks = identities.default_tasks(4, [1, 2])
     raising = [
         ("sum-form[weird]", "sum-form", dict(k=1, qcap=4, family="weird")),
         # members of the ("all", 2) unit whose shared series cannot be built
@@ -393,7 +413,7 @@ def test_verify_raising_check_fails_alone(monkeypatch, capsys, jobs):
         ("parity-distinct-odd[q=-1]", "parity-distinct-odd", dict(qcap=-1)),
     ]
     monkeypatch.setattr(
-        identities, "default_tasks", lambda qcap, zcap, ks: real_tasks + raising
+        identities, "default_tasks", lambda qcap, ks: real_tasks + raising
     )
     code, out, err = run(capsys, "verify", "--jobs", jobs, "--format", "json")
     assert code == 1

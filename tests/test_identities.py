@@ -1,5 +1,6 @@
 """Closed-form builders and identity checks at desk-scale truncations."""
 
+import errno
 import json
 import os
 import signal
@@ -16,6 +17,7 @@ from kmeasure.identities import (
     Mismatch,
     _Artifacts,
     _qdiff_residual,
+    bailey_daum_sides,
     default_tasks,
     distinct_measure_gf_product,
     distinct_measure_gf_sum,
@@ -32,11 +34,13 @@ from kmeasure.identities import (
     run_suite,
 )
 from kmeasure.partitions import (
+    ORACLE_FAMILIES,
     _histograms,
     durfee_gf,
     enumerate_partitions,
     kmeasure,
     measure_gf,
+    runs_gf,
     sylvester_gfs,
 )
 from kmeasure.series import (
@@ -225,6 +229,35 @@ def test_durfee_closed_form_matches_summands_built_from_scratch():
             assert durfee_gf_closed(qcap, zcap) == _reference_durfee(qcap, zcap)
 
 
+def _series_built_at_the_default_zcap(qcap):
+    """(name, series) for the series the engine builds without a z-cap of
+    its own; a builder that takes a z-cap gets one far above the q-cap."""
+    loose = 2 * qcap + 2
+    for family in ORACLE_FAMILIES:
+        for k in range(1, 8):
+            yield f"measure_gf({family}, {k})", measure_gf(qcap, k, family)
+    yield "durfee_gf", durfee_gf(qcap)
+    yield "runs_gf", runs_gf(qcap)
+    for k in range(1, 8):
+        yield f"partition_measure_gf_sum({k})", partition_measure_gf_sum(k, qcap)
+        yield f"distinct_measure_gf_sum({k})", distinct_measure_gf_sum(k, qcap)
+    yield "durfee_gf_closed", durfee_gf_closed(qcap, loose)
+    for t in (Q, YQ):
+        for sides in (euler_first_sides, bailey_daum_sides):
+            lhs, rhs = sides(t, qcap, loose)
+            yield f"{sides.__name__}({t}) lhs", lhs
+            yield f"{sides.__name__}({t}) rhs", rhs
+
+
+def test_default_zcap_drops_nothing():
+    # a k-measure, a Durfee side or a number of runs never exceeds the
+    # length, nor the length the size: every term q^j z^f has f <= j, so
+    # the default z-cap (the q-cap) drops no term of these series
+    for qcap in range(17):
+        for name, series in _series_built_at_the_default_zcap(qcap):
+            assert all(f <= j for j, _, f, _ in series.terms()), (qcap, name)
+
+
 # ----------------------------------------------------- q-difference
 
 
@@ -357,7 +390,7 @@ def test_euler_first_rejects_constant():
     with pytest.raises(ValueError):
         euler_first_sides(Monomial(1), 8, 8)
     with pytest.raises(ValueError):
-        euler_first_sides(Z, 8, None)  # z parameter without a z-cap
+        euler_first_sides(Z, 8, None)  # z parameter without a q-exponent
 
 
 def test_euler_second_parameters():
@@ -561,7 +594,7 @@ def test_report_formats_on_failure():
 
 
 def test_default_suite_runs_green():
-    tasks = default_tasks(6, 6, [1, 2])
+    tasks = default_tasks(6, [1, 2])
     reports = run_suite(tasks)
     assert reports and all(r.passed for r in reports)
     names = [(r.name, r.k) for r in reports]
@@ -569,7 +602,7 @@ def test_default_suite_runs_green():
 
 
 def test_suite_parallel_matches_serial():
-    tasks = default_tasks(5, 5, [2])
+    tasks = default_tasks(5, [2])
     serial = run_suite(tasks, jobs=1)
     parallel = run_suite(tasks, jobs=2)
     assert [(r.name, r.k, r.passed) for r in serial] == [
@@ -599,7 +632,7 @@ def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
     for fname in ("measure_gf", "durfee_gf", "partition_measure_gf_sum",
                   "distinct_measure_gf_sum"):
         counting(fname)
-    reports = run_suite(default_tasks(8, 8, [1, 2, 3]), jobs=1)
+    reports = run_suite(default_tasks(8, [1, 2, 3]), jobs=1)
     assert all(r.passed for r in reports)
 
     def counts(fname):
@@ -621,7 +654,7 @@ def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
 
 
 def test_sharing_changes_no_report():
-    tasks = default_tasks(10, 10, [1, 2, 3, 4])
+    tasks = default_tasks(10, [1, 2, 3, 4])
     alone = [report for task in tasks for report in run_suite([task])]
     alone.sort(key=lambda r: (r.name, r.k if r.k is not None else 0))
     expected = _without_elapsed(alone)
@@ -642,7 +675,7 @@ def test_checks_leave_shared_series_unchanged(monkeypatch):
             memos.append(self)
 
     monkeypatch.setattr(identities, "_Artifacts", Recording)
-    run_suite(default_tasks(10, 10, [1, 2, 3]), jobs=1)
+    run_suite(default_tasks(10, [1, 2, 3]), jobs=1)
     shared = [(key, series) for memo in memos for key, series in memo._built.items()]
     assert {key[0] for key, _ in shared} == {"measure", "closed_sum", "durfee"}
     for (getter, *args), series in shared:
@@ -660,7 +693,7 @@ def _assert_no_child_left():
 def test_suite_forks_no_more_workers_than_units(monkeypatch):
     # three units: ("all", 2), ("distinct", 2) and the Sylvester check
     tasks = [
-        task for task in default_tasks(6, 6, [2])
+        task for task in default_tasks(6, [2])
         if task[1] in ("sum-form", "durfee-equidistribution", "sylvester-runs")
     ]
     expected = _without_elapsed(run_suite(tasks, jobs=1))
@@ -693,7 +726,7 @@ def _kill(memo, **kwargs):
      "heine-limit": (_kill, -signal.SIGKILL)},
 ])
 def test_dead_worker_fails_only_its_unit(monkeypatch, dying):
-    tasks = default_tasks(6, 6, [1, 2])
+    tasks = default_tasks(6, [1, 2])
     expected = {(r["name"], r["k"]): r for r in _without_elapsed(run_suite(tasks, jobs=1))}
     for key, (die, _) in dying.items():
         monkeypatch.setitem(identities._CHECK_FUNCS, key, die)
@@ -720,7 +753,7 @@ def test_dead_worker_fails_only_its_unit(monkeypatch, dying):
 def test_lost_unit_carries_the_status_of_its_own_worker(monkeypatch):
     # The worker that takes plan unit 0 dies (status 5) before it runs a
     # check, and later workers die in the heine-general units (status 4).
-    tasks = default_tasks(6, 6, [1, 2])
+    tasks = default_tasks(6, [1, 2])
     expected = {(r["name"], r["k"]): r for r in _without_elapsed(run_suite(tasks, jobs=1))}
     units = {}
     for index, task in enumerate(tasks):
@@ -762,7 +795,7 @@ def _unreadable(data):
 def test_suite_leaves_no_pipe_open(monkeypatch, case):
     import pickle
 
-    tasks = default_tasks(6, 6, [1, 2])
+    tasks = default_tasks(6, [1, 2])
     before = sorted(os.listdir(_FDS))
     if case == "normal":
         run_suite(tasks, jobs=2)
@@ -777,6 +810,41 @@ def test_suite_leaves_no_pipe_open(monkeypatch, case):
     _assert_no_child_left()
 
 
+def _fails_after(function, count, error):
+    """``function``, which raises ``error`` once it has run ``count`` times."""
+    calls = 0
+
+    def wrapper(*args):
+        nonlocal calls
+        calls += 1
+        if calls > count:
+            raise error
+        return function(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name, count, error", [
+    # no worker starts
+    ("fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    # one real worker starts and holds a unit; the second fork fails
+    ("fork", 1, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    # one real worker starts; the second worker's result pipe cannot be made
+    ("pipe", 3, OSError(errno.EMFILE, "Too many open files")),
+])
+def test_suite_runs_in_the_parent_when_workers_cannot_start(monkeypatch, capsys, name, count, error):
+    tasks = default_tasks(6, [1, 2])
+    expected = _without_elapsed(run_suite(tasks, jobs=1))
+    fds = os.path.isdir(_FDS) and sorted(os.listdir(_FDS))
+    monkeypatch.setattr(os, name, _fails_after(getattr(os, name), count, error))
+    assert _without_elapsed(run_suite(tasks, jobs=2)) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("kmeasure: cannot run workers (") and err.count("\n") == 1
+    assert str(error) in err and "running in this process" in err
+    assert not fds or sorted(os.listdir(_FDS)) == fds
+    _assert_no_child_left()
+
+
 def test_suite_reaps_its_workers_when_the_parent_raises(monkeypatch):
     import pickle
 
@@ -785,7 +853,7 @@ def test_suite_reaps_its_workers_when_the_parent_raises(monkeypatch):
 
     monkeypatch.setattr(pickle, "loads", broken)
     with pytest.raises(RuntimeError, match="unreadable batch"):
-        run_suite(default_tasks(6, 6, [1, 2]), jobs=2)
+        run_suite(default_tasks(6, [1, 2]), jobs=2)
     _assert_no_child_left()
 
 

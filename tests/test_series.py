@@ -329,9 +329,12 @@ def test_lines_golden_pochhammer():
 
 
 def test_truncate_matches_direct_computation():
+    # a series keeps its z-cap when only its q-cap shrinks, so the direct
+    # computation is made at the same z-cap
     a = pochhammer_infinite(YQ, 1, 10)
-    assert a.truncate(6) == pochhammer_infinite(YQ, 1, 6)
-    prod = (a * a.invert()).truncate(4)
+    assert a.truncate(6) == pochhammer_infinite(YQ, 1, 6, 10)
+    assert a.truncate(6, 6) == pochhammer_infinite(YQ, 1, 6)
+    prod = (a * a.invert()).truncate(4, 4)
     assert prod == TriSeries.one(4)
     z10 = pochhammer_infinite(Z, 1, 8, 8)
     assert z10.truncate(zcap=3) == pochhammer_infinite(Z, 1, 8, 3)
@@ -344,7 +347,21 @@ def test_truncate_cannot_loosen():
     with pytest.raises(ValueError, match="beyond truncation"):
         s.truncate(zcap=5)
     with pytest.raises(ValueError, match="beyond truncation"):
-        s.truncate(zcap=None)
+        s.truncate(zcap=3)
+    # a cap of None keeps the current one
+    assert s.truncate(zcap=None).zcap == 2
+    assert s.truncate(3, None).zcap == 2
+
+
+def test_default_zcap_is_the_qcap():
+    assert TriSeries(4).zcap == 4
+    assert TriSeries.one(4).zcap == TriSeries.zero(4).zcap == 4
+    assert TriSeries(4) == TriSeries(4, 4)
+    # a term at z = qcap + 1 is past the default cap
+    s = S([(0, 0, 4, 1), (1, 0, 5, 1)], 4)
+    assert s.zcap == 4 and s.terms() == [(0, 0, 4, 1)]
+    with pytest.raises(ValueError, match="beyond truncation"):
+        s.coefficient(1, 0, 5)
 
 
 def test_set_z_at_one_collapses_z():
@@ -443,7 +460,7 @@ def test_substitution_matches_the_fraction_loop(value):
         for which, substitute in (("y", s.set_y), ("z", s.set_z)):
             got = substitute(value)
             assert typed(got._layers) == typed(_substitute_with_fractions(s, value, which))
-            assert got.zcap == (s.zcap if which == "y" else None)
+            assert got.zcap == s.zcap
 
 
 @pytest.mark.parametrize("value", [0, 2, -2])
