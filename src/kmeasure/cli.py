@@ -33,7 +33,9 @@ def _parse_k_list(text: str) -> list[int]:
         ks = [int(piece) for piece in text.split(",") if piece.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("k list must be comma-separated integers")
-    if not ks or any(k < 1 for k in ks):
+    if not ks:
+        raise argparse.ArgumentTypeError("k list must name at least one k")
+    if any(k < 1 for k in ks):
         raise argparse.ArgumentTypeError("each k must be a positive integer")
     return ks
 

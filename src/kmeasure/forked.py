@@ -10,18 +10,21 @@ the fixed-size index of one unit; on its result pipe the worker sends back
 that unit's pickled results, prefixed by their length.  Only then does the
 parent write the next index, so each worker holds one unit at a time and
 the parent always knows which.  Units are handed out in plan order, so the
-longest units, which come first in the plan, start first.  With no unit
-left, the parent closes the worker's task pipe, and the worker exits.  The
-parent polls every result pipe, so no worker waits on a pipe the parent is
-not reading.
+units the caller puts first start first.  With no unit left, the parent
+closes the worker's task pipe, and the worker exits.  The parent polls
+every result pipe, so no worker waits on a pipe the parent is not reading.
 
 A worker that dies (say, killed for memory) loses only the unit it held:
 that unit's results are made by the caller's ``lost`` function from the
-worker's exit status, and a new worker takes its place while units are
-left.  Workers leave only through ``os._exit``, and the parent reaps every
-one of them, also when it raises.  When a pipe or a fork fails, the
-``OSError`` reaches the caller once every worker is reaped and every pipe
-closed.  The program starts no threads, so forking is safe.
+worker's exit status, and the unit never runs again.  At the head of each
+round of polling the parent forks workers until ``workers`` are alive or no
+unit is left to hand out, so a new worker takes a dead one's place.  When a
+pipe or a fork fails, the parent closes what it opened for that worker,
+says so in one stderr line and forks no more workers in the run; the
+workers still alive take the units that are left, and a unit no worker took
+is returned as None, for the caller to run.  Workers leave only through
+``os._exit``, and the parent reaps every one of them, also when it raises.
+The program starts no threads, so forking is safe.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import os
 import pickle
 import select
+import sys
 
 _INDEX = 4  # bytes of a unit index
 _SIZE = 8  # bytes of the length of a unit's pickled results
@@ -64,10 +68,11 @@ def _worker(run_unit, plan, task_r, result_w):
 
 
 def run_forked(run_unit, lost, plan, workers: int) -> list:
-    """``[run_unit(unit) for unit in plan]``, computed in ``workers`` forked
-    processes; a unit whose worker died gives ``lost(unit, status)``, where
-    status is ``os.waitstatus_to_exitcode`` of that worker (negative for a
-    signal)."""
+    """Per plan unit, in plan order: ``run_unit(unit)``, computed in one of
+    at most ``workers`` forked processes; ``lost(unit, status)`` if the
+    worker that held the unit died, where status is
+    ``os.waitstatus_to_exitcode`` of that worker (negative for a signal);
+    or None if no worker took the unit, because a pipe or a fork failed."""
     results = [None] * len(plan)
     handed = 0  # units handed out so far, in plan order
     # result pipe -> [pid, the open ends of its task pipe, index of the unit held].
@@ -91,15 +96,18 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
             end_task(worker)
 
     def fork_worker():
+        """Start a worker and hand it a unit; True if it cannot start."""
         pipes = []
         try:
             pipes.append(os.pipe())
             pipes.append(os.pipe())
             pid = os.fork()
-        except OSError:  # no worker started: close its pipes
+        except OSError as exc:  # no worker started: close its pipes
             for fd in (fd for pipe in pipes for fd in pipe):
                 os.close(fd)
-            raise
+            print(f"kmeasure: cannot start a worker ({exc}); "
+                  "checks no worker takes run in this process", file=sys.stderr)
+            return True
         task, (result_r, result_w) = pipes
         if pid == 0:
             # a task pipe ends only once every copy of its write end is closed
@@ -111,10 +119,13 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
         poller.register(result_r, select.POLLIN)
         hand_out(worker)
 
+    failed = False  # once a worker cannot start, the run starts no more
     try:
-        for _ in range(workers):
-            fork_worker()
-        while live:
+        while True:
+            while not failed and len(live) < workers and handed < len(plan):
+                failed = fork_worker()
+            if not live:
+                return results
             for fd, _ in poller.poll():
                 worker = live[fd]
                 header = _read(fd, _SIZE)
@@ -132,8 +143,6 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if held is not None:
                     results[held] = lost(plan[held], status)
-                if handed < len(plan):
-                    fork_worker()
     finally:
         if live:  # the parent is raising: stop the workers still running
             import signal
@@ -143,4 +152,3 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
                 end_task(worker)
                 os.kill(worker[0], signal.SIGKILL)
                 os.waitpid(worker[0], 0)
-    return results

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from collections import namedtuple
 from time import perf_counter
 
@@ -595,27 +594,24 @@ def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:
     """Run checks (in parallel when jobs > 1) and sort deterministically.
 
     Tasks are grouped into units by the shared series they read, and units
-    run longest first.  With more than one unit and jobs > 1, they run in
-    min(jobs, units) forked workers (see :mod:`kmeasure.forked`); otherwise,
-    where the platform has no fork, or when a pipe or a worker cannot be
-    made, they run in this process.
+    with more tasks run first.  With more than one unit and jobs > 1, they
+    run in min(jobs, units) forked workers (see :mod:`kmeasure.forked`); a
+    unit whose worker died reports its loss and never runs again.  Units no
+    worker took run in this process: all of them when there is one unit,
+    one job, or no fork on the platform, and those left over when a pipe or
+    a worker cannot be made.
     """
     units = {}
     for index, task in enumerate(tasks):
         units.setdefault(_unit_key(index, task), []).append(task)
     plan = sorted(units.values(), key=len, reverse=True)
     workers = min(jobs, len(plan)) if hasattr(os, "fork") else 1
-    batches = None
+    batches = [None] * len(plan)
     if workers > 1:
         from .forked import run_forked  # serial runs never compile or import it
 
-        try:
-            batches = run_forked(_run_unit, _lost_unit, plan, workers)
-        except OSError as exc:  # run_forked has reaped every worker it started
-            print(f"kmeasure: cannot run workers ({exc}); running in this process",
-                  file=sys.stderr)
-    if batches is None:
-        batches = [_run_unit(unit) for unit in plan]
+        batches = run_forked(_run_unit, _lost_unit, plan, workers)
+    batches = [_run_unit(unit) if batch is None else batch for unit, batch in zip(plan, batches)]
     reports = [report for batch in batches for report in batch]
     return sorted(reports, key=lambda r: (r.name, r.k if r.k is not None else 0))
 

@@ -267,17 +267,33 @@ def test_verify_has_no_zcap_option(capsys):
     assert "unrecognized arguments: --zcap 3" in err and "Traceback" not in err
 
 
-def test_verify_runs_in_the_parent_when_fork_fails(monkeypatch, capsys):
+def test_verify_runs_in_the_parent_when_fork_fails(monkeypatch, capsys, tmp_path):
+    import kmeasure.identities as identities
+
     args = ("verify", "--qcap", "6", "--k", "1,2,3", "--format", "csv")
     code, serial, _ = run(capsys, *args, "--jobs", "1")
+    ran, run_unit = tmp_path / "ran", identities._run_unit
+
+    def logged(unit):
+        with open(ran, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return run_unit(unit)
+
+    error = BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
     def fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        raise error
 
+    monkeypatch.setattr(identities, "_run_unit", logged)
     monkeypatch.setattr(os, "fork", fork)
     pooled_code, pooled, err = run(capsys, *args, "--jobs", "2")
     assert (code, pooled_code) == (0, 0) and pooled == serial
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err == (f"kmeasure: cannot start a worker ({error}); "
+                   "checks no worker takes run in this process\n")
+    # every unit ran once, in this process
+    tasks = identities.default_tasks(6, [1, 2, 3])
+    units = {identities._unit_key(index, task) for index, task in enumerate(tasks)}
+    assert ran.read_text().split() == [str(os.getpid())] * len(units)
 
 
 def test_jobs_env_override(monkeypatch):
@@ -399,6 +415,17 @@ def test_bad_flag_is_usage_error(capsys):
 
 def test_bad_k_list_is_usage_error(capsys):
     assert main(["verify", "--k", "1,0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--k", " "), ("verify", "--k", ","), ("verify", "--k", ""),
+    ("stats", "4,3,1", "--k", " , "),
+])
+def test_empty_k_list_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: argument --k: k list must name at least one k" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

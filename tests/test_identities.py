@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import select
 import signal
 
 import pytest
@@ -824,6 +825,38 @@ def _fails_after(function, count, error):
     return wrapper
 
 
+def _unit_names(tasks):
+    """The units ``run_suite`` plans for ``tasks``, by the name of each
+    unit's first check."""
+    units = {}
+    for index, task in enumerate(tasks):
+        units.setdefault(identities._unit_key(index, task), []).append(task)
+    return {_unit_name(unit): unit for unit in units.values()}
+
+
+def _unit_name(unit):
+    name, _, kwargs = unit[0]
+    return f"{name}@{kwargs.get('k')}"
+
+
+def _log_units(monkeypatch, path):
+    """Make every run of a unit, in any process, append its pid and unit
+    name to ``path``; return a function that reads them back as pairs."""
+    run_unit = identities._run_unit
+
+    def logged(unit):
+        with open(path, "a") as log:  # appends from several processes land whole
+            log.write(f"{os.getpid()} {_unit_name(unit)}\n")
+        return run_unit(unit)
+
+    monkeypatch.setattr(identities, "_run_unit", logged)
+    return lambda: [(int(pid), name) for pid, name in map(str.split, path.read_text().splitlines())]
+
+
+def _cannot_start(error):
+    return f"kmeasure: cannot start a worker ({error}); checks no worker takes run in this process\n"
+
+
 @pytest.mark.parametrize("name, count, error", [
     # no worker starts
     ("fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
@@ -832,16 +865,80 @@ def _fails_after(function, count, error):
     # one real worker starts; the second worker's result pipe cannot be made
     ("pipe", 3, OSError(errno.EMFILE, "Too many open files")),
 ])
-def test_suite_runs_in_the_parent_when_workers_cannot_start(monkeypatch, capsys, name, count, error):
+def test_suite_runs_in_the_parent_when_workers_cannot_start(
+    monkeypatch, capsys, tmp_path, name, count, error
+):
     tasks = default_tasks(6, [1, 2])
+    units = sorted(_unit_names(tasks))
     expected = _without_elapsed(run_suite(tasks, jobs=1))
     fds = os.path.isdir(_FDS) and sorted(os.listdir(_FDS))
+    runs = _log_units(monkeypatch, tmp_path / "runs")
     monkeypatch.setattr(os, name, _fails_after(getattr(os, name), count, error))
     assert _without_elapsed(run_suite(tasks, jobs=2)) == expected
-    err = capsys.readouterr().err
-    assert err.startswith("kmeasure: cannot run workers (") and err.count("\n") == 1
-    assert str(error) in err and "running in this process" in err
+    assert capsys.readouterr().err == _cannot_start(error)
+    # Each unit runs once.  With no worker, all of them run in this process;
+    # with one, that worker takes them all.
+    assert sorted(unit for _, unit in runs()) == units
+    in_parent = sorted(unit for pid, unit in runs() if pid == os.getpid())
+    assert in_parent == (units if count == 0 else [])
     assert not fds or sorted(os.listdir(_FDS)) == fds
+    _assert_no_child_left()
+
+
+def test_failed_replacement_fork_reruns_no_unit(monkeypatch, capsys, tmp_path):
+    # The worker that holds the ("all", 2) unit dies in durfee-closed-form
+    # (status 3), and the fork that would replace it, the third, fails.  The
+    # other worker waits, in every other unit, for that fork to be tried, so
+    # the death and the failed fork come while units are left to hand out.
+    tasks = default_tasks(20, [1, 2, 3])
+    units = _unit_names(tasks)
+    lost = max(units.values(), key=len)  # plan unit 0, ("all", 2)
+    expected = _without_elapsed(run_suite(tasks, jobs=1))
+    parent, gate = os.getpid(), os.pipe()
+    closed_form = identities._CHECK_FUNCS["durfee-closed-form"]
+
+    def dies_in_workers(memo, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return closed_form(memo, **kwargs)
+
+    monkeypatch.setitem(identities._CHECK_FUNCS, "durfee-closed-form", dies_in_workers)
+    runs = _log_units(monkeypatch, tmp_path / "runs")
+    logged = identities._run_unit
+
+    def gated(unit):
+        if os.getpid() != parent and unit != lost:
+            select.select([gate[0]], [], [], 60)  # the failing fork opens the gate
+        return logged(unit)
+
+    monkeypatch.setattr(identities, "_run_unit", gated)
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) <= 2:
+            return real_fork()
+        os.write(gate[1], b"x")
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    try:
+        reports = _without_elapsed(run_suite(tasks, jobs=2))
+    finally:
+        os.close(gate[0])
+        os.close(gate[1])
+    assert len(forks) == 3  # two real workers, and no fork after the failed one
+    assert capsys.readouterr().err == _cannot_start(
+        BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"))
+    lost_checks = {(name, kwargs.get("k")) for name, _, kwargs in lost}
+    for report, want in zip(reports, expected, strict=True):
+        if (want["name"], want["k"]) in lost_checks:
+            want = dict(want, passed=False, first_failure=None,
+                        error="ChildProcessError: worker exited with status 3")
+        assert report == want
+    # every unit ran exactly once, each in a worker
+    assert sorted(unit for _, unit in runs()) == sorted(units)
+    assert all(pid != parent for pid, _ in runs())
     _assert_no_child_left()
 
 
