@@ -399,7 +399,14 @@ def test_passing_verify_decodes_no_series(monkeypatch, capsys):
 def test_verify_dead_worker_fails_only_its_check(monkeypatch, capsys):
     import kmeasure.identities as identities
 
-    monkeypatch.setitem(identities._CHECK_FUNCS, "sylvester-runs", lambda memo, **kwargs: os._exit(3))
+    parent = os.getpid()
+
+    def dies_in_workers(memo, **kwargs):
+        if os.getpid() == parent:  # fail here rather than end pytest
+            raise AssertionError("a lost unit ran in the parent")
+        os._exit(3)
+
+    monkeypatch.setitem(identities._CHECK_FUNCS, "sylvester-runs", dies_in_workers)
     code, out, err = run(capsys, "verify", "--qcap", "6", "--k", "1,2", "--jobs", "2")
     assert code == 1 and "Traceback" not in err
     failed = [line for line in out.splitlines() if " FAIL " in line]

@@ -686,6 +686,27 @@ def test_checks_leave_shared_series_unchanged(monkeypatch):
 # ------------------------------------------------------ forked workers
 
 
+def test_plan_is_the_task_order(monkeypatch):
+    # Units start in the order their first task appears, and the default
+    # suite lists its costliest check first.
+    from kmeasure import forked
+
+    plans = []
+
+    def no_workers(run_unit, lost, plan, workers):
+        plans.append(plan)
+        return [None] * len(plan)  # every unit runs in this process
+
+    monkeypatch.setattr(forked, "run_forked", no_workers)
+    tasks = default_tasks(6, [1, 2])
+    assert all(r.passed for r in run_suite(tasks, jobs=2))
+    (plan,) = plans
+    assert sum(map(len, plan)) == len(tasks)
+    firsts = [tasks.index(unit[0]) for unit in plan]
+    assert firsts == sorted(firsts)
+    assert [name for name, _, _ in plan[0]] == ["heine-general[h=1]"]
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -710,11 +731,26 @@ def test_suite_forks_no_more_workers_than_units(monkeypatch):
     _assert_no_child_left()
 
 
+_TEST_PROCESS = os.getpid()
+
+
+def _refuse_the_parent():
+    """Fail a lost unit that runs in the test process, which would
+    otherwise end pytest with no summary and no test name."""
+    if os.getpid() == _TEST_PROCESS:
+        raise AssertionError("a lost unit ran in the parent")
+
+
 def _exit(status):
-    return lambda memo, **kwargs: os._exit(status)
+    def die(memo, **kwargs):
+        _refuse_the_parent()
+        os._exit(status)
+
+    return die
 
 
 def _kill(memo, **kwargs):
+    _refuse_the_parent()
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -753,15 +789,15 @@ def test_dead_worker_fails_only_its_unit(monkeypatch, dying):
 
 def test_lost_unit_carries_the_status_of_its_own_worker(monkeypatch):
     # The worker that takes plan unit 0 dies (status 5) before it runs a
-    # check, and later workers die in the heine-general units (status 4).
+    # check, and later workers die in the euler-first units (status 4).
     tasks = default_tasks(6, [1, 2])
     expected = {(r["name"], r["k"]): r for r in _without_elapsed(run_suite(tasks, jobs=1))}
     units = {}
     for index, task in enumerate(tasks):
         units.setdefault(identities._unit_key(index, task), []).append(task)
-    first = max(units.values(), key=len)  # plan unit 0, ("all", 2)
+    first = next(iter(units.values()))  # plan unit 0, heine-general[h=1]
     statuses = {(name, kwargs.get("k")): 5 for name, _, kwargs in first}
-    statuses.update({(name, None): 4 for name, key, _ in tasks if key == "heine-general"})
+    statuses.update({(name, None): 4 for name, key, _ in tasks if key == "euler-first"})
     parent, real_read = os.getpid(), os.read
 
     def read(fd, size):
@@ -771,7 +807,7 @@ def test_lost_unit_carries_the_status_of_its_own_worker(monkeypatch):
         return data
 
     monkeypatch.setattr(os, "read", read)
-    monkeypatch.setitem(identities._CHECK_FUNCS, "heine-general", _exit(4))
+    monkeypatch.setitem(identities._CHECK_FUNCS, "euler-first", _exit(4))
     reports = _without_elapsed(run_suite(tasks, jobs=2))
     assert len(reports) == len(tasks)
     for report in reports:
@@ -888,11 +924,14 @@ def test_suite_runs_in_the_parent_when_workers_cannot_start(
 def test_failed_replacement_fork_reruns_no_unit(monkeypatch, capsys, tmp_path):
     # The worker that holds the ("all", 2) unit dies in durfee-closed-form
     # (status 3), and the fork that would replace it, the third, fails.  The
-    # other worker waits, in every other unit, for that fork to be tried, so
-    # the death and the failed fork come while units are left to hand out.
+    # other worker waits, in every unit the plan puts after that one, for
+    # that fork to be tried, so the death and the failed fork come while
+    # units are left to hand out.
     tasks = default_tasks(20, [1, 2, 3])
     units = _unit_names(tasks)
-    lost = max(units.values(), key=len)  # plan unit 0, ("all", 2)
+    plan = list(units.values())
+    lost = units["sum-form[all]@2"]
+    later = plan[plan.index(lost) + 1:]
     expected = _without_elapsed(run_suite(tasks, jobs=1))
     parent, gate = os.getpid(), os.pipe()
     closed_form = identities._CHECK_FUNCS["durfee-closed-form"]
@@ -907,7 +946,7 @@ def test_failed_replacement_fork_reruns_no_unit(monkeypatch, capsys, tmp_path):
     logged = identities._run_unit
 
     def gated(unit):
-        if os.getpid() != parent and unit != lost:
+        if os.getpid() != parent and unit in later:
             select.select([gate[0]], [], [], 60)  # the failing fork opens the gate
         return logged(unit)
 
