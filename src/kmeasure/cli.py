@@ -2,7 +2,8 @@
 
 Exit status contract: 0 when everything checked passed, 1 when at least one
 identity or equidistribution claim failed or the reader closed stdout, 2 on
-usage or parse errors.
+usage or parse errors, 130 on an interrupt (SIGINT, as from Ctrl-C), which
+ends a run with one stderr line and no worker left running.
 Plain and csv output carry no timings, so identical configurations produce
 byte-identical output; json includes per-check elapsed_ms.
 """
@@ -229,6 +230,11 @@ def entrypoint():
         # at exit raises no second error, and exit 1 as on EPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except KeyboardInterrupt:
+        # the pool has reaped its workers on the way out; 128 + SIGINT, as
+        # a shell reports a command that SIGINT ended
+        print("kmeasure: interrupted", file=sys.stderr)
+        sys.exit(130)
     sys.exit(code)
 
 

@@ -194,13 +194,7 @@ class Mismatch(namedtuple("Mismatch", "q_exp y_exp z_exp lhs rhs")):
     __slots__ = ()
 
     def to_dict(self):
-        return {
-            "q_exp": self.q_exp,
-            "y_exp": self.y_exp,
-            "z_exp": self.z_exp,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
+        return {**self._asdict(), "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
     def __str__(self):
         return (
@@ -218,17 +212,12 @@ class IdentityReport(namedtuple(
     __slots__ = ()
 
     def to_dict(self):
-        out = {
-            "name": self.name,
-            "k": self.k,
-            "qcap": self.qcap,
-            "zcap": self.zcap,
-            "passed": self.passed,
-            "first_failure": (
-                None if self.first_failure is None else self.first_failure.to_dict()
-            ),
-            "elapsed_ms": round(self.elapsed * 1000, 3),
-        }
+        """The fields in order, with ``elapsed`` in ms as ``elapsed_ms``, and
+        ``error`` only when it is set."""
+        out = self._asdict()
+        del out["elapsed"], out["error"]
+        out["first_failure"] = self.first_failure and self.first_failure.to_dict()
+        out["elapsed_ms"] = round(self.elapsed * 1000, 3)
         if self.error is not None:
             out["error"] = self.error
         return out

@@ -55,11 +55,13 @@ series whose q^0 row is exactly 1.  Equality and the checks of
 :mod:`kmeasure.identities` compare rows as ints, which is a proof under the
 majorant (:func:`_first_difference`).
 The ``{(y_exp, z_exp): coefficient}`` dict layers of a series are only a
-view, decoded once when something reads coefficients back: ``terms``,
-``coefficient``, a rendering, or a failure report.
+view, decoded once when something reads coefficients back: ``terms``, a
+rendering, or a failure report.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 
 def _check_caps(qcap: int, zcap: int | None) -> int:
@@ -81,7 +83,7 @@ def _check_sign(sign) -> int:
     return sign
 
 
-class Monomial:
+class Monomial(namedtuple("Monomial", "coeff q y z")):
     """A signed integer multiple of ``q^q * y^y * z^z``.
 
     Monomials are the parameter type for Pochhammer products and for
@@ -92,43 +94,16 @@ class Monomial:
     are immutable and hashable.
     """
 
-    __slots__ = ("coeff", "q", "y", "z")
+    __slots__ = ()
 
-    def __init__(self, coeff: int, q: int = 0, y: int = 0, z: int = 0):
+    def __new__(cls, coeff: int, q: int = 0, y: int = 0, z: int = 0):
         if type(q) is not int or type(y) is not int or type(z) is not int:
             raise TypeError(f"monomial exponents {(q, y, z)!r} are not all ints")
         if q < 0 or y < 0 or z < 0:
             raise ValueError("monomial exponents must be nonnegative")
         if type(coeff) is not int:
             raise TypeError(f"monomial coefficient {coeff!r} is not an int")
-        init = object.__setattr__
-        init(self, "coeff", coeff)
-        init(self, "q", q)
-        init(self, "y", y)
-        init(self, "z", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return self.coeff, self.q, self.y, self.z
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return Monomial, self._values()
-
-    def __repr__(self):
-        return "Monomial(coeff=%r, q=%r, y=%r, z=%r)" % self._values()
+        return super().__new__(cls, coeff, q, y, z)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(
@@ -278,21 +253,16 @@ class TriSeries:
     def from_terms(cls, terms, qcap: int, zcap: int | None = None) -> "TriSeries":
         """Build from an iterable of (q_exp, y_exp, z_exp, coeff) tuples.
 
-        ``zcap = None`` means the q-cap.  Every term must have nonnegative
-        int exponents and an int coefficient, also one beyond the caps; such
-        terms are dropped, and repeated exponent triples are accumulated.
-        Inverse of :meth:`terms`.  The rows are packed at the narrowest
+        ``zcap = None`` means the q-cap.  Every term must make a valid
+        :class:`Monomial`, also one beyond the caps; such terms are dropped,
+        and repeated exponent triples are accumulated.  Inverse of
+        :meth:`terms`.  The rows are packed at the narrowest
         width from the kernel's start up that the terms fit.
         """
         zcap = _check_caps(qcap, zcap)
         layers = [{} for _ in range(qcap + 1)]
         for j, e, f, c in terms:
-            if type(j) is not int or type(e) is not int or type(f) is not int:
-                raise TypeError(f"exponents {(j, e, f)!r} are not all ints")
-            if j < 0 or e < 0 or f < 0:
-                raise ValueError("exponents must be nonnegative")
-            if type(c) is not int:
-                raise TypeError(f"coefficient {c!r} is not an int")
+            Monomial(c, j, e, f)
             if j > qcap or f > zcap or c == 0:
                 continue
             key = (e, f)
@@ -314,14 +284,6 @@ class TriSeries:
             for (e, f) in sorted(layer):
                 out.append((j, e, f, layer[(e, f)]))
         return out
-
-    def coefficient(self, j: int, y_exp: int = 0, z_exp: int = 0) -> int:
-        """Exact coefficient of q^j y^y_exp z^z_exp; 0 if absent."""
-        if j < 0 or j > self.qcap or z_exp > self.zcap:
-            raise ValueError("beyond truncation")
-        if y_exp < 0 or z_exp < 0:
-            raise ValueError("exponents must be nonnegative")
-        return self._layers[j].get((y_exp, z_exp), 0)
 
     def is_zero(self) -> bool:
         """True iff the series is zero; empty rows prove it only under the
@@ -357,11 +319,7 @@ class TriSeries:
         Lines are sorted by ascending q-exponent, then y, then z.  This is
         the stable format used by golden-file tests.
         """
-        out = []
-        for j, layer in enumerate(self._layers):
-            for (e, f) in sorted(layer):
-                out.append(f"{layer[(e, f)]} * q^{j} y^{e} z^{f}")
-        return out
+        return [f"{c} * q^{j} y^{e} z^{f}" for j, e, f, c in self.terms()]
 
     def __str__(self):
         return "\n".join(self.lines()) if self._nterms else "0"
@@ -402,9 +360,6 @@ class TriSeries:
 
     def __sub__(self, other):
         return self._sum(other, _MINUS_ONE)
-
-    def __neg__(self):
-        return self.times_monomial(_MINUS_ONE)
 
     def __mul__(self, other):
         """Cauchy product, truncated at the (merged) caps.
@@ -521,21 +476,6 @@ class TriSeries:
             v = sum(x * sign**f for f, x in row.items())
             rows.append({0: v} if v else {})
         return TriSeries(self.qcap, self.zcap, self.width, rows, list(self.bound))
-
-    def truncate(self, qcap: int | None = None, zcap: int | None = None) -> "TriSeries":
-        """Re-truncate to tighter caps; a cap of None keeps the current one.
-
-        Loosening a cap is an error: the dropped terms are unknown.
-        """
-        new_q = self.qcap if qcap is None else qcap
-        new_z = self.zcap if zcap is None else zcap
-        _check_caps(new_q, new_z)
-        if new_q > self.qcap or new_z > self.zcap:
-            raise ValueError("beyond truncation")
-        s = self._copy(zcap=new_z)
-        s.qcap = new_q
-        del s.rows[new_q + 1:], s.bound[new_q + 1:]
-        return s
 
     # ------------------------------------------------------ in-place kernel
 

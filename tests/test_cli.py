@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -346,6 +347,32 @@ def test_closed_stdout_exits_one_without_a_traceback(argv):
     assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_interrupt_exits_130_in_one_line_and_leaves_no_worker(jobs):
+    # Ctrl-C sends SIGINT to the whole foreground process group, workers too.
+    # A runner that starts tests in the background ignores SIGINT, and a child
+    # would inherit that, so the child gets the default disposition back.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kmeasure.cli", "verify", "--qcap", "200", "--jobs", jobs],
+        env=src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        try:
+            proc.wait(timeout=1)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert err == "kmeasure: interrupted\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
 def test_serial_verify_never_imports_the_pool():
     # nor fractions: the series kernel is integer-only
     script = (
@@ -365,7 +392,7 @@ def test_serial_verify_never_imports_the_pool():
 
 
 def test_cli_import_pulls_in_no_dataclasses():
-    # the records are plain classes: dataclasses, and the inspect module it
+    # the records are namedtuples: dataclasses, and the inspect module it
     # imports, would add about 10 ms to the start-up of every process
     script = (
         "import sys\n"

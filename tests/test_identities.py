@@ -55,6 +55,7 @@ from kmeasure.series import (
     pochhammer_finite,
     pochhammer_infinite,
 )
+from series_reads import coefficients, truncated
 
 
 # ----------------------------------------------------------- sum forms
@@ -109,7 +110,7 @@ def test_sum_forms_reject_bad_k():
 
 def test_partition_product_form_cross_check():
     got = partition_measure_gf_product(2, 3, 3)
-    want = partition_measure_gf_sum(2, 3).truncate(zcap=3)
+    want = truncated(partition_measure_gf_sum(2, 3), zcap=3)
     assert got == want
 
 
@@ -131,9 +132,9 @@ def test_partition_product_form_rejects_k1():
 
 def test_distinct_product_form_cross_checks():
     got = distinct_measure_gf_product(1, 4, 4)
-    assert got == distinct_measure_gf_sum(1, 4).truncate(zcap=4)
+    assert got == truncated(distinct_measure_gf_sum(1, 4), zcap=4)
     got = distinct_measure_gf_product(3, 5, 5)
-    assert got == measure_gf(5, 3, "distinct").truncate(zcap=5)
+    assert got == truncated(measure_gf(5, 3, "distinct"), zcap=5)
 
 
 # ------------------------------------------------------------- durfee
@@ -144,7 +145,7 @@ def test_durfee_closed_form_order_zero():
 
 
 def test_durfee_closed_form_square_coefficient():
-    assert durfee_gf_closed(4).coefficient(4, 2, 2) == 1
+    assert coefficients(durfee_gf_closed(4))[4, 2, 2] == 1
 
 
 def test_durfee_closed_form_matches_enumeration():
@@ -460,7 +461,8 @@ def test_failing_building_block_reports_its_first_difference(monkeypatch):
     qcap = 8
     lhs, rhs = euler_second_sides(YQ, qcap, 4)
     extra = TriSeries.from_terms([(3, 1, 0, 1)], qcap, 4)
-    expected = Mismatch(3, 1, 0, lhs.coefficient(3, 1), rhs.coefficient(3, 1) + 1)
+    a, b = coefficients(lhs).get((3, 1, 0), 0), coefficients(rhs).get((3, 1, 0), 0)
+    expected = Mismatch(3, 1, 0, a, b + 1)
     real = identities.pochhammer_infinite
     monkeypatch.setattr(
         identities, "pochhammer_infinite", lambda *args: real(*args) + extra
@@ -545,8 +547,9 @@ def test_failing_nonnegativity_reports_the_first_bad_term(monkeypatch):
 def test_failing_parity_reports_the_first_n_of_either_pair(monkeypatch):
     def loop(signs, counts, product, qcap):
         # the per-n scan the check made before it compared series
+        rows = [coefficients(s) for s in (signs, counts, product)]
         for n in range(qcap + 1):
-            a, b, c = signs.coefficient(n), counts.coefficient(n), product.coefficient(n)
+            a, b, c = (row.get((n, 0, 0), 0) for row in rows)
             if a != b:
                 return Mismatch(n, 0, 0, a, b)
             if b != c:

@@ -23,6 +23,7 @@ from kmeasure.partitions import (
     sylvester_gfs,
 )
 from kmeasure.series import Monomial, Q, TriSeries, YQ, pochhammer_infinite
+from series_reads import coefficients
 
 
 def test_enumerate_all_of_four():
@@ -172,8 +173,8 @@ def test_measure_gf_total_mass_is_partition_count():
 def test_durfee_gf_layers():
     gf = durfee_gf(4)
     assert [(j, e, f, c) for (j, e, f, c) in gf.terms() if j == 1] == [(1, 1, 1, 1)]
-    assert gf.coefficient(4, 2, 2) == 1  # only (2,2) has a 2x2 square with 2 parts
-    assert gf.coefficient(0, 0, 0) == 1
+    assert coefficients(gf)[4, 2, 2] == 1  # only (2,2) has a 2x2 square with 2 parts
+    assert coefficients(gf)[0, 0, 0] == 1
 
 
 def _enumerated_gf(qcap, statistic, family="all"):

@@ -1,5 +1,6 @@
 """Series arithmetic: constructors, exactness, Pochhammer products, rendering."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from kmeasure.series import (
     pochhammer_finite,
     pochhammer_infinite,
 )
+from series_reads import coefficients, truncated
 
 
 Y = Monomial(1, y=1)
@@ -250,8 +252,8 @@ def test_pochhammer_infinite_distinct_odd_parts():
         sum(1 for _ in enumerate_partitions(n, "distinct-odd")) for n in range(qcap + 1)
     ]
     assert expected == [1, 1, 0, 1, 1, 1, 1]
-    s = pochhammer_infinite(Monomial(-1, q=1), 2, qcap)
-    assert [s.coefficient(n) for n in range(qcap + 1)] == expected
+    s = coefficients(pochhammer_infinite(Monomial(-1, q=1), 2, qcap))
+    assert [s.get((n, 0, 0), 0) for n in range(qcap + 1)] == expected
 
 
 def test_pochhammer_infinite_z_under_caps():
@@ -298,24 +300,16 @@ def test_scale_y_bookkeeping():
 
 
 def test_coefficient_lookup():
-    s = pochhammer_finite(Z, 1, 2, 6)
-    assert s.coefficient(1, 0, 2) == 1
-    assert s.coefficient(1, 0, 1) == -1
-    assert s.coefficient(5, 0, 0) == 0
+    s = coefficients(pochhammer_finite(Z, 1, 2, 6))
+    assert s[1, 0, 2] == 1
+    assert s[1, 0, 1] == -1
+    assert (5, 0, 0) not in s
 
 
 def test_coefficient_of_zero_series():
     z = TriSeries.zero(4)
-    assert z.coefficient(3, 1, 1) == 0
+    assert coefficients(z) == {}
     assert z.is_zero()
-
-
-def test_coefficient_beyond_truncation():
-    s = TriSeries.one(4, zcap=2)
-    with pytest.raises(ValueError, match="beyond truncation"):
-        s.coefficient(5)
-    with pytest.raises(ValueError, match="beyond truncation"):
-        s.coefficient(2, 0, 3)
 
 
 def test_lines_golden_pochhammer():
@@ -332,25 +326,12 @@ def test_truncate_matches_direct_computation():
     # a series keeps its z-cap when only its q-cap shrinks, so the direct
     # computation is made at the same z-cap
     a = pochhammer_infinite(YQ, 1, 10)
-    assert a.truncate(6) == pochhammer_infinite(YQ, 1, 6, 10)
-    assert a.truncate(6, 6) == pochhammer_infinite(YQ, 1, 6)
-    prod = (a * a.invert()).truncate(4, 4)
+    assert truncated(a, 6) == pochhammer_infinite(YQ, 1, 6, 10)
+    assert truncated(a, 6, 6) == pochhammer_infinite(YQ, 1, 6)
+    prod = truncated(a * a.invert(), 4, 4)
     assert prod == TriSeries.one(4)
     z10 = pochhammer_infinite(Z, 1, 8, 8)
-    assert z10.truncate(zcap=3) == pochhammer_infinite(Z, 1, 8, 3)
-
-
-def test_truncate_cannot_loosen():
-    s = TriSeries.one(4, zcap=2)
-    with pytest.raises(ValueError, match="beyond truncation"):
-        s.truncate(6)
-    with pytest.raises(ValueError, match="beyond truncation"):
-        s.truncate(zcap=5)
-    with pytest.raises(ValueError, match="beyond truncation"):
-        s.truncate(zcap=3)
-    # a cap of None keeps the current one
-    assert s.truncate(zcap=None).zcap == 2
-    assert s.truncate(3, None).zcap == 2
+    assert truncated(z10, zcap=3) == pochhammer_infinite(Z, 1, 8, 3)
 
 
 def test_default_zcap_is_the_qcap():
@@ -360,8 +341,6 @@ def test_default_zcap_is_the_qcap():
     # a term at z = qcap + 1 is past the default cap
     s = S([(0, 0, 4, 1), (1, 0, 5, 1)], 4)
     assert s.zcap == 4 and s.terms() == [(0, 0, 4, 1)]
-    with pytest.raises(ValueError, match="beyond truncation"):
-        s.coefficient(1, 0, 5)
 
 
 def test_set_z_at_one_collapses_z():
@@ -384,6 +363,22 @@ def test_monomial_str_and_ops():
         Q.divide(Monomial(1, q=2))
     with pytest.raises(ValueError):
         Monomial(1, q=-1)
+
+
+def test_monomial_is_an_immutable_record():
+    m = Monomial(-3, q=2, z=1)
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert type(pickle.loads(pickle.dumps(m))) is Monomial
+    assert hash(m) == hash(Monomial(-3, 2, 0, 1))
+    assert {m: 1}[Monomial(-3, q=2, z=1)] == 1
+    for field in ("coeff", "q", "y", "z"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, 0)
+    with pytest.raises(AttributeError):
+        m.w = 0
+    assert m == Monomial(-3, q=2, z=1)
+    assert repr(YQ) == "Monomial(coeff=1, q=1, y=1, z=0)"
+    assert repr(m) == "Monomial(coeff=-3, q=2, y=0, z=1)"
 
 
 def test_non_integers_are_refused():
@@ -414,13 +409,13 @@ def test_non_integers_are_refused():
 
 
 def test_truncate_refuses_negative_caps():
-    s = TriSeries.one(4, zcap=2)
+    # the caps are fixed when a series is built, and checked there
     with pytest.raises(ValueError, match="qcap must be nonnegative"):
-        s.truncate(-1)
+        TriSeries.one(-1)
     with pytest.raises(ValueError, match="zcap must be nonnegative"):
-        s.truncate(zcap=-1)
+        TriSeries.one(4, zcap=-1)
     with pytest.raises(ValueError, match="zcap must be nonnegative"):
-        TriSeries.one(4).truncate(zcap=-1)
+        S([], 4, -1)
 
 
 def test_from_terms_checks_terms_the_caps_drop():
