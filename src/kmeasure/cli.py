@@ -15,17 +15,6 @@ import json
 import os
 import sys
 
-from . import identities
-from .partitions import (
-    _histograms,
-    durfee_gf,
-    format_partition,
-    measure_gf,
-    parse_partition,
-    partition_stats,
-    sylvester_gfs,
-)
-
 USAGE_ERROR = 2
 
 
@@ -126,11 +115,11 @@ def cmd_verify(qcap: int, ks, identity: str | None, fmt: str, jobs: int) -> int:
 
 def cmd_stats(text: str, ks, fmt: str) -> int:
     try:
-        parts = parse_partition(text)
+        parts = partitions.parse_partition(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    stats = partition_stats(parts, ks)
+    stats = partitions.partition_stats(parts, ks)
     if fmt == "json":
         print(json.dumps({
             "partition": list(parts),
@@ -141,7 +130,7 @@ def cmd_stats(text: str, ks, fmt: str) -> int:
             "measures": {str(k): v for k, v in sorted(stats.measures.items())},
         }, indent=2))
     else:
-        print(f"partition: {format_partition(parts) or '(empty)'}")
+        print(f"partition: {partitions.format_partition(parts) or '(empty)'}")
         print(f"size:      {stats.size}")
         print(f"length:    {stats.length}")
         print(f"smallest:  {stats.smallest}")
@@ -162,13 +151,14 @@ def _table_rows(n_max: int, pair: str, k: int):
     histogram is a marginal of a counted series, read once for every n.
     """
     if pair == "sylvester":
-        lhs, rhs = sylvester_gfs(n_max)
+        lhs, rhs = partitions.sylvester_gfs(n_max)
     else:
-        measure = measure_gf(n_max, 2 if pair == "mu2-durfee" else k)
+        measure = partitions.measure_gf(n_max, 2 if pair == "mu2-durfee" else k)
         lhs = measure.set_y(1)
-        rhs = durfee_gf(n_max).set_y(1) if pair == "mu2-durfee" else measure.set_z(1)
+        rhs = partitions.durfee_gf(n_max).set_y(1) if pair == "mu2-durfee" else measure.set_z(1)
     rows = []
-    for n, (a_hist, b_hist) in enumerate(zip(_histograms(lhs, n_max), _histograms(rhs, n_max))):
+    histograms = zip(partitions._histograms(lhs, n_max), partitions._histograms(rhs, n_max))
+    for n, (a_hist, b_hist) in enumerate(histograms):
         for value in sorted(set(a_hist) | set(b_hist)):
             a, b = a_hist.get(value, 0), b_hist.get(value, 0)
             rows.append((n, value, a, b, a == b))
@@ -200,6 +190,11 @@ def cmd_table(n_max: int, pair: str, k: int, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
+    # the engine loads here, not at the top of the module, so that an
+    # interrupt while it compiles lands inside entrypoint's try
+    global identities, partitions
+    from . import identities, partitions
+
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

@@ -67,23 +67,22 @@ def _values_of(parts) -> list[int]:
     return sorted(set(parts))
 
 
-def _measure_of_values(values, k) -> int:
-    # Greedy smallest-first selection: take a value whenever it is at least
-    # k above the last one taken.  Validated against the exhaustive oracle.
+def kmeasure(parts, k: int) -> int:
+    """The k-measure of a partition, by greedy subsequence selection.
+
+    Smallest first, a value is taken whenever it is at least k above the
+    last one taken; :func:`kmeasure_bruteforce` is the reference the tests
+    hold it to.  Raises ValueError unless k is positive.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
     count = 0
     last = None
-    for v in values:
+    for v in _values_of(parts):
         if last is None or v - last >= k:
             count += 1
             last = v
     return count
-
-
-def kmeasure(parts, k: int) -> int:
-    """The k-measure of a partition, by greedy subsequence selection."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return _measure_of_values(_values_of(parts), k)
 
 
 def kmeasure_bruteforce(parts, k: int) -> int:
@@ -140,13 +139,12 @@ class PartitionStats(namedtuple("PartitionStats", "size length smallest durfee m
 
 
 def partition_stats(parts, ks=(1, 2, 3, 4, 5)) -> PartitionStats:
-    values = _values_of(parts)
     return PartitionStats(
         size=sum(parts),
         length=len(parts),
         smallest=parts[-1] if parts else 0,
         durfee=durfee(parts),
-        measures={k: _measure_of_values(values, k) for k in ks},
+        measures={k: kmeasure(parts, k) for k in ks},
     )
 
 
@@ -197,20 +195,20 @@ def format_partition(parts) -> str:
 # number of partitions.
 
 
-def _check_oracle_args(qcap, family):
+def _partition_counts(qcap) -> tuple[list[int], int]:
+    """p(j) for every j <= qcap, by Euler's product over part values, and
+    the slot width W that p(qcap) needs.
+
+    Every counted series starts here, so this is where a negative q-order
+    is refused, before any other argument is looked at.
+    """
     if qcap < 0:
         raise ValueError("qcap must be nonnegative")
-    if family not in ORACLE_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-
-
-def _partition_counts(qcap) -> list[int]:
-    """p(j) for every j <= qcap, by Euler's product over part values."""
     counts = [1] + [0] * qcap
     for v in range(1, qcap + 1):
         for j in range(v, qcap + 1):
             counts[j] += counts[j - v]
-    return counts
+    return counts, _slot_width(counts[-1].bit_length())
 
 
 def _unit(qcap):
@@ -244,7 +242,7 @@ def _times_value(layers, v, once, width):
         _accumulate(layers[j], layers[j - v], width)
 
 
-def _measure_series(qcap, k, family):
+def _measure_series(qcap, k, family, counts, width):
     """Sum y^length z^{k-measure} q^size by counting over part values.
 
     Values are scanned in ascending order, following the greedy rule of
@@ -252,12 +250,11 @@ def _measure_series(qcap, k, family):
     last value the greedy took, capped at k; gap k also means nothing taken
     yet.  A present value at gap k is taken (measure + 1, gap back to 1);
     at a smaller gap it only adds to the length, so absent and present
-    together multiply that state by one factor, in place.
+    together multiply that state by one factor, in place.  ``counts`` and
+    ``width`` come from :func:`_partition_counts`.
     """
     distinct = family in ("distinct", "distinct-odd")
     odd = family in ("odd", "distinct-odd")
-    counts = _partition_counts(qcap)
-    width = _slot_width(counts[-1].bit_length())
     # a gap between parts of at most qcap stays below qcap, so a larger k acts as qcap + 1
     gaps = [[{} for _ in range(qcap + 1)] for _ in range(min(k, qcap + 1) - 1)] + [_unit(qcap)]
     for v in range(1, qcap + 1):
@@ -278,21 +275,24 @@ def _measure_series(qcap, k, family):
     total = gaps.pop()
     for layers in gaps:
         _add_into(total, layers)
-    return TriSeries(qcap, None, width, total, counts)
+    return TriSeries(qcap, None, width, total, list(counts))  # each series owns its majorant
 
 
 def measure_gfs(qcap: int, ks, family: str = "all") -> dict[int, TriSeries]:
     """Sum y^length z^{k-measure} q^size over all partitions of n <= qcap.
 
     One series per requested k, counted over part values; equal, term for
-    term, to summing over :func:`enumerate_partitions`.
+    term, to summing over :func:`enumerate_partitions`.  Raises ValueError
+    for a negative qcap, then for an unknown family, then for a k < 1.
     """
-    _check_oracle_args(qcap, family)
+    counts, width = _partition_counts(qcap)
+    if family not in ORACLE_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     ks = list(ks)
     for k in ks:
         if k <= 0:
             raise ValueError("k must be positive")
-    return {k: _measure_series(qcap, k, family) for k in ks}
+    return {k: _measure_series(qcap, k, family, counts, width) for k in ks}
 
 
 def measure_gf(qcap: int, k: int, family: str = "all") -> TriSeries:
@@ -310,9 +310,7 @@ def durfee_gf(qcap: int) -> TriSeries:
     state at size j - v already holds the partitions with copies of v when
     size j reads it.
     """
-    _check_oracle_args(qcap, "all")
-    counts = _partition_counts(qcap)
-    width = _slot_width(counts[-1].bit_length())
+    counts, width = _partition_counts(qcap)
     layers = _unit(qcap)
     for v in range(qcap, 0, -1):
         short = (1 << (width * v)) - 1  # the slots of lengths below v
@@ -336,9 +334,7 @@ def runs_gf(qcap: int) -> TriSeries:
     for the rest, to which it adds one.  Length is not tracked, so every
     count sits in slot 0.
     """
-    _check_oracle_args(qcap, "distinct")
-    counts = _partition_counts(qcap)
-    width = _slot_width(counts[-1].bit_length())
+    counts, width = _partition_counts(qcap)
     rest, ends = _unit(qcap), [{} for _ in range(qcap + 1)]  # ends: v - 1 is a part
     for v in range(1, qcap + 1):
         new_ends = [{} for _ in range(qcap + 1)]

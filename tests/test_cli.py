@@ -153,6 +153,26 @@ def test_stats_json(capsys):
     assert data["measures"] == {"2": 3}
 
 
+CLI_RECORDS = Path(__file__).resolve().parent / "cli_records"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("parts", ["4,3,1", "", "7,7,2,1", "12,9,9,5,4,4,1"])
+def test_stats_matches_its_record_byte_for_byte(capsys, parts, fmt):
+    code, out, _ = run(capsys, "stats", parts, "--k", "1,2,3,7", "--format", fmt)
+    name = parts.replace(",", "-") or "empty"
+    assert code == 0
+    assert out == (CLI_RECORDS / f"stats-{name}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("pair", ["mu2-durfee", "muk-length", "sylvester"])
+def test_table_matches_its_record_byte_for_byte(capsys, pair, fmt):
+    code, out, _ = run(capsys, "table", "--n-max", "6", "--pair", pair, "--format", fmt)
+    assert code == 0
+    assert out == (CLI_RECORDS / f"table-{pair}.{fmt}").read_text()
+
+
 def test_stats_rejects_increasing_parts(capsys):
     code, _, err = run(capsys, "stats", "1,3")
     assert code == 2
@@ -373,6 +393,27 @@ def test_interrupt_exits_130_in_one_line_and_leaves_no_worker(jobs):
         os.killpg(proc.pid, 0)
 
 
+def test_interrupt_while_the_engine_loads_exits_130_in_one_line():
+    # a SIGINT that lands while a command imports the engine: a finder that
+    # raises KeyboardInterrupt for kmeasure.identities stands in for it
+    script = (
+        "import sys\n"
+        "class Interrupt:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'kmeasure.identities':\n"
+        "            raise KeyboardInterrupt\n"
+        "sys.meta_path.insert(0, Interrupt())\n"
+        "import kmeasure.cli\n"
+        "sys.argv = ['kmeasure', 'verify', '--qcap', '4', '--jobs', '1']\n"
+        "kmeasure.cli.entrypoint()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 130, result.stderr
+    assert result.stderr == "kmeasure: interrupted\n"
+
+
 def test_serial_verify_never_imports_the_pool():
     # nor fractions: the series kernel is integer-only
     script = (
@@ -397,6 +438,24 @@ def test_cli_import_pulls_in_no_dataclasses():
     script = (
         "import sys\n"
         "import kmeasure.cli\n"
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_command_pulls_in_no_dataclasses():
+    # the engine, which holds every record, loads only when a command runs,
+    # so the import above alone would not see a dataclass in it
+    script = (
+        "import contextlib, io, sys\n"
+        "import kmeasure.cli, kmeasure.forked\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert kmeasure.cli.main(['verify', '--qcap', '0', '--jobs', '1']) == 0\n"
+        "engine = {'kmeasure.identities', 'kmeasure.partitions', 'kmeasure.series'}\n"
+        "assert engine <= set(sys.modules), sorted(sys.modules)\n"
         "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
     )
     result = subprocess.run(

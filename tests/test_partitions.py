@@ -248,6 +248,15 @@ def test_measure_gfs_rejects_unknown_family():
         measure_gfs(3, [], "bogus")
 
 
+def test_measure_gfs_checks_the_order_then_the_family_then_each_k():
+    with pytest.raises(ValueError, match="qcap must be nonnegative"):
+        measure_gfs(-2, [])
+    with pytest.raises(ValueError, match="qcap must be nonnegative"):
+        measure_gfs(-1, [0], "bogus")
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        measure_gfs(3, [0], "bogus")
+
+
 def test_sylvester_counts_examples():
     assert sylvester_counts(5) == (Counter({1: 2, 2: 1}), Counter({1: 2, 2: 1}))
     assert sylvester_counts(0) == (Counter({0: 1}), Counter({0: 1}))
@@ -313,3 +322,10 @@ def test_partition_stats_bundle():
     empty = partition_stats((), ks=(1, 2))
     assert empty.size == 0 and empty.smallest == 0 and empty.durfee == 0
     assert empty.measures == {1: 0, 2: 0}
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_partition_stats_refuses_a_nonpositive_k(k):
+    # as kmeasure does: a "k-measure" with k < 1 is no statistic
+    with pytest.raises(ValueError, match="k must be positive"):
+        partition_stats((5, 3, 1), ks=(k,))
