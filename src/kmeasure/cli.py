@@ -4,6 +4,10 @@ Exit status contract: 0 when everything checked passed, 1 when at least one
 identity or equidistribution claim failed or the reader closed stdout, 2 on
 usage or parse errors, 130 on an interrupt (SIGINT, as from Ctrl-C), which
 ends a run with one stderr line and no worker left running.
+``entrypoint`` leaves through ``os._exit`` once stdout and stderr are
+flushed, so a run pays for no interpreter teardown; under a profiler or
+tracer (cProfile, coverage) it exits normally, so that their report is
+written.  ``main`` returns its exit status and never exits.
 Plain and csv output carry no timings, so identical configurations produce
 byte-identical output; json includes per-check elapsed_ms.
 """
@@ -41,12 +45,15 @@ def _positive_int(text: str) -> int:
 
 
 def _default_jobs() -> int:
-    """KMEASURE_JOBS when set and not empty, else the cpu count.
+    """KMEASURE_JOBS when set and not empty, else the number of CPUs this
+    process may run on.
 
     Raises ValueError unless the variable is a positive integer.
     """
     env = os.environ.get("KMEASURE_JOBS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         return _positive_int(env)
@@ -71,7 +78,7 @@ def make_parser() -> argparse.ArgumentParser:
                         default="plain")
     verify.add_argument("--jobs", type=_positive_int, default=None,
                         help="forked worker processes, at most one per unit of checks "
-                             "(default: KMEASURE_JOBS or cpu count)")
+                             "(default: KMEASURE_JOBS or the CPUs it may run on)")
 
     stats = sub.add_parser("stats", help="statistics of one partition")
     stats.add_argument("partition", help='comma-separated parts, e.g. "4,3,1"; empty for the empty partition')
@@ -216,21 +223,36 @@ def main(argv=None) -> int:
     return cmd_table(args.n_max, args.pair, args.k, args.fmt)
 
 
+def _exit(code: int):
+    """Flush stdout and stderr, then end the process with ``code``.
+
+    It leaves through ``os._exit``, which skips interpreter teardown,
+    unless a profiler or tracer is installed (on Python 3.12+ also as a
+    ``sys.monitoring`` tool): cProfile and coverage write their report at
+    teardown.  A closed stdout raises BrokenPipeError from the flush.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # sys.monitoring tool ids run from 0 to 5
+    monitored = hasattr(sys, "monitoring") and any(map(sys.monitoring.get_tool, range(6)))
+    if sys.getprofile() or sys.gettrace() or monitored:
+        sys.exit(code)
+    os._exit(code)
+
+
 def entrypoint():
     try:
-        code = main()
-        sys.stdout.flush()
+        _exit(main())
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so that the flush
-        # at exit raises no second error, and exit 1 as on EPIPE
+        # on the way out raises no second error, and exit 1 as on EPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        _exit(1)
     except KeyboardInterrupt:
         # the pool has reaped its workers on the way out; 128 + SIGINT, as
         # a shell reports a command that SIGINT ended
         print("kmeasure: interrupted", file=sys.stderr)
-        sys.exit(130)
-    sys.exit(code)
+        _exit(130)
 
 
 if __name__ == "__main__":

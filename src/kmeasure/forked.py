@@ -3,11 +3,13 @@ at a time.
 
 :func:`kmeasure.identities.run_suite` imports this module only when it runs
 more than one unit in more than one worker, so a serial run neither
-compiles nor imports it, nor ``pickle`` and ``select``.
+compiles nor imports it, nor ``select``.
 
 Each worker has two pipes of its own.  On its task pipe the parent writes
 the fixed-size index of one unit; on its result pipe the worker sends back
-that unit's pickled results, prefixed by their length.  Only then does the
+that unit's results, prefixed by their length.  Results travel with
+``marshal``, which is built in, so ``run_unit`` returns plain data: None,
+ints, floats, strings, and tuples and lists of them.  Only then does the
 parent write the next index, so each worker holds one unit at a time and
 the parent always knows which.  Units are handed out in plan order, so the
 units the caller puts first start first.  With no unit left, the parent
@@ -29,13 +31,13 @@ The program starts no threads, so forking is safe.
 
 from __future__ import annotations
 
+import marshal
 import os
-import pickle
 import select
 import sys
 
 _INDEX = 4  # bytes of a unit index
-_SIZE = 8  # bytes of the length of a unit's pickled results
+_SIZE = 8  # bytes of the length of a unit's marshalled results
 
 
 def _write_all(fd: int, data: bytes):
@@ -60,7 +62,7 @@ def _worker(run_unit, plan, task_r, result_w):
     status = 1
     try:
         while index := os.read(task_r, _INDEX):
-            payload = pickle.dumps(run_unit(plan[int.from_bytes(index, "little")]))
+            payload = marshal.dumps(run_unit(plan[int.from_bytes(index, "little")]))
             _write_all(result_w, len(payload).to_bytes(_SIZE, "little") + payload)
         status = 0
     finally:
@@ -132,7 +134,7 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
                 size = int.from_bytes(header, "little")
                 payload = _read(fd, size)
                 if len(header) == _SIZE and len(payload) == size:
-                    results[worker[2]] = pickle.loads(payload)
+                    results[worker[2]] = marshal.loads(payload)
                     hand_out(worker)
                     continue
                 # the pipe has ended, so the worker has exited

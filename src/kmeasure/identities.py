@@ -547,7 +547,7 @@ def _unit_key(index, task):
     return index
 
 
-def _report(task, elapsed, fail=None, error=None) -> IdentityReport:
+def _report(task, elapsed, fail, error=None) -> IdentityReport:
     """The report of a task.  ``fail`` is its check's first failure as
     (q, y, z, lhs, rhs), or None; ``error`` says why the check raised or
     its worker died.  k, qcap and zcap come from the task kwargs."""
@@ -558,31 +558,34 @@ def _report(task, elapsed, fail=None, error=None) -> IdentityReport:
     )
 
 
-def _run_unit(unit) -> list[IdentityReport]:
+def _run_unit(unit) -> list[tuple]:
     """Run the tasks of one unit against one memo of shared series, timing
     each check.
 
-    A check that raises becomes a failed report carrying the error, so its
-    unit-mates still report.
+    Each task's outcome is plain data, ``(elapsed, first failure or None,
+    error or None)``, which a worker sends back with ``marshal``; the
+    failure is the check's builtin tuple (q, y, z, lhs, rhs).  A check that
+    raises gets an outcome carrying the error, so its unit-mates still
+    report.
     """
     memo = _Artifacts()
-    reports = []
-    for task in unit:
-        _, key, kwargs = task
+    outcomes = []
+    for _, key, kwargs in unit:
         fail = error = None
         started = perf_counter()
         try:
             fail = _CHECK_FUNCS[key](memo, **kwargs)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-        reports.append(_report(task, perf_counter() - started, fail, error))
-    return reports
+        outcomes.append((perf_counter() - started, fail, error))
+    return outcomes
 
 
-def _lost_unit(unit, status) -> list[IdentityReport]:
-    """The reports of a unit whose worker died with exit status ``status``."""
+def _lost_unit(unit, status) -> list[tuple]:
+    """The outcomes, one per task, of a unit whose worker died with exit
+    status ``status``."""
     error = f"ChildProcessError: worker exited with status {status}"
-    return [_report(task, 0.0, error=error) for task in unit]
+    return [(0.0, None, error) for _ in unit]
 
 
 def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:
@@ -595,7 +598,8 @@ def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:
     :mod:`kmeasure.forked`); a unit whose worker died reports its loss and
     never runs again.  Units no worker took run in this process: all of
     them when there is one unit, one job, or no fork on the platform, and
-    those left over when a pipe or a worker cannot be made.
+    those left over when a pipe or a worker cannot be made.  Every report
+    is made here, from a task of the plan and its outcome.
     """
     units = {}
     for index, task in enumerate(tasks):
@@ -608,7 +612,11 @@ def run_suite(tasks, jobs: int = 1) -> list[IdentityReport]:
 
         batches = run_forked(_run_unit, _lost_unit, plan, workers)
     batches = [_run_unit(unit) if batch is None else batch for unit, batch in zip(plan, batches)]
-    reports = [report for batch in batches for report in batch]
+    reports = [
+        _report(task, *outcome)
+        for unit, batch in zip(plan, batches)
+        for task, outcome in zip(unit, batch, strict=True)
+    ]
     return sorted(reports, key=lambda r: (r.name, r.k if r.k is not None else 0))
 
 

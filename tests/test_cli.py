@@ -327,6 +327,18 @@ def test_jobs_env_override(monkeypatch):
         _default_jobs()
 
 
+def test_default_jobs_follows_the_cpus_the_process_may_run_on(monkeypatch):
+    # as under `taskset -c 0`, on a machine with more CPUs
+    from kmeasure.cli import _default_jobs
+
+    monkeypatch.delenv("KMEASURE_JOBS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _default_jobs() == 1
+    monkeypatch.setenv("KMEASURE_JOBS", "3")
+    assert _default_jobs() == 3
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
 def test_bad_jobs_env_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("KMEASURE_JOBS", value)
@@ -365,6 +377,62 @@ def test_closed_stdout_exits_one_without_a_traceback(argv):
     finally:
         os.close(write)
     assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
+
+def buffered_run(argv):
+    """Run ``python argv`` with stdout and stderr read through pipes and
+    ``PYTHONUNBUFFERED`` unset, so that stdout is block-buffered, as in a
+    shell pipeline; whatever the process leaves in its buffers is lost."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_output_larger_than_a_pipe_arrives_whole():
+    result = buffered_run(["-m", "kmeasure.cli", "table", "--n-max", "40", "--pair", "muk-length",
+                           "--k", "3", "--format", "json"])
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.encode()) == 89_425  # more than a 64 KiB pipe buffer
+    assert len(json.loads(result.stdout)) == 821
+
+
+def test_pooled_json_arrives_whole_and_agrees_with_csv():
+    argv = ["-m", "kmeasure.cli", "verify", "--qcap", "30", "--jobs", "2", "--format"]
+    as_json, as_csv = buffered_run(argv + ["json"]), buffered_run(argv + ["csv"])
+    assert (as_json.returncode, as_csv.returncode) == (0, 0), as_json.stderr + as_csv.stderr
+    verdicts = [(r["name"], "" if r["k"] is None else str(r["k"]), str(r["passed"]))
+                for r in json.loads(as_json.stdout)]
+    rows = [row.split(",") for row in as_csv.stdout.splitlines()[1:]]
+    assert verdicts == [(name, k, passed) for name, k, _, _, passed, _ in rows]
+    assert len(verdicts) == 56
+
+
+def test_exit_statuses_survive_the_fast_exit():
+    usage = buffered_run(["-m", "kmeasure.cli", "verify", "--qcap", "-1"])
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert usage.stderr == "error: --qcap must be nonnegative\n"
+    script = (
+        "import sys\n"
+        "import kmeasure.cli, kmeasure.identities\n"
+        "kmeasure.identities._CHECK_FUNCS['sylvester-runs'] = lambda memo, **kwargs: (2, 1, 0, 1, 2)\n"
+        "sys.argv = ['kmeasure', 'verify', '--qcap', '6', '--identity', 'sylvester', '--jobs', '1']\n"
+        "kmeasure.cli.entrypoint()\n"
+    )
+    failed = buffered_run(["-c", script])
+    assert failed.returncode == 1, failed.stderr
+    assert "q^2 y^1 z^0: 1 != 2" in failed.stdout
+    assert failed.stdout.endswith("\n0/1 checks passed\n")
+
+
+def test_a_profiled_run_still_writes_its_profile():
+    # the profiler writes its report at interpreter teardown, which the
+    # fast exit would skip
+    result = buffered_run(["-m", "cProfile", "-m", "kmeasure.cli", "verify", "--qcap", "4",
+                           "--jobs", "1"])
+    assert result.returncode == 0, result.stderr
+    assert "checks passed" in result.stdout and "function calls" in result.stdout
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -424,7 +492,7 @@ def test_serial_verify_never_imports_the_pool():
         "assert not {'pickle', 'select', 'fractions'} & set(sys.modules)\n"
         "code = kmeasure.cli.main(['verify', '--qcap', '4', '--jobs', '2'])\n"
         "assert code == 0, code\n"
-        "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+        "assert not {'pickle', 'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120,

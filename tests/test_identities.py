@@ -833,7 +833,7 @@ def _unreadable(data):
 @pytest.mark.skipif(not os.path.isdir(_FDS), reason="no /proc/self/fd to list")
 @pytest.mark.parametrize("case", ["normal", "dying", "raising"])
 def test_suite_leaves_no_pipe_open(monkeypatch, case):
-    import pickle
+    import marshal
 
     tasks = default_tasks(6, [1, 2])
     before = sorted(os.listdir(_FDS))
@@ -843,7 +843,7 @@ def test_suite_leaves_no_pipe_open(monkeypatch, case):
         monkeypatch.setitem(identities._CHECK_FUNCS, "durfee-closed-form", _exit(3))
         run_suite(tasks, jobs=3)
     else:
-        monkeypatch.setattr(pickle, "loads", _unreadable)
+        monkeypatch.setattr(marshal, "loads", _unreadable)
         with pytest.raises(RuntimeError, match="unreadable batch"):
             run_suite(tasks, jobs=2)
     assert sorted(os.listdir(_FDS)) == before
@@ -985,14 +985,36 @@ def test_failed_replacement_fork_reruns_no_unit(monkeypatch, capsys, tmp_path):
 
 
 def test_suite_reaps_its_workers_when_the_parent_raises(monkeypatch):
-    import pickle
+    import marshal
 
     def broken(data):
         raise RuntimeError("unreadable batch")
 
-    monkeypatch.setattr(pickle, "loads", broken)
+    monkeypatch.setattr(marshal, "loads", broken)
     with pytest.raises(RuntimeError, match="unreadable batch"):
         run_suite(default_tasks(6, [1, 2]), jobs=2)
+    _assert_no_child_left()
+
+
+def test_pooled_outcomes_carry_a_large_failure_and_an_error_exactly(monkeypatch):
+    # a worker sends back plain data: a 4,000-bit coefficient comes back
+    # exact, and a unit-mate that raises reports its own error
+    fail = (3, 1, 0, 2**4000 + 1, -(2**3999))
+
+    def raises(memo, **kwargs):
+        raise ArithmeticError("unit-mate raised")
+
+    # both checks belong to the ("all", 2) unit
+    monkeypatch.setitem(identities._CHECK_FUNCS, "durfee-closed-form", lambda memo, **kwargs: fail)
+    monkeypatch.setitem(identities._CHECK_FUNCS, "parity-distinct-odd", raises)
+    tasks = default_tasks(6, [1, 2])
+    pooled = run_suite(tasks, jobs=2)
+    assert _without_elapsed(pooled) == _without_elapsed(run_suite(tasks, jobs=1))
+    by_name = {r.name: r for r in pooled}
+    failed = by_name["durfee-closed-form"]
+    assert type(failed.first_failure) is Mismatch and failed.first_failure == fail
+    assert by_name["parity-distinct-odd"].error == "ArithmeticError: unit-mate raised"
+    assert sum(not r.passed for r in pooled) == 2
     _assert_no_child_left()
 
 
