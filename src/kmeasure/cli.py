@@ -1,7 +1,7 @@
 """Command-line interface: verification suites, partition statistics, tables.
 
 Exit status contract: 0 when everything checked passed, 1 when at least one
-identity or equidistribution claim failed or the reader closed stdout, 2 on
+identity or equidistribution claim failed or a write met a closed stdout, 2 on
 usage or parse errors, 130 on an interrupt (SIGINT, as from Ctrl-C), which
 ends a run with one stderr line and no worker left running.
 ``entrypoint`` leaves through ``os._exit`` once stdout and stderr are
@@ -45,20 +45,10 @@ def _positive_int(text: str) -> int:
 
 
 def _default_jobs() -> int:
-    """KMEASURE_JOBS when set and not empty, else the number of CPUs this
-    process may run on.
-
-    Raises ValueError unless the variable is a positive integer.
-    """
-    env = os.environ.get("KMEASURE_JOBS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError:
-        raise ValueError("KMEASURE_JOBS must be a positive integer") from None
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -78,7 +68,7 @@ def make_parser() -> argparse.ArgumentParser:
                         default="plain")
     verify.add_argument("--jobs", type=_positive_int, default=None,
                         help="forked worker processes, at most one per unit of checks "
-                             "(default: KMEASURE_JOBS or the CPUs it may run on)")
+                             "(default: the CPUs it may run on)")
 
     stats = sub.add_parser("stats", help="statistics of one partition")
     stats.add_argument("partition", help='comma-separated parts, e.g. "4,3,1"; empty for the empty partition')
@@ -209,14 +199,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize and re-raise
         return USAGE_ERROR if exc.code else 0
     if args.command == "verify":
-        try:
-            jobs = args.jobs if args.jobs is not None else _default_jobs()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
         if args.qcap < 0:
             print("error: --qcap must be nonnegative", file=sys.stderr)
             return USAGE_ERROR
+        jobs = args.jobs if args.jobs is not None else _default_jobs()
         return cmd_verify(args.qcap, args.k, args.identity, args.fmt, jobs)
     if args.command == "stats":
         return cmd_stats(args.partition, args.k, args.fmt)

@@ -7,9 +7,9 @@ compiles nor imports it, nor ``select``.
 
 Each worker has two pipes of its own.  On its task pipe the parent writes
 the fixed-size index of one unit; on its result pipe the worker sends back
-that unit's results, prefixed by their length.  Results travel with
-``marshal``, which is built in, so ``run_unit`` returns plain data: None,
-ints, floats, strings, and tuples and lists of them.  Only then does the
+that unit's results as one ``marshal`` record, which frames itself.
+``marshal`` is built in, so ``run_unit`` returns plain data: None, ints,
+floats, strings, and tuples and lists of them.  Only then does the
 parent write the next index, so each worker holds one unit at a time and
 the parent always knows which.  Units are handed out in plan order, so the
 units the caller puts first start first.  With no unit left, the parent
@@ -37,21 +37,6 @@ import select
 import sys
 
 _INDEX = 4  # bytes of a unit index
-_SIZE = 8  # bytes of the length of a unit's marshalled results
-
-
-def _write_all(fd: int, data: bytes):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd: int, size: int) -> bytearray:
-    """``size`` bytes from ``fd``, or fewer if the pipe ends first."""
-    data = bytearray()
-    while len(data) < size and (chunk := os.read(fd, min(size - len(data), 1 << 16))):
-        data += chunk
-    return data
 
 
 def _worker(run_unit, plan, task_r, result_w):
@@ -61,9 +46,10 @@ def _worker(run_unit, plan, task_r, result_w):
     flushes the buffers it inherited or returns into the parent's caller."""
     status = 1
     try:
+        results = os.fdopen(result_w, "wb")
         while index := os.read(task_r, _INDEX):
-            payload = marshal.dumps(run_unit(plan[int.from_bytes(index, "little")]))
-            _write_all(result_w, len(payload).to_bytes(_SIZE, "little") + payload)
+            marshal.dump(run_unit(plan[int.from_bytes(index, "little")]), results)
+            results.flush()
         status = 0
     finally:
         os._exit(status)
@@ -77,16 +63,17 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
     or None if no worker took the unit, because a pipe or a fork failed."""
     results = [None] * len(plan)
     handed = 0  # units handed out so far, in plan order
-    # result pipe -> [pid, the open ends of its task pipe, index of the unit held].
-    # The parent keeps the read end too, so writing to a worker that has just
-    # died cannot fail; its result pipe ends, and the unit is lost.
+    # result pipe -> [pid, the open ends of its task pipe, index of the unit
+    # held, the reader of the result pipe].  The parent keeps the task pipe's
+    # read end too, so writing to a worker that has just died cannot fail; its
+    # result pipe ends, and the unit is lost.
     live = {}
     poller = select.poll()
 
     def end_task(worker):  # a worker holds a unit exactly while its task pipe is open
         for fd in worker[1]:
             os.close(fd)
-        worker[1:] = (), None
+        worker[1:3] = (), None
 
     def hand_out(worker):
         nonlocal handed
@@ -113,11 +100,11 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
         task, (result_r, result_w) = pipes
         if pid == 0:
             # a task pipe ends only once every copy of its write end is closed
-            for fd in [task[1]] + [fd for _, ends, _ in live.values() for fd in ends]:
+            for fd in [task[1]] + [fd for _, ends, *_ in live.values() for fd in ends]:
                 os.close(fd)
             _worker(run_unit, plan, task[0], result_w)
         os.close(result_w)
-        live[result_r] = worker = [pid, task, None]
+        live[result_r] = worker = [pid, task, None, os.fdopen(result_r, "rb")]
         poller.register(result_r, select.POLLIN)
         hand_out(worker)
 
@@ -130,27 +117,24 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
                 return results
             for fd, _ in poller.poll():
                 worker = live[fd]
-                header = _read(fd, _SIZE)
-                size = int.from_bytes(header, "little")
-                payload = _read(fd, size)
-                if len(header) == _SIZE and len(payload) == size:
-                    results[worker[2]] = marshal.loads(payload)
+                try:
+                    results[worker[2]] = marshal.load(worker[3])
+                except EOFError:  # the pipe ended, maybe within a record: the worker has exited
+                    poller.unregister(fd)
+                    pid, _, held, reader = live.pop(fd)
+                    reader.close()
+                    end_task(worker)
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if held is not None:
+                        results[held] = lost(plan[held], status)
+                else:
                     hand_out(worker)
-                    continue
-                # the pipe has ended, so the worker has exited
-                poller.unregister(fd)
-                os.close(fd)
-                pid, _, held = live.pop(fd)
-                end_task(worker)
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if held is not None:
-                    results[held] = lost(plan[held], status)
     finally:
         if live:  # the parent is raising: stop the workers still running
             import signal
 
-            for fd, worker in live.items():
-                os.close(fd)
+            for worker in live.values():
+                worker[3].close()
                 end_task(worker)
                 os.kill(worker[0], signal.SIGKILL)
                 os.waitpid(worker[0], 0)

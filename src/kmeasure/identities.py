@@ -284,7 +284,7 @@ def _qdiff(memo, k, qcap, family):
     """q-difference equation residual must vanish identically."""
     _check_family(family)
     residual = _qdiff_residual(memo.measure(qcap, k, family), k, family)
-    return _first_difference(residual, TriSeries.zero(qcap))
+    return _first_difference(residual, TriSeries(qcap))
 
 
 def _equidistribution(memo, qcap):

@@ -237,17 +237,8 @@ class TriSeries:
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def zero(cls, qcap: int, zcap: int | None = None) -> "TriSeries":
-        return cls(qcap, zcap)
-
-    @classmethod
     def one(cls, qcap: int, zcap: int | None = None) -> "TriSeries":
-        return cls.from_monomial(ONE, qcap, zcap)
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, qcap: int, zcap: int | None = None) -> "TriSeries":
-        """The series equal to a single monomial, truncated under the caps."""
-        return cls.from_terms([(m.q, m.y, m.z, m.coeff)], qcap, zcap)
+        return cls.from_terms([(0, 0, 0, 1)], qcap, zcap)
 
     @classmethod
     def from_terms(cls, terms, qcap: int, zcap: int | None = None) -> "TriSeries":

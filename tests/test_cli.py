@@ -317,38 +317,22 @@ def test_verify_runs_in_the_parent_when_fork_fails(monkeypatch, capsys, tmp_path
     assert ran.read_text().split() == [str(os.getpid())] * len(units)
 
 
-def test_jobs_env_override(monkeypatch):
-    from kmeasure.cli import _default_jobs
-
-    monkeypatch.setenv("KMEASURE_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.setenv("KMEASURE_JOBS", "junk")
-    with pytest.raises(ValueError, match="KMEASURE_JOBS must be a positive integer"):
-        _default_jobs()
-
-
 def test_default_jobs_follows_the_cpus_the_process_may_run_on(monkeypatch):
     # as under `taskset -c 0`, on a machine with more CPUs
     from kmeasure.cli import _default_jobs
 
-    monkeypatch.delenv("KMEASURE_JOBS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert _default_jobs() == 1
-    monkeypatch.setenv("KMEASURE_JOBS", "3")
-    assert _default_jobs() == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_bad_jobs_env_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("KMEASURE_JOBS", value)
+def test_verify_reads_no_jobs_variable(capsys, monkeypatch):
+    # --jobs is the one way to set the worker count
+    monkeypatch.setenv("KMEASURE_JOBS", "junk")
     code, out, err = run(capsys, "verify", "--qcap", "2", "--identity", "sylvester")
-    assert code == 2
-    assert out == ""
-    assert err == "error: KMEASURE_JOBS must be a positive integer\n"
-    # an explicit --jobs never reads the variable
-    code, _, _ = run(capsys, "verify", "--qcap", "2", "--identity", "sylvester", "--jobs", "1")
     assert code == 0
+    assert out.splitlines()[-1] == "1/1 checks passed"
+    assert err == ""
 
 
 def src_env():

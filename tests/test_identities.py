@@ -161,7 +161,7 @@ def test_durfee_closed_form_matches_enumeration():
 
 
 def _reference_partition_sum(k, qcap):
-    total = TriSeries.zero(qcap)
+    total = TriSeries(qcap)
     n = 0
     while n * (n + 1) // 2 <= qcap:
         front = Monomial((-1) ** n, q=n * (n + 1) // 2, y=n)
@@ -173,9 +173,9 @@ def _reference_partition_sum(k, qcap):
 
 def _reference_partition_product(k, qcap, zcap):
     base = Monomial(1, q=k - 1)
-    total = TriSeries.zero(qcap, zcap)
+    total = TriSeries(qcap, zcap)
     for n in range(zcap + 1):
-        term = TriSeries.from_monomial(Monomial(1, z=n), qcap, zcap)
+        term = TriSeries.from_terms([(0, 0, n, 1)], qcap, zcap)
         term = term * pochhammer_finite(base, k - 1, n, qcap, zcap).invert()
         term = term * pochhammer_finite(YQ, 1, (k - 1) * n, qcap, zcap).invert()
         total = total + term
@@ -183,7 +183,7 @@ def _reference_partition_product(k, qcap, zcap):
 
 
 def _reference_distinct_sum(k, qcap):
-    total = TriSeries.zero(qcap)
+    total = TriSeries(qcap)
     for n in range(qcap + 1):
         front = Monomial((-1) ** n, q=n, y=n)
         term = pochhammer_finite(Z, k, n, qcap).times_monomial(front)
@@ -192,7 +192,7 @@ def _reference_distinct_sum(k, qcap):
 
 
 def _reference_distinct_product(k, qcap, zcap):
-    total = TriSeries.zero(qcap, zcap)
+    total = TriSeries(qcap, zcap)
     for n in range(zcap + 1):
         term = pochhammer_finite(Monomial(-1, q=1, y=1), 1, k * n, qcap, zcap)
         term = term.times_monomial(Monomial(1, z=n))
@@ -202,10 +202,10 @@ def _reference_distinct_product(k, qcap, zcap):
 
 
 def _reference_durfee(qcap, zcap):
-    total = TriSeries.zero(qcap, zcap)
+    total = TriSeries(qcap, zcap)
     n = 0
     while n * n <= qcap:
-        term = TriSeries.from_monomial(Monomial(1, q=n * n, y=n, z=n), qcap, zcap)
+        term = TriSeries.from_terms([(n * n, n, n, 1)], qcap, zcap)
         term = term * pochhammer_finite(YQ, 1, n, qcap, zcap).invert()
         total = total + term * pochhammer_finite(Q, 1, n, qcap, zcap).invert()
         n += 1
@@ -826,7 +826,7 @@ def test_lost_unit_carries_the_status_of_its_own_worker(monkeypatch):
 _FDS = "/proc/self/fd"
 
 
-def _unreadable(data):
+def _unreadable(file):
     raise RuntimeError("unreadable batch")
 
 
@@ -843,7 +843,7 @@ def test_suite_leaves_no_pipe_open(monkeypatch, case):
         monkeypatch.setitem(identities._CHECK_FUNCS, "durfee-closed-form", _exit(3))
         run_suite(tasks, jobs=3)
     else:
-        monkeypatch.setattr(marshal, "loads", _unreadable)
+        monkeypatch.setattr(marshal, "load", _unreadable)
         with pytest.raises(RuntimeError, match="unreadable batch"):
             run_suite(tasks, jobs=2)
     assert sorted(os.listdir(_FDS)) == before
@@ -987,12 +987,49 @@ def test_failed_replacement_fork_reruns_no_unit(monkeypatch, capsys, tmp_path):
 def test_suite_reaps_its_workers_when_the_parent_raises(monkeypatch):
     import marshal
 
-    def broken(data):
+    def broken(file):
         raise RuntimeError("unreadable batch")
 
-    monkeypatch.setattr(marshal, "loads", broken)
+    monkeypatch.setattr(marshal, "load", broken)
     with pytest.raises(RuntimeError, match="unreadable batch"):
         run_suite(default_tasks(6, [1, 2]), jobs=2)
+    _assert_no_child_left()
+
+
+def test_worker_that_dies_within_a_record_loses_only_its_unit(monkeypatch):
+    # The worker that runs the Sylvester unit sends the first half of that
+    # unit's record, flushes it, and exits with status 6.  The parent reads a
+    # record cut short, which it must take for the worker's death.
+    import marshal
+
+    tasks = default_tasks(6, [1, 2])
+    expected = _without_elapsed(run_suite(tasks, jobs=1))
+    fds = os.path.isdir(_FDS) and sorted(os.listdir(_FDS))
+    run_unit, dump, held = identities._run_unit, marshal.dump, []
+
+    def remembered(unit):
+        held[:] = [unit]
+        return run_unit(unit)
+
+    def cut(outcomes, file):
+        if held[0][0][1] != "sylvester-runs":
+            return dump(outcomes, file)
+        _refuse_the_parent()
+        record = marshal.dumps(outcomes)
+        file.write(record[:len(record) // 2])
+        file.flush()
+        os._exit(6)
+
+    monkeypatch.setattr(identities, "_run_unit", remembered)
+    monkeypatch.setattr(marshal, "dump", cut)
+    reports = _without_elapsed(run_suite(tasks, jobs=2))
+    for report, want in zip(reports, expected, strict=True):
+        if want["name"] == "sylvester-runs":
+            want = dict(want, passed=False, first_failure=None,
+                        error="ChildProcessError: worker exited with status 6")
+        assert report == want
+    assert sum(not r["passed"] for r in reports) == 1
+    assert not fds or sorted(os.listdir(_FDS)) == fds
     _assert_no_child_left()
 
 

@@ -28,19 +28,20 @@ def S(terms, qcap, zcap=None):
 
 
 def test_from_monomial_identity():
-    one = TriSeries.from_monomial(Monomial(1), 10)
+    one = S([(0, 0, 0, 1)], 10)
     assert one.terms() == [(0, 0, 0, 1)]
+    assert one == TriSeries.one(10)
 
 
 def test_from_monomial_negative_yq():
-    s = TriSeries.from_monomial(Monomial(-1, q=1, y=1), 10)
+    s = S([(1, 1, 0, -1)], 10)
     assert s.terms() == [(1, 1, 0, -1)]
 
 
 def test_from_monomial_truncates_to_zero():
-    s = TriSeries.from_monomial(Monomial(3, q=12), 10)
+    s = S([(12, 0, 0, 3)], 10)
     assert s.is_zero()
-    s = TriSeries.from_monomial(Monomial(1, z=4), 10, zcap=3)
+    s = S([(0, 0, 4, 1)], 10, zcap=3)
     assert s.is_zero()
 
 
@@ -125,11 +126,11 @@ def test_invert_round_trip():
 
 
 def test_invert_rejects_non_unit_constant():
-    s = TriSeries.from_monomial(Monomial(2), 4)
+    s = S([(0, 0, 0, 2)], 4)
     with pytest.raises(ValueError, match="not a formal unit"):
         s.invert()
     with pytest.raises(ValueError, match="not a formal unit"):
-        TriSeries.zero(4).invert()
+        TriSeries(4).invert()
 
 
 def test_invert_rejects_pure_y_constant_layer():
@@ -285,7 +286,7 @@ def test_pochhammer_infinite_rejects_constant():
 
 
 def test_scale_y_shifts_q_by_y_exponent():
-    s = TriSeries.from_monomial(YQ, 5)
+    s = S([(1, 1, 0, 1)], 5)  # y q
     assert s.scale_y(1).terms() == [(2, 1, 0, 1)]
 
 
@@ -307,7 +308,7 @@ def test_coefficient_lookup():
 
 
 def test_coefficient_of_zero_series():
-    z = TriSeries.zero(4)
+    z = TriSeries(4)
     assert coefficients(z) == {}
     assert z.is_zero()
 
@@ -319,7 +320,7 @@ def test_lines_golden_pochhammer():
         "-1 * q^1 y^0 z^1",
         "1 * q^1 y^0 z^2",
     ]
-    assert str(TriSeries.zero(2)) == "0"
+    assert str(TriSeries(2)) == "0"
 
 
 def test_truncate_matches_direct_computation():
@@ -336,7 +337,7 @@ def test_truncate_matches_direct_computation():
 
 def test_default_zcap_is_the_qcap():
     assert TriSeries(4).zcap == 4
-    assert TriSeries.one(4).zcap == TriSeries.zero(4).zcap == 4
+    assert TriSeries.one(4).zcap == 4
     assert TriSeries(4) == TriSeries(4, 4)
     # a term at z = qcap + 1 is past the default cap
     s = S([(0, 0, 4, 1), (1, 0, 5, 1)], 4)
