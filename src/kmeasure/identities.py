@@ -6,15 +6,21 @@ caps, or None; :func:`run_suite` times it and writes its report.  Because
 the arithmetic is exact, a passing check proves the identity for every
 retained coefficient; there is no tolerance anywhere.
 
-Every infinite sum is built by :func:`_qsum`, which derives summand n+1
-from summand n by one monomial and a few binomial multiply/divide steps
-(Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1-3).  Since each
-summand is a multiple of the one before it, the sum stops exactly at the
-first summand that vanishes under the caps; no builder needs a truncation
-bound of its own.  Infinite Pochhammer prefactors are applied the same way,
-one binomial factor at a time, on the same packed rows as the sum
-(see :mod:`kmeasure.series`).  Every series stays packed, and a passing
-check decodes none.
+Every infinite sum is data: a :class:`Form` record holds its summand
+ratio, a monomial times q^(step*n), and the Pochhammer factors that take
+summand n to summand n+1, and :func:`_qsum` builds it (Gasper and Rahman,
+*Basic Hypergeometric Series*, ch. 1-3).  Since each summand is a multiple
+of the one before it, the sum stops exactly at the first summand that
+vanishes under the caps; no builder needs a truncation bound of its own.
+Infinite Pochhammer prefactors are applied the same way, one binomial
+factor at a time, on the same packed rows as the sum (see
+:mod:`kmeasure.series`).  Every series stays packed, and a passing check
+decodes none.
+
+One table, :func:`_family`, holds each family's sum form, product form and
+q-difference equation; the named builders are its entry points.  The
+series that several checks of a unit compare against, the product forms
+and the Durfee closed form among them, are built once per unit.
 """
 
 from __future__ import annotations
@@ -39,13 +45,19 @@ from .series import (
 CLOSED_FORM_FAMILIES = ("all", "distinct")
 MINUS_YQ = Monomial(-1, q=1, y=1)
 
+# A sum as data: summand n+1 is summand n times ratio * q^(step*n) and the
+# ``ups`` / ``downs`` Pochhammer steps, and the sum is multiplied by its
+# infinite ``prefactors``; see _qsum.
+Form = namedtuple("Form", "ratio step ups downs prefactors", defaults=((), (), ()))
+Family = namedtuple("Family", "sum product fe")
 
-def _qsum(qcap, zcap, ratio, ups=(), downs=(), prefactors=()) -> TriSeries:
+
+def _qsum(qcap, zcap, form) -> TriSeries:
     """prod_{(a,h,divide) in prefactors} (a;q^h)_inf^(-1 if divide else 1)
     * sum_{n>=0} T_n under the caps, where T_0 = 1 and
 
-        T_{n+1} = T_n * ratio(n) * prod_{(a,h,L) in ups} (a q^{hLn};q^h)_L
-                                 / prod_{(a,h,L) in downs} (a q^{hLn};q^h)_L
+        T_{n+1} = T_n * ratio q^{step n} * prod_{(a,h,L) in ups} (a q^{hLn};q^h)_L
+                                        / prod_{(a,h,L) in downs} (a q^{hLn};q^h)_L
 
     so that each (a;q^h) in ``ups`` contributes (a;q^h)_{Ln} to T_n and each
     one in ``downs`` divides by it.  Every later summand is a multiple of
@@ -58,15 +70,15 @@ def _qsum(qcap, zcap, ratio, ups=(), downs=(), prefactors=()) -> TriSeries:
     total = term._copy()
     n = 0
     while True:
-        term._shift(ratio(n))
-        for factors, divide in ((ups, False), (downs, True)):
+        term._shift(form.ratio.shift_q(form.step * n))
+        for factors, divide in ((form.ups, False), (form.downs, True)):
             for a, h, length in factors:
                 term._pochhammer(a.shift_q(h * length * n), h, length, divide)
         if term.is_zero():
             break
         total._add(term)
         n += 1
-    for a, h, divide in prefactors:
+    for a, h, divide in form.prefactors:
         total._pochhammer(a, h, None, divide)
     return total
 
@@ -74,108 +86,92 @@ def _qsum(qcap, zcap, ratio, ups=(), downs=(), prefactors=()) -> TriSeries:
 # ------------------------------------------------------------ closed forms
 
 
-def partition_measure_gf_sum(k: int, qcap: int) -> TriSeries:
-    """Alternating-sum closed form of sum y^len z^{k-measure} q^size over
-    all partitions:
+def _family(family: str, k: int) -> Family:
+    """The closed forms of sum y^len z^{k-measure} q^size over a family at
+    parameter k, and the q-difference equation (FE) that it satisfies:
 
-        1/(yq;q)_inf * sum_n (-1)^n y^n q^{n(n+1)/2} (z;q^{k-1})_n / (q;q)_n
+    all:
+        sum      1/(yq;q)_inf * sum_n (-1)^n y^n q^{n(n+1)/2} (z;q^{k-1})_n / (q;q)_n
+        product  (z;q^{k-1})_inf * sum_n z^n / ((q^{k-1};q^{k-1})_n (yq;q)_{(k-1)n})
+        FE       g(y) - g(yq) - yzq/(yq;q)_k * g(yq^k) = 0
+    distinct (partitions into distinct parts):
+        sum      (-yq;q)_inf * sum_n (-1)^n y^n q^n (z;q^k)_n / (q;q)_n
+        product  (z;q^k)_inf * sum_n (-yq;q)_{kn} z^n / (q^k;q^k)_n
+        FE       g(y) - g(yq) - yzq*(-yq^2;q)_{k-1} * g(yq^k) = 0
 
-    The q^{n(n+1)/2} factor makes the summands vanish under the q-cap.
-    k = 1 uses the step-0 product (z;q^0)_n = (1-z)^n.
+    The FE record ``(a, L, divide)`` is its coefficient Pochhammer (a;q)_L,
+    which multiplies, or divides when ``divide`` is set.  The powers of q
+    in the sum summands make them vanish under the q-cap.  A product
+    summand carries exactly z^n, so the product sums vanish past the z-cap.
+    k = 1 uses the step-0 product (z;q^0)_n = (1-z)^n in the all family's
+    sum; its product form has the degenerate base q^0, which
+    :func:`partition_measure_gf_product` refuses.
     """
+    if family not in CLOSED_FORM_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     if k < 1:
         raise ValueError("k must be positive")
-    return _qsum(
-        qcap, None, lambda n: Monomial(-1, q=n + 1, y=1),
-        ups=((Z, k - 1, 1),), downs=((Q, 1, 1),), prefactors=((YQ, 1, True),),
+    if family == "all":
+        return Family(
+            Form(MINUS_YQ, 1, ups=((Z, k - 1, 1),), downs=((Q, 1, 1),),
+                 prefactors=((YQ, 1, True),)),
+            Form(Z, 0, downs=((Monomial(1, q=k - 1), k - 1, 1), (YQ, 1, k - 1)),
+                 prefactors=((Z, k - 1, False),)),
+            (YQ, k, True),
+        )
+    return Family(
+        Form(MINUS_YQ, 0, ups=((Z, k, 1),), downs=((Q, 1, 1),),
+             prefactors=((MINUS_YQ, 1, False),)),
+        Form(Z, 0, ups=((MINUS_YQ, 1, k),), downs=((Monomial(1, q=k), k, 1),),
+             prefactors=((Z, k, False),)),
+        (Monomial(-1, q=2, y=1), k - 1, False),
     )
+
+
+def partition_measure_gf_sum(k: int, qcap: int) -> TriSeries:
+    """The all family's sum form (see :func:`_family`) under the q-cap."""
+    return _qsum(qcap, None, _family("all", k).sum)
 
 
 def partition_measure_gf_product(k: int, qcap: int, zcap: int | None) -> TriSeries:
-    """Product-form counterpart for k >= 2:
-
-        (z;q^{k-1})_inf * sum_n z^n / ((q^{k-1};q^{k-1})_n (yq;q)_{(k-1)n})
-
-    Each summand carries exactly z^n, so the summands vanish past the
-    z-cap (None: the q-cap) and every coefficient with z-exponent <= zcap
-    is exact.  k = 1 is rejected: the base q^0 makes both Pochhammers
-    degenerate.
-    """
+    """The all family's product form for k >= 2, on z-exponents up to the
+    z-cap (None: the q-cap).  k = 1 is rejected: the base q^0 makes both
+    Pochhammers degenerate."""
     if k < 2:
         raise ValueError("degenerate base q^0")
-    return _qsum(
-        qcap, zcap, lambda n: Z,
-        downs=((Monomial(1, q=k - 1), k - 1, 1), (YQ, 1, k - 1)),
-        prefactors=((Z, k - 1, False),),
-    )
+    return _qsum(qcap, zcap, _family("all", k).product)
 
 
 def distinct_measure_gf_sum(k: int, qcap: int) -> TriSeries:
-    """Alternating-sum closed form of sum y^len z^{k-measure} q^size over
-    partitions into distinct parts:
-
-        (-yq;q)_inf * sum_n (-1)^n y^n q^n (z;q^k)_n / (q;q)_n
-
-    The q^n factor makes the summands vanish under the q-cap.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    return _qsum(
-        qcap, None, lambda n: MINUS_YQ, ups=((Z, k, 1),), downs=((Q, 1, 1),),
-        prefactors=((MINUS_YQ, 1, False),),
-    )
+    """The distinct family's sum form under the q-cap."""
+    return _qsum(qcap, None, _family("distinct", k).sum)
 
 
 def distinct_measure_gf_product(k: int, qcap: int, zcap: int | None) -> TriSeries:
-    """Product-form counterpart for the distinct family, any k >= 1:
+    """The distinct family's product form for k >= 1, on z-exponents up to
+    the z-cap (None: the q-cap)."""
+    return _qsum(qcap, zcap, _family("distinct", k).product)
 
-        (z;q^k)_inf * sum_n (-yq;q)_{kn} z^n / (q^k;q^k)_n
 
-    As in the partition case, the summand carries exactly z^n, so the
-    summands vanish past the z-cap (None: the q-cap).
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    return _qsum(
-        qcap, zcap, lambda n: Z,
-        ups=((MINUS_YQ, 1, k),), downs=((Monomial(1, q=k), k, 1),),
-        prefactors=((Z, k, False),),
-    )
+# sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n): a square of side n contributes
+# q-order n^2 and z^n, so the summands vanish under the caps
+DURFEE_FORM = Form(Monomial(1, q=1, y=1, z=1), 2, downs=((YQ, 1, 1), (Q, 1, 1)))
 
 
 def durfee_gf_closed(qcap: int, zcap: int | None = None) -> TriSeries:
-    """Closed form of sum y^len z^{durfee side} q^size over all partitions:
-
-        sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n)
-
-    A square of side n contributes q-order n^2 (and z^n, which the z-cap
-    also truncates), so the summands vanish under the caps.
-    """
-    return _qsum(
-        qcap, zcap, lambda n: Monomial(1, q=2 * n + 1, y=1, z=1),
-        downs=((YQ, 1, 1), (Q, 1, 1)),
-    )
-
-
-def _check_family(family):
-    if family not in CLOSED_FORM_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    """Closed form of sum y^len z^{durfee side} q^size over all partitions,
+    :data:`DURFEE_FORM`, under the caps."""
+    return _qsum(qcap, zcap, DURFEE_FORM)
 
 
 def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
-    """Residual of the q-difference equation satisfied by the enumerated
-    generating function g(y) = sum y^len z^{k-measure} q^size:
-
-        all:       g(y) - g(yq) - yzq/(yq;q)_k * g(yq^k)
-        distinct:  g(y) - g(yq) - yzq*(-yq^2;q)_{k-1} * g(yq^k)
+    """Residual of the family's FE (see :func:`_family`) for the enumerated
+    generating function g(y) = sum y^len z^{k-measure} q^size.
 
     The equation encodes removing all parts of size at most k from a
     partition with smallest part 1.  The residual must be the zero series.
     """
-    if family == "all":
-        a, length, divide = YQ, k, True
-    else:
-        a, length, divide = Monomial(-1, q=2, y=1), k - 1, False
+    a, length, divide = _family(family, k).fe
     shifted = g.scale_y(1)
     advanced = (shifted if k == 1 else g.scale_y(k)).times_monomial(Monomial(-1, q=1, y=1, z=1))
     return g - shifted + _pochhammer_apply(advanced, a, 1, length, divide)
@@ -252,9 +248,21 @@ class _Artifacts:
     def measure(self, qcap: int, k: int, family: str) -> TriSeries:
         return self._get(("measure", qcap, k, family), lambda: measure_gf(qcap, k, family))
 
+    # The closed-form getters ask the family table first, so that it refuses
+    # an unknown family before any build.
+
     def closed_sum(self, k: int, qcap: int, family: str) -> TriSeries:
+        _family(family, k)
         build = partition_measure_gf_sum if family == "all" else distinct_measure_gf_sum
         return self._get(("closed_sum", k, qcap, family), lambda: build(k, qcap))
+
+    def product(self, k: int, qcap: int, zcap: int | None, family: str) -> TriSeries:
+        _family(family, k)
+        build = partition_measure_gf_product if family == "all" else distinct_measure_gf_product
+        return self._get(("product", k, qcap, zcap, family), lambda: build(k, qcap, zcap))
+
+    def durfee_closed(self, qcap: int, zcap: int | None) -> TriSeries:
+        return self._get(("durfee_closed", qcap, zcap), lambda: durfee_gf_closed(qcap, zcap))
 
     def durfee(self, qcap: int) -> TriSeries:
         return self._get(("durfee", qcap), lambda: durfee_gf(qcap))
@@ -269,20 +277,17 @@ class _Artifacts:
 
 def _sum_form(memo, k, qcap, family):
     """Alternating-sum closed form against the enumerated generating function."""
-    _check_family(family)
     return _first_difference(memo.closed_sum(k, qcap, family), memo.measure(qcap, k, family))
 
 
 def _product_form(memo, k, qcap, zcap, family):
     """Product form against the sum form, on z-exponents up to zcap."""
-    _check_family(family)
-    build = partition_measure_gf_product if family == "all" else distinct_measure_gf_product
-    return _first_difference(build(k, qcap, zcap), memo.closed_sum(k, qcap, family))
+    return _first_difference(memo.product(k, qcap, zcap, family), memo.closed_sum(k, qcap, family))
 
 
 def _qdiff(memo, k, qcap, family):
     """q-difference equation residual must vanish identically."""
-    _check_family(family)
+    _family(family, k)  # refuses an unknown family before the count
     residual = _qdiff_residual(memo.measure(qcap, k, family), k, family)
     return _first_difference(residual, TriSeries(qcap))
 
@@ -294,7 +299,18 @@ def _equidistribution(memo, qcap):
 
 def _durfee_closed(memo, qcap):
     """Durfee-square closed form against the enumerated Durfee series."""
-    return _first_difference(durfee_gf_closed(qcap), memo.durfee(qcap))
+    return _first_difference(memo.durfee_closed(qcap, qcap), memo.durfee(qcap))
+
+
+def _heine_limit(memo, qcap, zcap):
+    """The limiting case of Heine's transformation
+
+        (z;q)_inf sum_n z^n/((q;q)_n (yq;q)_n)
+            = sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n)
+
+    whose left side is the all family's product form at k = 2 and whose
+    right side is the Durfee closed form, on z-exponents up to zcap."""
+    return _first_difference(memo.product(2, qcap, zcap, "all"), memo.durfee_closed(qcap, zcap))
 
 
 def _parity(memo, qcap):
@@ -323,7 +339,6 @@ def _nonnegative(memo, k, qcap, family):
     parameter k and the step-k one, which is the same family at parameter
     k+1.
     """
-    _check_family(family)
     ks = (k, k + 1) if family == "all" else (k,)
     for series in [memo.closed_sum(j, qcap, family) for j in ks]:
         if not series.is_nonnegative():
@@ -357,7 +372,7 @@ def euler_first_sides(t: Monomial, qcap: int, zcap=None):
     """
     if t.q < 1:
         raise ValueError("parameter needs a positive q-exponent")
-    lhs = _qsum(qcap, zcap, lambda m: t, downs=((Q, 1, 1),))
+    lhs = _qsum(qcap, zcap, Form(t, 0, downs=((Q, 1, 1),)))
     rhs = pochhammer_infinite(t, 1, qcap, zcap).invert()
     return lhs, rhs
 
@@ -370,10 +385,7 @@ def euler_second_sides(t: Monomial, qcap: int, zcap=None):
     """
     if t.q == 0 and t.y == 0 and t.z == 0:
         raise ValueError("constant parameter")
-    lhs = _qsum(
-        qcap, zcap, lambda m: Monomial(-t.coeff, t.q + m, t.y, t.z),
-        downs=((Q, 1, 1),),
-    )
+    lhs = _qsum(qcap, zcap, Form(Monomial(-1) * t, 1, downs=((Q, 1, 1),)))
     rhs = pochhammer_infinite(t, 1, qcap, zcap)
     return lhs, rhs
 
@@ -385,28 +397,10 @@ def bailey_daum_sides(a: Monomial, qcap: int, zcap=None):
 
     The q^{n(n+1)/2} factor makes the summands vanish regardless of a.
     """
-    lhs = _qsum(
-        qcap, zcap, lambda n: Monomial(1, q=n + 1), ups=((a, 1, 1),), downs=((Q, 1, 1),)
-    )
+    lhs = _qsum(qcap, zcap, Form(Q, 1, ups=((a, 1, 1),), downs=((Q, 1, 1),)))
     rhs = pochhammer_infinite(Monomial(-1, q=1), 1, qcap, zcap)
     rhs = _pochhammer_apply(rhs, a.shift_q(1), 2)
     return lhs, rhs
-
-
-def heine_limit_sides(qcap: int, zcap: int | None):
-    """Both sides of the limiting transformation
-
-        (z;q)_inf sum_n z^n/((q;q)_n (yq;q)_n)
-            = sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n)
-
-    The left sum's n-th summand carries exactly z^n, so its summands vanish
-    past the z-cap (None: the q-cap); the right side is
-    :func:`durfee_gf_closed`.
-    """
-    lhs = _qsum(
-        qcap, zcap, lambda n: Z, downs=((Q, 1, 1), (YQ, 1, 1)), prefactors=((Z, 1, False),)
-    )
-    return lhs, durfee_gf_closed(qcap, zcap)
 
 
 def generalized_heine_sides(
@@ -438,15 +432,13 @@ def generalized_heine_sides(
         raise ValueError("parameter specialization unsupported") from None
     at = a * t
 
-    lhs = _qsum(
-        qcap, zcap, lambda n: t,
-        ups=((a, h, 1), (b, 1, h)), downs=((Monomial(1, q=h), h, 1), (c, 1, h)),
-    )
-    rhs = _qsum(
-        qcap, zcap, lambda n: b,
-        ups=((ratio, 1, 1), (t, h, 1)), downs=((Q, 1, 1), (at, h, 1)),
+    lhs = _qsum(qcap, zcap, Form(
+        t, 0, ups=((a, h, 1), (b, 1, h)), downs=((Monomial(1, q=h), h, 1), (c, 1, h)),
+    ))
+    rhs = _qsum(qcap, zcap, Form(
+        b, 0, ups=((ratio, 1, 1), (t, h, 1)), downs=((Q, 1, 1), (at, h, 1)),
         prefactors=((b, 1, False), (at, h, False), (c, 1, True), (t, h, True)),
-    )
+    ))
     return lhs, rhs
 
 
@@ -479,7 +471,7 @@ _CHECK_FUNCS = {
     "euler-first": _sides_check(euler_first_sides),
     "euler-second": _sides_check(euler_second_sides),
     "bailey-daum": _sides_check(bailey_daum_sides),
-    "heine-limit": _sides_check(heine_limit_sides),
+    "heine-limit": _heine_limit,
     "heine-general": _sides_check(generalized_heine_sides),
 }
 
@@ -490,10 +482,11 @@ def default_tasks(qcap: int, ks) -> list[tuple[str, str, dict]]:
     check runs at z-cap qcap."""
     # run_suite hands units out in the order their first task appears here,
     # so the largest go first and a pool's wall time nears max(sum / jobs,
-    # largest).  Serial check times at q-order 200 (median of 3 runs, 17.0 s
-    # in all): heine-general[h=1] 2.92 s, the ("all", 2) unit 2.03 s,
-    # euler-first[t=q^2*z] 1.36 s, euler-first[t=q*y] 1.21 s; the
-    # euler-first checks grow faster with the q-order than the family units.
+    # largest).  Serial check times at q-order 200 (median of 3 runs, 9.8 s
+    # in all): heine-general[h=1] 1.96 s, the ("all", 2) unit, which starts
+    # at heine-limit, 1.20 s, the ("all", 3) unit 0.79 s, euler-first[t=q^2*z]
+    # 0.73 s; the euler-first checks grow faster with the q-order than the
+    # family units.
     tasks = []
     for label, params in HEINE_GENERAL_PARAMS:
         tasks.append(
@@ -532,9 +525,11 @@ def default_tasks(qcap: int, ks) -> list[tuple[str, str, dict]]:
     return tasks
 
 
-# The Durfee checks read the 2-measure series, so they join the ("all", 2)
+# The Durfee checks read the 2-measure series, and heine-limit reads the
+# k = 2 product form and the Durfee closed form, so they join the ("all", 2)
 # unit.
-_DURFEE_UNIT = ("durfee-equidistribution", "durfee-closed-form", "parity-distinct-odd")
+_DURFEE_UNIT = ("durfee-equidistribution", "durfee-closed-form", "parity-distinct-odd",
+                "heine-limit")
 
 
 def _unit_key(index, task):

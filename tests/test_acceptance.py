@@ -24,7 +24,6 @@ from kmeasure.identities import (
     euler_first_sides,
     euler_second_sides,
     generalized_heine_sides,
-    heine_limit_sides,
     partition_measure_gf_product,
     partition_measure_gf_sum,
 )
@@ -106,7 +105,8 @@ def building_blocks_12():
         sides.append((f"euler-second[t={t}]", euler_second_sides(t, 12, 12)))
     for a in BAILEY_DAUM_PARAMS:
         sides.append((f"bailey-daum[a={a}]", bailey_daum_sides(a, 12)))
-    sides.append(("heine-limit", heine_limit_sides(12, 12)))
+    heine_limit = partition_measure_gf_product(2, 12, 12), durfee_gf_closed(12, 12)
+    sides.append(("heine-limit", heine_limit))
     for label, params in HEINE_GENERAL_PARAMS:
         sides.append(
             (f"heine-general[{label}]", generalized_heine_sides(qcap=12, zcap=12, **params))

@@ -26,7 +26,6 @@ from kmeasure.identities import (
     euler_first_sides,
     euler_second_sides,
     generalized_heine_sides,
-    heine_limit_sides,
     partition_measure_gf_product,
     partition_measure_gf_sum,
     reports_csv,
@@ -277,8 +276,17 @@ def test_qdiff_residual_distinct_k4():
     assert _qdiff_residual(measure_gf(12, 4, "distinct"), 4, "distinct").is_zero()
 
 
-def test_qdiff_rejects_bad_family():
-    report = _run("qdiff", k=2, qcap=5, family="weird")
+@pytest.mark.parametrize("key", ["sum-form", "product-form", "qdiff", "nonnegative"])
+def test_family_checks_reject_bad_family(monkeypatch, key):
+    # the family is refused before any series is built
+    def no_build(*args):
+        raise AssertionError(f"built {args}")
+
+    for fname in ("measure_gf", "partition_measure_gf_sum", "partition_measure_gf_product",
+                  "distinct_measure_gf_sum", "distinct_measure_gf_product"):
+        monkeypatch.setattr(identities, fname, no_build)
+    zcap = dict(zcap=5) if key == "product-form" else {}
+    report = _run(key, k=2, qcap=5, family="weird", **zcap)
     assert report.error == "ValueError: unknown family 'weird'"
 
 
@@ -420,11 +428,6 @@ def test_bailey_daum_parameters():
 
 def test_heine_limit_passes():
     assert _passes("heine-limit", dict(qcap=12, zcap=12))
-
-
-def test_heine_limit_matches_product_form_k2():
-    lhs, _ = heine_limit_sides(10, 10)
-    assert lhs == partition_measure_gf_product(2, 10, 10)
 
 
 def test_generalized_heine_parameters():
@@ -621,7 +624,8 @@ def _without_elapsed(reports):
     return [{k: v for k, v in r.to_dict().items() if k != "elapsed_ms"} for r in reports]
 
 
-def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
+def _counting_builds(monkeypatch):
+    """Record the arguments of every build of a shared series, by builder."""
     builds = {}
 
     def counting(fname):
@@ -634,14 +638,21 @@ def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
         monkeypatch.setattr(identities, fname, fake)
 
     for fname in ("measure_gf", "durfee_gf", "partition_measure_gf_sum",
-                  "distinct_measure_gf_sum"):
+                  "distinct_measure_gf_sum", "partition_measure_gf_product",
+                  "distinct_measure_gf_product", "durfee_gf_closed"):
         counting(fname)
-    reports = run_suite(default_tasks(8, [1, 2, 3]), jobs=1)
-    assert all(r.passed for r in reports)
 
     def counts(fname):
-        keys = builds[fname]
+        keys = builds.get(fname, [])
         return {key: keys.count(key) for key in keys}
+
+    return counts
+
+
+def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
+    counts = _counting_builds(monkeypatch)
+    reports = run_suite(default_tasks(8, [1, 2, 3]), jobs=1)
+    assert all(r.passed for r in reports)
 
     assert set(counts("measure_gf").values()) == {1}
     # one series per (family, k), and the distinct-odd count of the parity
@@ -655,6 +666,24 @@ def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
     # nonnegative[all] at k also reads the sum form at k + 1, which is the
     # sum form of the unit at k + 1
     assert max(counts("partition_measure_gf_sum").values()) <= 2
+    # heine-limit reads the ("all", 2) unit's product form and Durfee closed
+    # form, which durfee-closed-form reads at z-cap qcap too
+    assert counts("durfee_gf_closed") == {(8, 8): 1}
+    assert counts("partition_measure_gf_product") == {(2, 8, 8): 1, (3, 8, 8): 1}
+    assert set(counts("distinct_measure_gf_product").values()) == {1}
+
+
+def test_heine_limit_builds_its_product_form_in_the_durfee_unit(monkeypatch):
+    # with no k = 2 unit, the Durfee unit builds the product form once
+    counts = _counting_builds(monkeypatch)
+    tasks = default_tasks(8, [3])
+    assert not any(task[2].get("k") == 2 for task in tasks)
+    assert all(r.passed for r in run_suite(tasks, jobs=1))
+    assert counts("partition_measure_gf_product") == {(2, 8, 8): 1, (3, 8, 8): 1}
+    assert counts("durfee_gf_closed") == {(8, 8): 1}
+    (unit,) = {identities._unit_key(i, task) for i, task in enumerate(tasks)
+               if task[1] in ("heine-limit", "durfee-closed-form")}
+    assert unit == ("all", 2)
 
 
 def test_sharing_changes_no_report():
@@ -681,7 +710,9 @@ def test_checks_leave_shared_series_unchanged(monkeypatch):
     monkeypatch.setattr(identities, "_Artifacts", Recording)
     run_suite(default_tasks(10, [1, 2, 3]), jobs=1)
     shared = [(key, series) for memo in memos for key, series in memo._built.items()]
-    assert {key[0] for key, _ in shared} == {"measure", "closed_sum", "durfee"}
+    assert {key[0] for key, _ in shared} == {
+        "measure", "closed_sum", "product", "durfee_closed", "durfee",
+    }
     for (getter, *args), series in shared:
         assert getattr(identities._Artifacts(), getter)(*args) == series
 
@@ -763,7 +794,7 @@ def _kill(memo, **kwargs):
     # more deaths than workers: each dead worker is replaced while units
     # are left, and each lost unit carries the status of its own worker
     {"durfee-closed-form": (_exit(3), 3), "sylvester-runs": (_exit(4), 4),
-     "heine-limit": (_kill, -signal.SIGKILL)},
+     "bailey-daum": (_kill, -signal.SIGKILL)},
 ])
 def test_dead_worker_fails_only_its_unit(monkeypatch, dying):
     tasks = default_tasks(6, [1, 2])
@@ -933,7 +964,7 @@ def test_failed_replacement_fork_reruns_no_unit(monkeypatch, capsys, tmp_path):
     tasks = default_tasks(20, [1, 2, 3])
     units = _unit_names(tasks)
     plan = list(units.values())
-    lost = units["sum-form[all]@2"]
+    lost = units["heine-limit@None"]  # the ("all", 2) unit starts with heine-limit
     later = plan[plan.index(lost) + 1:]
     expected = _without_elapsed(run_suite(tasks, jobs=1))
     parent, gate = os.getpid(), os.pipe()

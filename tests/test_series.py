@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmeasure.identities import _qsum, partition_measure_gf_product
+from kmeasure.identities import Form, _qsum, partition_measure_gf_product
 from kmeasure.partitions import enumerate_partitions, measure_gf
 from kmeasure.series import (
     Monomial,
@@ -221,8 +221,8 @@ def test_qsum_trusts_an_empty_summand_only_under_the_majorant():
 
 def test_qsum_ends_at_a_summand_that_cancels():
     # T_1 = T_0 q (1 - 1) vanishes by cancellation, under no cap
-    assert _qsum(6, None, lambda n: Q, ups=((Monomial(1), 1, 1),)) == TriSeries.one(6)
-    assert _qsum(6, 3, lambda n: YQ, ups=((Monomial(1), 0, 2),)) == TriSeries.one(6, 3)
+    assert _qsum(6, None, Form(Q, 0, ups=((Monomial(1), 1, 1),))) == TriSeries.one(6)
+    assert _qsum(6, 3, Form(YQ, 0, ups=((Monomial(1), 0, 2),))) == TriSeries.one(6, 3)
 
 
 def test_pochhammer_finite_z_two_factors():
