@@ -3,7 +3,11 @@
 Exit status contract: 0 when everything checked passed, 1 when at least one
 identity or equidistribution claim failed or a write met a closed stdout, 2 on
 usage or parse errors, 130 on an interrupt (SIGINT, as from Ctrl-C), which
-ends a run with one stderr line and no worker left running.
+ends a run with one stderr line and no worker left running.  SIGTERM (as
+from kill or timeout) ends a pooled run with 143, 128 + SIGTERM, once its
+workers are stopped and reaped (see :mod:`kmeasure.forked`); a serial run
+has no worker, and the signal itself ends it, which a shell also reports
+as 143.
 ``entrypoint`` leaves through ``os._exit`` once stdout and stderr are
 flushed, so a run pays for no interpreter teardown; under a profiler or
 tracer (cProfile, coverage) it exits normally, so that their report is

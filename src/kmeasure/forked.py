@@ -26,7 +26,12 @@ says so in one stderr line and forks no more workers in the run; the
 workers still alive take the units that are left, and a unit no worker took
 is returned as None, for the caller to run.  Workers leave only through
 ``os._exit``, and the parent reaps every one of them, also when it raises.
-The program starts no threads, so forking is safe.
+While the workers run, SIGTERM raises ``SystemExit(143)`` in the parent, so
+that it too stops and reaps them before the run ends, as 128 + SIGTERM; a
+worker restores the default disposition, so SIGTERM sent to it alone ends
+it by the signal, and its unit is lost.  The program starts no threads, so
+forking is safe, and ``run_forked`` runs in the main thread, the only one
+that may set a signal handler.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import marshal
 import os
 import select
+import signal
 import sys
 
 _INDEX = 4  # bytes of a unit index
@@ -99,6 +105,8 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
             return True
         task, (result_r, result_w) = pipes
         if pid == 0:
+            # a worker that gets SIGTERM itself ends by it, as its status says
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
             # a task pipe ends only once every copy of its write end is closed
             for fd in [task[1]] + [fd for _, ends, *_ in live.values() for fd in ends]:
                 os.close(fd)
@@ -109,6 +117,9 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
         hand_out(worker)
 
     failed = False  # once a worker cannot start, the run starts no more
+    # SIGTERM (as from kill or timeout) raises SystemExit(128 + 15) here, so
+    # that the finally below stops the workers before the run exits 143
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         while True:
             while not failed and len(live) < workers and handed < len(plan):
@@ -131,10 +142,9 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
                     hand_out(worker)
     finally:
         if live:  # the parent is raising: stop the workers still running
-            import signal
-
             for worker in live.values():
                 worker[3].close()
                 end_task(worker)
                 os.kill(worker[0], signal.SIGKILL)
                 os.waitpid(worker[0], 0)
+        signal.signal(signal.SIGTERM, previous)

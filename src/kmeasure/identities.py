@@ -173,8 +173,8 @@ def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
     """
     a, length, divide = _family(family, k).fe
     shifted = g.scale_y(1)
-    advanced = (shifted if k == 1 else g.scale_y(k)).times_monomial(Monomial(-1, q=1, y=1, z=1))
-    return g - shifted + _pochhammer_apply(advanced, a, 1, length, divide)
+    advanced = _pochhammer_apply(shifted if k == 1 else g.scale_y(k), a, 1, length, divide)
+    return (g - shifted)._sum(advanced, Monomial(-1, q=1, y=1, z=1))
 
 
 # ------------------------------------------------------------ reports

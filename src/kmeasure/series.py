@@ -55,8 +55,8 @@ series whose q^0 row is exactly 1.  Equality and the checks of
 :mod:`kmeasure.identities` compare rows as ints, which is a proof under the
 majorant (:func:`_first_difference`).
 The ``{(y_exp, z_exp): coefficient}`` dict layers of a series are only a
-view, decoded once when something reads coefficients back: ``terms``, a
-rendering, or a failure report.
+view, decoded once when something reads coefficients back: ``terms``, or
+a failure report.
 """
 
 from __future__ import annotations
@@ -304,17 +304,6 @@ class TriSeries:
                     return False
         return True
 
-    def lines(self) -> list[str]:
-        """Debug rendering: one ``c * q^j y^e z^f`` line per term.
-
-        Lines are sorted by ascending q-exponent, then y, then z.  This is
-        the stable format used by golden-file tests.
-        """
-        return [f"{c} * q^{j} y^{e} z^{f}" for j, e, f, c in self.terms()]
-
-    def __str__(self):
-        return "\n".join(self.lines()) if self._nterms else "0"
-
     def __repr__(self):
         return f"TriSeries(qcap={self.qcap}, zcap={self.zcap}, terms={self._nterms})"
 
@@ -368,10 +357,6 @@ class TriSeries:
                 for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
                     _row_mul(product.rows[j1 + j2], ra, rb, zcap)
         return product
-
-    def times_monomial(self, m: Monomial) -> "TriSeries":
-        """Multiply by a single monomial (exact shift and scale)."""
-        return TriSeries(self.qcap, self.zcap)._sum(self, m)
 
     def times_one_minus(self, m: Monomial) -> "TriSeries":
         """Multiply by the binomial (1 - m) in O(terms)."""
@@ -604,20 +589,16 @@ def _slot_width(bits: int, width: int = 0) -> int:
     return max(_START_WIDTH, (bits + 8) // 8 * 8)
 
 
-def _halves(slots: int, width: int) -> bytes:
-    """2^(width-1) in each of ``slots`` little-endian slots."""
-    return (b"\0" * (width // 8 - 1) + b"\x80") * slots
-
-
 _HIGH_BITS = {}
 
 
 def _high_bits(slots: int, width: int) -> int:
-    """:func:`_halves` as an int: bit width-1 of each slot.  Added to a
-    packed value, it turns every balanced digit into a nonnegative one."""
+    """2^(width-1) in each of ``slots`` slots: bit width-1 of each.  Added
+    to a packed value, it turns every balanced digit into a nonnegative
+    one."""
     key = (slots, width)
     if key not in _HIGH_BITS:
-        _HIGH_BITS[key] = int.from_bytes(_halves(slots, width), "little")
+        _HIGH_BITS[key] = int.from_bytes((b"\0" * (width // 8 - 1) + b"\x80") * slots, "little")
     return _HIGH_BITS[key]
 
 
@@ -634,10 +615,11 @@ def _join(slots: dict, width: int) -> int:
     """The packed int of ``{y_exp: c}``, each |c| below 2^(width-1)."""
     size, half = width // 8, 1 << (width - 1)
     count = max(slots) + 1
-    raw = bytearray(_halves(count, width))
+    high = _high_bits(count, width)
+    raw = bytearray(high.to_bytes(count * size, "little"))
     for e, c in slots.items():
         raw[e * size:(e + 1) * size] = (c + half).to_bytes(size, "little")
-    return int.from_bytes(raw, "little") - _high_bits(count, width)
+    return int.from_bytes(raw, "little") - high
 
 
 def _widened(v: int, old: int, width: int) -> int:

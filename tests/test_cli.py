@@ -445,6 +445,36 @@ def test_interrupt_exits_130_in_one_line_and_leaves_no_worker(jobs):
         os.killpg(proc.pid, 0)
 
 
+def test_sigterm_exits_143_and_leaves_no_worker():
+    # kill and timeout send SIGTERM to the parent alone: it must stop and
+    # reap its workers itself, which would otherwise run on under init
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kmeasure.cli", "verify", "--qcap", "200", "--jobs", "2"],
+        env=src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        try:
+            proc.wait(timeout=1.5)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    try:
+        assert proc.returncode == 143, err
+        assert "Traceback" not in err, err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
 def test_interrupt_while_the_engine_loads_exits_130_in_one_line():
     # a SIGINT that lands while a command imports the engine: a finder that
     # raises KeyboardInterrupt for kmeasure.identities stands in for it

@@ -156,7 +156,12 @@ def test_durfee_closed_form_matches_enumeration():
 # The builders derive summand n+1 from summand n and stop at the first
 # summand that vanishes.  These references rebuild each summand's
 # Pochhammer products from scratch, divide through the dense inverse, and
-# sum to explicit bounds on the summands' q-order or z-degree.
+# sum to explicit bounds on the summands' q-order or z-degree.  A monomial
+# factor is a one-term series, multiplied in by the Cauchy product.
+
+
+def _one_term(m, qcap, zcap=None):
+    return TriSeries.from_terms([(m.q, m.y, m.z, m.coeff)], qcap, zcap)
 
 
 def _reference_partition_sum(k, qcap):
@@ -164,7 +169,7 @@ def _reference_partition_sum(k, qcap):
     n = 0
     while n * (n + 1) // 2 <= qcap:
         front = Monomial((-1) ** n, q=n * (n + 1) // 2, y=n)
-        term = pochhammer_finite(Z, k - 1, n, qcap).times_monomial(front)
+        term = pochhammer_finite(Z, k - 1, n, qcap) * _one_term(front, qcap)
         total = total + term * pochhammer_finite(Q, 1, n, qcap).invert()
         n += 1
     return total * pochhammer_infinite(YQ, 1, qcap).invert()
@@ -185,7 +190,7 @@ def _reference_distinct_sum(k, qcap):
     total = TriSeries(qcap)
     for n in range(qcap + 1):
         front = Monomial((-1) ** n, q=n, y=n)
-        term = pochhammer_finite(Z, k, n, qcap).times_monomial(front)
+        term = pochhammer_finite(Z, k, n, qcap) * _one_term(front, qcap)
         total = total + term * pochhammer_finite(Q, 1, n, qcap).invert()
     return total * pochhammer_infinite(Monomial(-1, q=1, y=1), 1, qcap)
 
@@ -194,7 +199,7 @@ def _reference_distinct_product(k, qcap, zcap):
     total = TriSeries(qcap, zcap)
     for n in range(zcap + 1):
         term = pochhammer_finite(Monomial(-1, q=1, y=1), 1, k * n, qcap, zcap)
-        term = term.times_monomial(Monomial(1, z=n))
+        term = term * _one_term(Monomial(1, z=n), qcap, zcap)
         term = term * pochhammer_finite(Monomial(1, q=k), k, n, qcap, zcap).invert()
         total = total + term
     return total * pochhammer_infinite(Z, k, qcap, zcap)
@@ -528,7 +533,7 @@ def test_failing_qdiff_reports_the_residual_against_zero(monkeypatch):
     qcap = 10
     g = measure_gf(qcap, 3)  # the series of the wrong k
     advanced = _pochhammer_apply(g.scale_y(2), YQ, 1, 2, divide=True)
-    residual = g - g.scale_y(1) - advanced.times_monomial(Monomial(1, q=1, y=1, z=1))
+    residual = g - g.scale_y(1) - advanced * _one_term(Monomial(1, q=1, y=1, z=1), qcap)
     j, e, f, c = residual.terms()[0]
     built = {("measure", qcap, 2, "all"): g}
     report = _run_seeded(monkeypatch, built, "qdiff", k=2, qcap=qcap, family="all")

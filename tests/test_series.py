@@ -313,14 +313,15 @@ def test_coefficient_of_zero_series():
     assert z.is_zero()
 
 
-def test_lines_golden_pochhammer():
-    assert pochhammer_finite(Z, 1, 2, 6).lines() == [
-        "1 * q^0 y^0 z^0",
-        "-1 * q^0 y^0 z^1",
-        "-1 * q^1 y^0 z^1",
-        "1 * q^1 y^0 z^2",
+def test_terms_golden_pochhammer():
+    # (z;q)_2 = (1 - z)(1 - zq), sorted by q, then y, then z
+    assert pochhammer_finite(Z, 1, 2, 6).terms() == [
+        (0, 0, 0, 1),
+        (0, 0, 1, -1),
+        (1, 0, 1, -1),
+        (1, 0, 2, 1),
     ]
-    assert str(TriSeries(2)) == "0"
+    assert TriSeries(2).terms() == []
 
 
 def test_truncate_matches_direct_computation():
