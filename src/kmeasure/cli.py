@@ -2,7 +2,8 @@
 
 Exit status contract: 0 when everything checked passed, 1 when at least one
 identity or equidistribution claim failed or a write met a closed stdout, 2 on
-usage or parse errors, 130 on an interrupt (SIGINT, as from Ctrl-C), which
+usage or parse errors (the parser refuses every malformed argument, with its
+usage line), 130 on an interrupt (SIGINT, as from Ctrl-C), which
 ends a run with one stderr line and no worker left running.  SIGTERM (as
 from kill or timeout) ends a pooled run with 143, 128 + SIGTERM, once its
 workers are stopped and reaped (see :mod:`kmeasure.forked`); a serial run
@@ -24,6 +25,7 @@ import os
 import sys
 
 USAGE_ERROR = 2
+DEFAULT_KS = [1, 2, 3, 4, 5]
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -38,14 +40,28 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """The argparse type of an int of at least ``low``, 0 or 1."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {'positive' if low else 'nonnegative'} integer")
+        return value
+
+    return parse
+
+
+def _partition(text: str) -> tuple[int, ...]:
+    """The argparse type of a partition in the format of
+    :func:`kmeasure.partitions.parse_partition`."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+        return partitions.parse_partition(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _default_jobs() -> int:
@@ -56,6 +72,7 @@ def _default_jobs() -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    positive, nonnegative = _int_at_least(1), _int_at_least(0)
     parser = argparse.ArgumentParser(
         prog="kmeasure",
         description="Exact verification of partition k-measure series identities.",
@@ -63,27 +80,27 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run identity checks")
-    verify.add_argument("--qcap", type=int, default=20, help="q-truncation order")
-    verify.add_argument("--k", type=_parse_k_list, default=[1, 2, 3, 4, 5],
+    verify.add_argument("--qcap", type=nonnegative, default=20, help="q-truncation order")
+    verify.add_argument("--k", type=_parse_k_list, default=DEFAULT_KS,
                         help="comma-separated k values")
     verify.add_argument("--identity", default=None,
                         help="only run checks whose name contains this substring")
     verify.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"),
                         default="plain")
-    verify.add_argument("--jobs", type=_positive_int, default=None,
+    verify.add_argument("--jobs", type=positive, default=None,
                         help="forked worker processes, at most one per unit of checks "
                              "(default: the CPUs it may run on)")
 
     stats = sub.add_parser("stats", help="statistics of one partition")
-    stats.add_argument("partition", help='comma-separated parts, e.g. "4,3,1"; empty for the empty partition')
-    stats.add_argument("--k", type=_parse_k_list, default=[1, 2, 3, 4, 5])
+    stats.add_argument("partition", type=_partition, help='comma-separated parts, e.g. "4,3,1"; empty for the empty partition')
+    stats.add_argument("--k", type=_parse_k_list, default=DEFAULT_KS)
     stats.add_argument("--format", dest="fmt", choices=("plain", "json"), default="plain")
 
     table = sub.add_parser("table", help="joint distribution tables per n")
-    table.add_argument("--n-max", type=int, required=True)
+    table.add_argument("--n-max", type=nonnegative, required=True)
     table.add_argument("--pair", choices=("mu2-durfee", "muk-length", "sylvester"),
                        default="mu2-durfee")
-    table.add_argument("--k", type=_positive_int, default=2, help="k for the muk-length pair")
+    table.add_argument("--k", type=positive, default=2, help="k for the muk-length pair")
     table.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"),
                        default="plain")
     return parser
@@ -114,30 +131,18 @@ def cmd_verify(qcap: int, ks, identity: str | None, fmt: str, jobs: int) -> int:
 # ------------------------------------------------------------------- stats
 
 
-def cmd_stats(text: str, ks, fmt: str) -> int:
-    try:
-        parts = partitions.parse_partition(text)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_stats(parts, ks, fmt: str) -> int:
     stats = partitions.partition_stats(parts, ks)
     if fmt == "json":
-        print(json.dumps({
-            "partition": list(parts),
-            "size": stats.size,
-            "length": stats.length,
-            "smallest": stats.smallest,
-            "durfee": stats.durfee,
-            "measures": {str(k): v for k, v in sorted(stats.measures.items())},
-        }, indent=2))
+        print(json.dumps({"partition": list(parts), **stats._asdict()}, indent=2))
     else:
         print(f"partition: {partitions.format_partition(parts) or '(empty)'}")
         print(f"size:      {stats.size}")
         print(f"length:    {stats.length}")
         print(f"smallest:  {stats.smallest}")
         print(f"durfee:    {stats.durfee}")
-        for k in sorted(stats.measures):
-            print(f"measure k={k}: {stats.measures[k]}")
+        for k, measure in stats.measures.items():
+            print(f"measure k={k}: {measure}")
     return 0
 
 
@@ -167,9 +172,6 @@ def _table_rows(n_max: int, pair: str, k: int):
 
 
 def cmd_table(n_max: int, pair: str, k: int, fmt: str) -> int:
-    if n_max < 0:
-        print("error: --n-max must be nonnegative", file=sys.stderr)
-        return USAGE_ERROR
     rows = _table_rows(n_max, pair, k)
     if fmt == "csv":
         print("n,statistic_value,count_lhs,count_rhs,match")
@@ -203,9 +205,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize and re-raise
         return USAGE_ERROR if exc.code else 0
     if args.command == "verify":
-        if args.qcap < 0:
-            print("error: --qcap must be nonnegative", file=sys.stderr)
-            return USAGE_ERROR
         jobs = args.jobs if args.jobs is not None else _default_jobs()
         return cmd_verify(args.qcap, args.k, args.identity, args.fmt, jobs)
     if args.command == "stats":

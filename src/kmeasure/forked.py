@@ -29,9 +29,15 @@ is returned as None, for the caller to run.  Workers leave only through
 While the workers run, SIGTERM raises ``SystemExit(143)`` in the parent, so
 that it too stops and reaps them before the run ends, as 128 + SIGTERM; a
 worker restores the default disposition, so SIGTERM sent to it alone ends
-it by the signal, and its unit is lost.  The program starts no threads, so
-forking is safe, and ``run_forked`` runs in the main thread, the only one
-that may set a signal handler.
+it by the signal, and its unit is lost.  SIGINT and SIGTERM are blocked
+across each fork.  A new worker unblocks them only inside ``_worker``'s
+``try``, once it has reset SIGTERM and closed the pipe ends it must not
+hold, and the parent only once the worker is among those it stops on the
+way out.  So a signal that lands as a worker starts ends that worker alone,
+as a worker; it never makes the worker run the parent's code (which would
+kill its siblings), nor leaves a worker the parent does not know of.  The
+program starts no threads, so forking is safe, and ``run_forked`` runs in
+the main thread, the only one that may set a signal handler.
 """
 
 from __future__ import annotations
@@ -45,13 +51,20 @@ import sys
 _INDEX = 4  # bytes of a unit index
 
 
-def _worker(run_unit, plan, task_r, result_w):
+def _worker(run_unit, plan, task_r, result_w, inherited, mask):
     """Body of a forked worker: run each unit whose index it reads from its
     task pipe and send back the unit's results, until the pipe ends.  It
-    leaves only through ``os._exit``, whatever a unit does, so it never
-    flushes the buffers it inherited or returns into the parent's caller."""
+    leaves only through ``os._exit``, whatever a unit or a signal does, so
+    it never flushes the buffers it inherited or returns into the parent's
+    caller.  It starts with SIGINT and SIGTERM blocked, closes the
+    ``inherited`` fds, and only then restores the signal ``mask``."""
     status = 1
     try:
+        # a worker that gets SIGTERM itself ends by it, as its status says
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for fd in inherited:
+            os.close(fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = os.fdopen(result_w, "wb")
         while index := os.read(task_r, _INDEX):
             marshal.dump(run_unit(plan[int.from_bytes(index, "little")]), results)
@@ -93,11 +106,15 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
     def fork_worker():
         """Start a worker and hand it a unit; True if it cannot start."""
         pipes = []
+        # SIGINT and SIGTERM wait until the worker is inside _worker's try,
+        # and until the parent holds it in ``live``
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
             pipes.append(os.pipe())
             pipes.append(os.pipe())
             pid = os.fork()
         except OSError as exc:  # no worker started: close its pipes
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for fd in (fd for pipe in pipes for fd in pipe):
                 os.close(fd)
             print(f"kmeasure: cannot start a worker ({exc}); "
@@ -105,14 +122,12 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
             return True
         task, (result_r, result_w) = pipes
         if pid == 0:
-            # a worker that gets SIGTERM itself ends by it, as its status says
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
             # a task pipe ends only once every copy of its write end is closed
-            for fd in [task[1]] + [fd for _, ends, *_ in live.values() for fd in ends]:
-                os.close(fd)
-            _worker(run_unit, plan, task[0], result_w)
+            inherited = [task[1]] + [fd for _, ends, *_ in live.values() for fd in ends]
+            _worker(run_unit, plan, task[0], result_w, inherited, mask)
         os.close(result_w)
         live[result_r] = worker = [pid, task, None, os.fdopen(result_r, "rb")]
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         poller.register(result_r, select.POLLIN)
         hand_out(worker)
 

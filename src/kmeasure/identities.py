@@ -6,16 +6,10 @@ caps, or None; :func:`run_suite` times it and writes its report.  Because
 the arithmetic is exact, a passing check proves the identity for every
 retained coefficient; there is no tolerance anywhere.
 
-Every infinite sum is data: a :class:`Form` record holds its summand
-ratio, a monomial times q^(step*n), and the Pochhammer factors that take
-summand n to summand n+1, and :func:`_qsum` builds it (Gasper and Rahman,
-*Basic Hypergeometric Series*, ch. 1-3).  Since each summand is a multiple
-of the one before it, the sum stops exactly at the first summand that
-vanishes under the caps; no builder needs a truncation bound of its own.
-Infinite Pochhammer prefactors are applied the same way, one binomial
-factor at a time, on the same packed rows as the sum (see
-:mod:`kmeasure.series`).  Every series stays packed, and a passing check
-decodes none.
+Every infinite sum is data: each builder here writes a
+:class:`kmeasure.series.Form` record, and :func:`kmeasure.series._qsum`
+builds it, so no in-place step of a build runs in this module.  Every
+series stays packed, and a passing check decodes none.
 
 One table, :func:`_family`, holds each family's sum form, product form and
 q-difference equation; the named builders are its entry points.  The
@@ -32,6 +26,7 @@ from time import perf_counter
 
 from .partitions import durfee_gf, measure_gf, sylvester_gfs
 from .series import (
+    Form,
     Monomial,
     Q,
     TriSeries,
@@ -39,48 +34,13 @@ from .series import (
     Z,
     _first_difference,
     _pochhammer_apply,
+    _qsum,
     pochhammer_infinite,
 )
 
 CLOSED_FORM_FAMILIES = ("all", "distinct")
 MINUS_YQ = Monomial(-1, q=1, y=1)
-
-# A sum as data: summand n+1 is summand n times ratio * q^(step*n) and the
-# ``ups`` / ``downs`` Pochhammer steps, and the sum is multiplied by its
-# infinite ``prefactors``; see _qsum.
-Form = namedtuple("Form", "ratio step ups downs prefactors", defaults=((), (), ()))
 Family = namedtuple("Family", "sum product fe")
-
-
-def _qsum(qcap, zcap, form) -> TriSeries:
-    """prod_{(a,h,divide) in prefactors} (a;q^h)_inf^(-1 if divide else 1)
-    * sum_{n>=0} T_n under the caps, where T_0 = 1 and
-
-        T_{n+1} = T_n * ratio q^{step n} * prod_{(a,h,L) in ups} (a q^{hLn};q^h)_L
-                                        / prod_{(a,h,L) in downs} (a q^{hLn};q^h)_L
-
-    so that each (a;q^h) in ``ups`` contributes (a;q^h)_{Ln} to T_n and each
-    one in ``downs`` divides by it.  Every later summand is a multiple of
-    T_n, so the first T_n that vanishes under the caps ends the sum exactly.
-    A summand holds its monomial factors as a pending offset, so its steps
-    run only over the rows under the shifted caps.  The sum and its
-    prefactors stay packed, and each step widens them in place when it must.
-    """
-    term = TriSeries.one(qcap, zcap)
-    total = term._copy()
-    n = 0
-    while True:
-        term._shift(form.ratio.shift_q(form.step * n))
-        for factors, divide in ((form.ups, False), (form.downs, True)):
-            for a, h, length in factors:
-                term._pochhammer(a.shift_q(h * length * n), h, length, divide)
-        if term.is_zero():
-            break
-        total._add(term)
-        n += 1
-    for a, h, divide in form.prefactors:
-        total._pochhammer(a, h, None, divide)
-    return total
 
 
 # ------------------------------------------------------------ closed forms

@@ -24,7 +24,9 @@ from collections import Counter, namedtuple
 
 from .series import TriSeries, _slot_width
 
-ORACLE_FAMILIES = ("all", "distinct", "odd", "distinct-odd")
+# family -> (distinct, odd): whether its parts are distinct, and odd
+ORACLE_FAMILIES = {"all": (False, False), "distinct": (True, False),
+                   "odd": (False, True), "distinct-odd": (True, True)}
 
 
 def _descend(remaining, max_part, distinct, odd):
@@ -52,9 +54,7 @@ def enumerate_partitions(n: int, family: str = "all"):
         raise ValueError("n must be nonnegative")
     if family not in ORACLE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    distinct = family in ("distinct", "distinct-odd")
-    odd = family in ("odd", "distinct-odd")
-    return _descend(n, n, distinct, odd)
+    return _descend(n, n, *ORACLE_FAMILIES[family])
 
 
 def _values_of(parts) -> list[int]:
@@ -133,18 +133,19 @@ def consecutive_runs(parts) -> int:
 
 class PartitionStats(namedtuple("PartitionStats", "size length smallest durfee measures")):
     """Bundle of the statistics of one partition; ``smallest`` is 0 for the
-    empty partition, and ``measures`` maps each k to the k-measure."""
+    empty partition, and ``measures`` maps each k, in increasing order, to
+    the k-measure."""
 
     __slots__ = ()
 
 
-def partition_stats(parts, ks=(1, 2, 3, 4, 5)) -> PartitionStats:
+def partition_stats(parts, ks) -> PartitionStats:
     return PartitionStats(
         size=sum(parts),
         length=len(parts),
         smallest=parts[-1] if parts else 0,
         durfee=durfee(parts),
-        measures={k: kmeasure(parts, k) for k in ks},
+        measures={k: kmeasure(parts, k) for k in sorted(ks)},
     )
 
 
@@ -253,8 +254,7 @@ def _measure_series(qcap, k, family, counts, width):
     together multiply that state by one factor, in place.  ``counts`` and
     ``width`` come from :func:`_partition_counts`.
     """
-    distinct = family in ("distinct", "distinct-odd")
-    odd = family in ("odd", "distinct-odd")
+    distinct, odd = ORACLE_FAMILIES[family]
     # a gap between parts of at most qcap stays below qcap, so a larger k acts as qcap + 1
     gaps = [[{} for _ in range(qcap + 1)] for _ in range(min(k, qcap + 1) - 1)] + [_unit(qcap)]
     for v in range(1, qcap + 1):

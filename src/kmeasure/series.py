@@ -57,6 +57,17 @@ majorant (:func:`_first_difference`).
 The ``{(y_exp, z_exp): coefficient}`` dict layers of a series are only a
 view, decoded once when something reads coefficients back: ``terms``, or
 a failure report.
+
+An infinite sum is data too: a :class:`Form` record holds its summand
+ratio, a monomial times q^(step*n), the Pochhammer factors that take
+summand n to summand n+1, and its infinite prefactors, and :func:`_qsum`
+builds it (Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1-3).
+Since each summand is a multiple of the one before it, the sum stops
+exactly at the first summand that vanishes under the caps; no builder
+needs a truncation bound of its own.  A summand holds its monomial as a
+pending offset, and the prefactors are applied one binomial factor at a
+time, on the same packed rows as the sum.  So every in-place step of a
+build, and the offset it carries, runs in this module.
 """
 
 from __future__ import annotations
@@ -723,3 +734,42 @@ def pochhammer_infinite(
     if a.coeff != 0 and a.q == 0 and a.y == 0 and a.z == 0:
         raise ValueError("divergent infinite product")
     return _pochhammer_apply(TriSeries.one(qcap, zcap), a, h)
+
+
+# ------------------------------------------------------------------ sums
+
+# A sum as data: summand n+1 is summand n times ratio * q^(step*n) and the
+# ``ups`` / ``downs`` Pochhammer steps, and the sum is multiplied by its
+# infinite ``prefactors``; see _qsum.
+Form = namedtuple("Form", "ratio step ups downs prefactors", defaults=((), (), ()))
+
+
+def _qsum(qcap, zcap, form) -> TriSeries:
+    """prod_{(a,h,divide) in prefactors} (a;q^h)_inf^(-1 if divide else 1)
+    * sum_{n>=0} T_n under the caps, where T_0 = 1 and
+
+        T_{n+1} = T_n * ratio q^{step n} * prod_{(a,h,L) in ups} (a q^{hLn};q^h)_L
+                                        / prod_{(a,h,L) in downs} (a q^{hLn};q^h)_L
+
+    so that each (a;q^h) in ``ups`` contributes (a;q^h)_{Ln} to T_n and each
+    one in ``downs`` divides by it.  Every later summand is a multiple of
+    T_n, so the first T_n that vanishes under the caps ends the sum exactly.
+    A summand holds its monomial factors as a pending offset, so its steps
+    run only over the rows under the shifted caps.  The sum and its
+    prefactors stay packed, and each step widens them in place when it must.
+    """
+    term = TriSeries.one(qcap, zcap)
+    total = term._copy()
+    n = 0
+    while True:
+        term._shift(form.ratio.shift_q(form.step * n))
+        for factors, divide in ((form.ups, False), (form.downs, True)):
+            for a, h, length in factors:
+                term._pochhammer(a.shift_q(h * length * n), h, length, divide)
+        if term.is_zero():
+            break
+        total._add(term)
+        n += 1
+    for a, h, divide in form.prefactors:
+        total._pochhammer(a, h, None, divide)
+    return total

@@ -253,6 +253,18 @@ def test_table_negative_nmax_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("verify", "--qcap", "-1"), "kmeasure verify: error: argument --qcap: must be a nonnegative integer"),
+    (("table", "--n-max", "-1"), "kmeasure table: error: argument --n-max: must be a nonnegative integer"),
+    (("stats", "3,4"), "kmeasure stats: error: argument partition: parts must be weakly decreasing"),
+], ids=["qcap", "n-max", "partition"])
+def test_the_parser_refuses_a_malformed_argument(capsys, argv, line):
+    # with the usage line, before any engine work
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: kmeasure {argv[0]} ") and err.splitlines()[-1] == line
+
+
 def test_table_nonpositive_k_is_usage_error(capsys):
     code, _, err = run(capsys, "table", "--n-max", "3", "--pair", "muk-length", "--k", "0")
     assert code == 2
@@ -396,7 +408,9 @@ def test_pooled_json_arrives_whole_and_agrees_with_csv():
 def test_exit_statuses_survive_the_fast_exit():
     usage = buffered_run(["-m", "kmeasure.cli", "verify", "--qcap", "-1"])
     assert (usage.returncode, usage.stdout) == (2, "")
-    assert usage.stderr == "error: --qcap must be nonnegative\n"
+    assert usage.stderr.startswith("usage: kmeasure verify ")
+    assert usage.stderr.endswith(
+        "\nkmeasure verify: error: argument --qcap: must be a nonnegative integer\n")
     script = (
         "import sys\n"
         "import kmeasure.cli, kmeasure.identities\n"
@@ -582,6 +596,38 @@ def test_verify_dead_worker_fails_only_its_check(monkeypatch, capsys):
     assert failed[0].endswith("ChildProcessError: worker exited with status 3")
     total = int(out.rsplit("/", 1)[1].split()[0])
     assert f"{total - 1}/{total} checks passed" in out
+
+
+@pytest.mark.parametrize("signum, status", [(signal.SIGINT, 1), (signal.SIGTERM, -15)],
+                         ids=["SIGINT", "SIGTERM"])
+def test_a_signal_as_a_worker_starts_loses_only_its_unit(signum, status):
+    # the second worker signals itself as its fork returns, before any worker
+    # code runs: it must end as a worker, and not unwind into the parent's
+    # code, which would kill its sibling and end in a traceback
+    script = (
+        "import os, signal, sys\n"
+        "import kmeasure.cli\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "real_fork, forks = os.fork, []\n"
+        "def fork():\n"
+        "    forks.append(None)\n"
+        "    pid = real_fork()\n"
+        "    if pid == 0 and len(forks) == 2:\n"
+        f"        os.kill(os.getpid(), {int(signum)})\n"
+        "    return pid\n"
+        "os.fork = fork\n"
+        "sys.argv = ['kmeasure', 'verify', '--qcap', '12', '--jobs', '2', '--format', 'csv']\n"
+        "kmeasure.cli.entrypoint()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (1, ""), result.stderr
+    failed = [row for row in result.stdout.splitlines() if ",False," in row]
+    assert failed == [
+        f'heine-general[h=2],,12,12,False,"ChildProcessError: worker exited with status {status}"'
+    ]
+    assert len(result.stdout.splitlines()) == 57
 
 
 def test_bad_flag_is_usage_error(capsys):

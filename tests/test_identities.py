@@ -40,6 +40,7 @@ from kmeasure.partitions import (
     enumerate_partitions,
     kmeasure,
     measure_gf,
+    measure_gfs,
     runs_gf,
     sylvester_gfs,
 )
@@ -452,6 +453,31 @@ def test_generalized_heine_rejects_degenerate_params():
         generalized_heine_sides(a=Q, b=Q, c=Q, t=Q, h=0, qcap=8, zcap=8)
     with pytest.raises(ValueError):
         generalized_heine_sides(a=Q, b=Q, c=Monomial(1, q=2), t=Z, h=1, qcap=8, zcap=8)
+
+
+HEINE_H1 = dict(a=YQ, c=Monomial(1, q=2), t=Monomial(1, q=1, z=1), h=1, qcap=4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Q.divide(Monomial(0)), ZeroDivisionError, "division by the zero monomial"),
+    (lambda: TriSeries.one(4).scale_y(-1), ValueError, "scale_y exponent must be nonnegative"),
+    (lambda: pochhammer_finite(Q, -1, 2, 4), ValueError, "pochhammer step must be nonnegative"),
+    (lambda: pochhammer_finite(Q, 1, -1, 4), ValueError, "pochhammer length must be nonnegative"),
+    (lambda: euler_second_sides(Monomial(-1), 4), ValueError, "constant parameter"),
+    (lambda: generalized_heine_sides(b=Monomial(0), **HEINE_H1), ValueError,
+     "parameter specialization unsupported"),
+    (lambda: generalized_heine_sides(b=Monomial(1, y=1), **HEINE_H1), ValueError,
+     "sum does not terminate: b needs q-order or z-order"),
+    (lambda: enumerate_partitions(-1), ValueError, "n must be nonnegative"),
+    (lambda: measure_gfs(4, [2, 0]), ValueError, "k must be positive"),
+    (lambda: measure_gfs(4, [-1]), ValueError, "k must be positive"),
+], ids=["divide-by-zero-monomial", "scale_y-negative", "pochhammer-negative-step",
+        "pochhammer-negative-length", "euler-second-constant", "heine-b-zero",
+        "heine-b-no-q-or-z", "enumerate-negative-n", "measure-k-zero", "measure-k-negative"])
+def test_each_refusal_names_its_reason(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_generalized_heine_rational_coefficients():

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from kmeasure.identities import Form, _qsum, partition_measure_gf_product
+from kmeasure.identities import partition_measure_gf_product
 from kmeasure.partitions import enumerate_partitions, measure_gf
 from kmeasure.series import (
+    Form,
     Monomial,
     Q,
     TriSeries,
     YQ,
     Z,
     _pochhammer_apply,
+    _qsum,
     pochhammer_finite,
     pochhammer_infinite,
 )
