@@ -2,7 +2,7 @@
 
 Each check assembles both sides of one identity as :class:`TriSeries`
 values and returns the first coefficient at which they differ under the
-caps, or None; :func:`run_suite` times it and writes its report.  Because
+q-order, or None; :func:`run_suite` times it and writes its report.  Because
 the arithmetic is exact, a passing check proves the identity for every
 retained coefficient; there is no tolerance anywhere.
 
@@ -62,7 +62,8 @@ def _family(family: str, k: int) -> Family:
     The FE record ``(a, L, divide)`` is its coefficient Pochhammer (a;q)_L,
     which multiplies, or divides when ``divide`` is set.  The powers of q
     in the sum summands make them vanish under the q-cap.  A product
-    summand carries exactly z^n, so the product sums vanish past the z-cap.
+    summand carries exactly z^n, so the product sums vanish past the q-order
+    in z.
     k = 1 uses the step-0 product (z;q^0)_n = (1-z)^n in the all family's
     sum; its product form has the degenerate base q^0, which
     :func:`partition_measure_gf_product` refuses.
@@ -90,38 +91,36 @@ def _family(family: str, k: int) -> Family:
 
 def partition_measure_gf_sum(k: int, qcap: int) -> TriSeries:
     """The all family's sum form (see :func:`_family`) under the q-cap."""
-    return _qsum(qcap, None, _family("all", k).sum)
+    return _qsum(qcap, _family("all", k).sum)
 
 
-def partition_measure_gf_product(k: int, qcap: int, zcap: int | None) -> TriSeries:
-    """The all family's product form for k >= 2, on z-exponents up to the
-    z-cap (None: the q-cap).  k = 1 is rejected: the base q^0 makes both
-    Pochhammers degenerate."""
+def partition_measure_gf_product(k: int, qcap: int) -> TriSeries:
+    """The all family's product form for k >= 2 under the q-order.  k = 1
+    is rejected: the base q^0 makes both Pochhammers degenerate."""
     if k < 2:
         raise ValueError("degenerate base q^0")
-    return _qsum(qcap, zcap, _family("all", k).product)
+    return _qsum(qcap, _family("all", k).product)
 
 
 def distinct_measure_gf_sum(k: int, qcap: int) -> TriSeries:
     """The distinct family's sum form under the q-cap."""
-    return _qsum(qcap, None, _family("distinct", k).sum)
+    return _qsum(qcap, _family("distinct", k).sum)
 
 
-def distinct_measure_gf_product(k: int, qcap: int, zcap: int | None) -> TriSeries:
-    """The distinct family's product form for k >= 1, on z-exponents up to
-    the z-cap (None: the q-cap)."""
-    return _qsum(qcap, zcap, _family("distinct", k).product)
+def distinct_measure_gf_product(k: int, qcap: int) -> TriSeries:
+    """The distinct family's product form for k >= 1 under the q-order."""
+    return _qsum(qcap, _family("distinct", k).product)
 
 
 # sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n): a square of side n contributes
-# q-order n^2 and z^n, so the summands vanish under the caps
+# q-order n^2 and z^n, so the summands vanish under the q-order
 DURFEE_FORM = Form(Monomial(1, q=1, y=1, z=1), 2, downs=((YQ, 1, 1), (Q, 1, 1)))
 
 
-def durfee_gf_closed(qcap: int, zcap: int | None = None) -> TriSeries:
+def durfee_gf_closed(qcap: int) -> TriSeries:
     """Closed form of sum y^len z^{durfee side} q^size over all partitions,
-    :data:`DURFEE_FORM`, under the caps."""
-    return _qsum(qcap, zcap, DURFEE_FORM)
+    :data:`DURFEE_FORM`, under the q-order."""
+    return _qsum(qcap, DURFEE_FORM)
 
 
 def _qdiff_residual(g: TriSeries, k: int, family: str) -> TriSeries:
@@ -216,13 +215,13 @@ class _Artifacts:
         build = partition_measure_gf_sum if family == "all" else distinct_measure_gf_sum
         return self._get(("closed_sum", k, qcap, family), lambda: build(k, qcap))
 
-    def product(self, k: int, qcap: int, zcap: int | None, family: str) -> TriSeries:
+    def product(self, k: int, qcap: int, family: str) -> TriSeries:
         _family(family, k)
         build = partition_measure_gf_product if family == "all" else distinct_measure_gf_product
-        return self._get(("product", k, qcap, zcap, family), lambda: build(k, qcap, zcap))
+        return self._get(("product", k, qcap, family), lambda: build(k, qcap))
 
-    def durfee_closed(self, qcap: int, zcap: int | None) -> TriSeries:
-        return self._get(("durfee_closed", qcap, zcap), lambda: durfee_gf_closed(qcap, zcap))
+    def durfee_closed(self, qcap: int) -> TriSeries:
+        return self._get(("durfee_closed", qcap), lambda: durfee_gf_closed(qcap))
 
     def durfee(self, qcap: int) -> TriSeries:
         return self._get(("durfee", qcap), lambda: durfee_gf(qcap))
@@ -240,9 +239,10 @@ def _sum_form(memo, k, qcap, family):
     return _first_difference(memo.closed_sum(k, qcap, family), memo.measure(qcap, k, family))
 
 
-def _product_form(memo, k, qcap, zcap, family):
-    """Product form against the sum form, on z-exponents up to zcap."""
-    return _first_difference(memo.product(k, qcap, zcap, family), memo.closed_sum(k, qcap, family))
+def _product_form(memo, k, qcap, family):
+    """Product form against the sum form, both cut in q and z at the
+    q-order."""
+    return _first_difference(memo.product(k, qcap, family), memo.closed_sum(k, qcap, family))
 
 
 def _qdiff(memo, k, qcap, family):
@@ -259,18 +259,19 @@ def _equidistribution(memo, qcap):
 
 def _durfee_closed(memo, qcap):
     """Durfee-square closed form against the enumerated Durfee series."""
-    return _first_difference(memo.durfee_closed(qcap, qcap), memo.durfee(qcap))
+    return _first_difference(memo.durfee_closed(qcap), memo.durfee(qcap))
 
 
-def _heine_limit(memo, qcap, zcap):
+def _heine_limit(memo, qcap):
     """The limiting case of Heine's transformation
 
         (z;q)_inf sum_n z^n/((q;q)_n (yq;q)_n)
             = sum_n y^n z^n q^{n^2} / ((yq;q)_n (q;q)_n)
 
     whose left side is the all family's product form at k = 2 and whose
-    right side is the Durfee closed form, on z-exponents up to zcap."""
-    return _first_difference(memo.product(2, qcap, zcap, "all"), memo.durfee_closed(qcap, zcap))
+    right side is the Durfee closed form, both cut in q and z at the
+    q-order."""
+    return _first_difference(memo.product(2, qcap, "all"), memo.durfee_closed(qcap))
 
 
 def _parity(memo, qcap):
@@ -321,7 +322,7 @@ def _sylvester(memo, qcap):
 # --------------------------------------------- building-block identities
 
 
-def euler_first_sides(t: Monomial, qcap: int, zcap=None):
+def euler_first_sides(t: Monomial, qcap: int):
     """Both sides of sum_m t^m/(q;q)_m = 1/(t;q)_inf.
 
     t must carry a positive q-exponent: then the summands vanish under the
@@ -332,12 +333,12 @@ def euler_first_sides(t: Monomial, qcap: int, zcap=None):
     """
     if t.q < 1:
         raise ValueError("parameter needs a positive q-exponent")
-    lhs = _qsum(qcap, zcap, Form(t, 0, downs=((Q, 1, 1),)))
-    rhs = pochhammer_infinite(t, 1, qcap, zcap).invert()
+    lhs = _qsum(qcap, Form(t, 0, downs=((Q, 1, 1),)))
+    rhs = pochhammer_infinite(t, 1, qcap).invert()
     return lhs, rhs
 
 
-def euler_second_sides(t: Monomial, qcap: int, zcap=None):
+def euler_second_sides(t: Monomial, qcap: int):
     """Both sides of sum_m (-t)^m q^{m(m-1)/2}/(q;q)_m = (t;q)_inf.
 
     Here the q^{m(m-1)/2} factor makes the summands vanish for any
@@ -345,27 +346,25 @@ def euler_second_sides(t: Monomial, qcap: int, zcap=None):
     """
     if t.q == 0 and t.y == 0 and t.z == 0:
         raise ValueError("constant parameter")
-    lhs = _qsum(qcap, zcap, Form(Monomial(-1) * t, 1, downs=((Q, 1, 1),)))
-    rhs = pochhammer_infinite(t, 1, qcap, zcap)
+    lhs = _qsum(qcap, Form(Monomial(-1) * t, 1, downs=((Q, 1, 1),)))
+    rhs = pochhammer_infinite(t, 1, qcap)
     return lhs, rhs
 
 
-def bailey_daum_sides(a: Monomial, qcap: int, zcap=None):
+def bailey_daum_sides(a: Monomial, qcap: int):
     """Both sides of the summation
 
         sum_n (a;q)_n q^{n(n+1)/2} / (q;q)_n = (-q;q)_inf (aq;q^2)_inf
 
     The q^{n(n+1)/2} factor makes the summands vanish regardless of a.
     """
-    lhs = _qsum(qcap, zcap, Form(Q, 1, ups=((a, 1, 1),), downs=((Q, 1, 1),)))
-    rhs = pochhammer_infinite(Monomial(-1, q=1), 1, qcap, zcap)
+    lhs = _qsum(qcap, Form(Q, 1, ups=((a, 1, 1),), downs=((Q, 1, 1),)))
+    rhs = pochhammer_infinite(Monomial(-1, q=1), 1, qcap)
     rhs = _pochhammer_apply(rhs, a.shift_q(1), 2)
     return lhs, rhs
 
 
-def generalized_heine_sides(
-    a: Monomial, b: Monomial, c: Monomial, t: Monomial, h: int, qcap: int, zcap=None
-):
+def generalized_heine_sides(a: Monomial, b: Monomial, c: Monomial, t: Monomial, h: int, qcap: int):
     """Both sides of the two-base transformation
 
         sum_n (a;q^h)_n (b;q)_{hn} t^n / ((q^h;q^h)_n (c;q)_{hn})
@@ -376,7 +375,7 @@ def generalized_heine_sides(
     nonnegative exponents.  t and c need positive q-order so the left
     summands vanish (t^n) and every divisor is a formal unit; b needs a
     positive q- or z-exponent for the right summands to vanish under the
-    caps.
+    q-order.
     """
     if h < 1:
         raise ValueError("step must be positive")
@@ -392,10 +391,10 @@ def generalized_heine_sides(
         raise ValueError("parameter specialization unsupported") from None
     at = a * t
 
-    lhs = _qsum(qcap, zcap, Form(
+    lhs = _qsum(qcap, Form(
         t, 0, ups=((a, h, 1), (b, 1, h)), downs=((Monomial(1, q=h), h, 1), (c, 1, h)),
     ))
-    rhs = _qsum(qcap, zcap, Form(
+    rhs = _qsum(qcap, Form(
         b, 0, ups=((ratio, 1, 1), (t, h, 1)), downs=((Q, 1, 1), (at, h, 1)),
         prefactors=((b, 1, False), (at, h, False), (c, 1, True), (t, h, True)),
     ))
@@ -438,8 +437,9 @@ _CHECK_FUNCS = {
 
 def default_tasks(qcap: int, ks) -> list[tuple[str, str, dict]]:
     """The full verification suite as (name, check key, kwargs) triples,
-    costliest first; a k listed twice is checked once.  Every z-capped
-    check runs at z-cap qcap."""
+    costliest first; a k listed twice is checked once.  Every check runs
+    at the one truncation order qcap, in q and in z, so no task names a
+    z-cap."""
     # run_suite hands units out in the order their first task appears here,
     # so the largest go first and a pool's wall time nears max(sum / jobs,
     # largest).  Serial check times at q-order 200 (median of 3 runs, 9.8 s
@@ -449,13 +449,10 @@ def default_tasks(qcap: int, ks) -> list[tuple[str, str, dict]]:
     # family units.
     tasks = []
     for label, params in HEINE_GENERAL_PARAMS:
-        tasks.append(
-            (f"heine-general[{label}]", "heine-general",
-             dict(qcap=qcap, zcap=qcap, **params))
-        )
+        tasks.append((f"heine-general[{label}]", "heine-general", dict(qcap=qcap, **params)))
     for t in EULER_FIRST_PARAMS:
-        tasks.append((f"euler-first[t={t}]", "euler-first", dict(t=t, qcap=qcap, zcap=qcap)))
-    tasks.append(("heine-limit", "heine-limit", dict(qcap=qcap, zcap=qcap)))
+        tasks.append((f"euler-first[t={t}]", "euler-first", dict(t=t, qcap=qcap)))
+    tasks.append(("heine-limit", "heine-limit", dict(qcap=qcap)))
     for k in dict.fromkeys(ks):
         for family in CLOSED_FORM_FAMILIES:
             tasks.append(
@@ -465,7 +462,7 @@ def default_tasks(qcap: int, ks) -> list[tuple[str, str, dict]]:
             if family == "distinct" or k >= 2:
                 tasks.append(
                     (f"product-form[{family}]", "product-form",
-                     dict(k=k, qcap=qcap, zcap=qcap, family=family))
+                     dict(k=k, qcap=qcap, family=family))
                 )
             tasks.append(
                 (f"qdiff[{family}]", "qdiff", dict(k=k, qcap=qcap, family=family))
@@ -479,7 +476,7 @@ def default_tasks(qcap: int, ks) -> list[tuple[str, str, dict]]:
     tasks.append(("parity-distinct-odd", "parity-distinct-odd", dict(qcap=qcap)))
     tasks.append(("sylvester-runs", "sylvester-runs", dict(qcap=qcap)))
     for t in EULER_SECOND_PARAMS:
-        tasks.append((f"euler-second[t={t}]", "euler-second", dict(t=t, qcap=qcap, zcap=qcap)))
+        tasks.append((f"euler-second[t={t}]", "euler-second", dict(t=t, qcap=qcap)))
     for a in BAILEY_DAUM_PARAMS:
         tasks.append((f"bailey-daum[a={a}]", "bailey-daum", dict(a=a, qcap=qcap)))
     return tasks
@@ -502,13 +499,23 @@ def _unit_key(index, task):
     return index
 
 
+# The checks whose reports name a z-cap: each compares series whose
+# z-exponent can pass their q-exponent (a product summand carries z^n at
+# q-order 0, and Euler's and Heine's parameters may carry z), so the cut in z
+# at the q-order is part of what they prove.  Every other check compares
+# series that the cut leaves whole, and its report names none.
+_Z_CUT_CHECKS = ("heine-general", "euler-first", "euler-second", "heine-limit", "product-form")
+
+
 def _report(task, elapsed, fail, error=None) -> IdentityReport:
     """The report of a task.  ``fail`` is its check's first failure as
     (q, y, z, lhs, rhs), or None; ``error`` says why the check raised or
-    its worker died.  k, qcap and zcap come from the task kwargs."""
-    name, _, kwargs = task
+    its worker died.  k and qcap come from the task kwargs; zcap is the
+    q-order for the checks of :data:`_Z_CUT_CHECKS`, else None."""
+    name, key, kwargs = task
+    qcap = kwargs.get("qcap")
     return IdentityReport(
-        name, kwargs.get("k"), kwargs.get("qcap"), kwargs.get("zcap"),
+        name, kwargs.get("k"), qcap, qcap if key in _Z_CUT_CHECKS else None,
         fail is None and error is None, None if fail is None else Mismatch(*fail), elapsed, error,
     )
 

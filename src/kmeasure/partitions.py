@@ -14,8 +14,10 @@ transfer-matrix scan over part values, in time polynomial in qcap and with
 no algebra on closed forms involved.  Sylvester's two sides are such
 series too: the odd family's 1-measure series at y = 1, and the
 distinct-part series by number of runs.  Exhaustive, deterministic
-enumeration stays as the reference they are tested against, and it still
-backs the per-partition statistics.
+enumeration, :func:`enumerate_partitions`, has no caller in the engine: it
+is the reference the tests check those series against, and a name that the
+``perfbench`` tracer wraps.  :func:`partition_stats` reads the statistics
+off the partition it is given.
 """
 
 from __future__ import annotations
@@ -275,7 +277,7 @@ def _measure_series(qcap, k, family, counts, width):
     total = gaps.pop()
     for layers in gaps:
         _add_into(total, layers)
-    return TriSeries(qcap, None, width, total, list(counts))  # each series owns its majorant
+    return TriSeries(qcap, width, total, list(counts))  # each series owns its majorant
 
 
 def measure_gfs(qcap: int, ks, family: str = "all") -> dict[int, TriSeries]:
@@ -322,7 +324,7 @@ def durfee_gf(qcap: int) -> TriSeries:
                     tgt[side + 1] = tgt.get(side + 1, 0) + (widens << width)
                 if c != widens:
                     tgt[side] = tgt.get(side, 0) + ((c - widens) << width)
-    return TriSeries(qcap, None, width, layers, counts)
+    return TriSeries(qcap, width, layers, counts)
 
 
 def runs_gf(qcap: int) -> TriSeries:
@@ -344,7 +346,7 @@ def runs_gf(qcap: int) -> TriSeries:
         _add_into(rest, ends)
         ends = new_ends
     _add_into(rest, ends)
-    return TriSeries(qcap, None, width, rest, counts)
+    return TriSeries(qcap, width, rest, counts)
 
 
 def sylvester_gfs(n_max: int) -> tuple[TriSeries, TriSeries]:

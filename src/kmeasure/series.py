@@ -3,21 +3,22 @@
 This is the arithmetic substrate for coefficient-exact verification of
 partition generating function identities.  A :class:`TriSeries` is a formal
 power series in ``q`` whose coefficients are polynomials in ``y`` and ``z``,
-truncated at a fixed maximal q-exponent ``qcap`` and a maximal z-exponent
-``zcap``.  Coefficients are exact Python integers, so equality
+truncated at a fixed maximal q-exponent ``qcap``, the q-order, in both q
+and z.  Coefficients are exact Python integers, so equality
 of two series is a genuine identity of all retained coefficients, never a
 numerical tolerance.  Every generating function of the paper has integer
 coefficients, and so does every monomial, Pochhammer argument and
 substituted value here: a non-integer is refused with ``TypeError``, and a
 monomial ratio that is not integral with ``ValueError``.
 
-Every series carries an integer z-cap: the q-cap, unless a caller gives
-one.  Several product-form series carry a ``z^n`` term at q-order 0 for
-every n, and the z-cap makes such sums finite while still determining every
-coefficient with z-exponent <= zcap exactly; it is the formal-series
-replacement for an analytic smallness assumption on z.  Since no monomial
-has a negative exponent, dropping the terms past a cap commutes with every
-ring operation.  The default cap loses nothing in the paper's series: a
+There is one truncation order: a series holds q^j z^f for j, f <= qcap,
+and only a summand inside :func:`_qsum` has less room in z.  Several
+product-form series carry a ``z^n`` term at q-order 0 for every n, and the
+cut in z makes such sums finite while still determining every coefficient
+with z-exponent <= qcap exactly; it is the formal-series replacement for an
+analytic smallness assumption on z.  Since no monomial has a negative
+exponent, dropping the terms past the cut commutes with every ring
+operation.  The cut loses nothing in the paper's counted series: a
 k-measure, a Durfee side or a number of runs never exceeds the length, nor
 the length the size, so their z-exponent is at most their q-exponent.
 
@@ -38,7 +39,7 @@ per pair of keys.  Three facts make them exact:
 
 - every step is a ring operation of Z[y] (add, multiply, shift by W*a),
   and evaluation at 2^W keeps all of them exact whatever W is;
-- the q-cap and the z-cap drop whole keys, which is exact too;
+- the cut at the q-order drops whole keys, which is exact too;
 - a packed value is decoded, compared, or an empty one taken for zero,
   only when a majorant kept in lockstep with every step (one nonnegative
   int per q-row, bounding the sum of the absolute coefficients there)
@@ -63,7 +64,7 @@ ratio, a monomial times q^(step*n), the Pochhammer factors that take
 summand n to summand n+1, and its infinite prefactors, and :func:`_qsum`
 builds it (Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1-3).
 Since each summand is a multiple of the one before it, the sum stops
-exactly at the first summand that vanishes under the caps; no builder
+exactly at the first summand that vanishes under the q-order; no builder
 needs a truncation bound of its own.  A summand holds its monomial as a
 pending offset, and the prefactors are applied one binomial factor at a
 time, on the same packed rows as the sum.  So every in-place step of a
@@ -75,14 +76,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 
-def _check_caps(qcap: int, zcap: int | None) -> int:
-    """The z-cap, which None makes the q-cap, once both caps are checked."""
+def _check_qcap(qcap: int):
     if qcap < 0:
         raise ValueError("qcap must be nonnegative")
-    zcap = qcap if zcap is None else zcap
-    if zcap < 0:
-        raise ValueError("zcap must be nonnegative")
-    return zcap
 
 
 def _check_sign(sign) -> int:
@@ -189,17 +185,15 @@ def _row_mul(acc: dict, ra: dict, rb: dict, limit: int):
 class TriSeries:
     """Truncated trivariate formal power series with exact coefficients.
 
-    ``qcap`` is the largest retained q-exponent and ``zcap`` the largest
-    retained z-exponent; a ``zcap`` of None at construction means the
-    q-cap.  With no rows the series is zero; rows and bound are given
-    together.
+    ``qcap`` is the largest retained exponent of q and of z.  With no rows
+    the series is zero; rows and bound are given together.
 
     ``rows[j]`` maps a z-exponent f to the integer y-polynomial of q^j z^f
     evaluated at y = 2^width.  Every step is a ring operation of Z[y] (add,
     multiply, shift by width*a), which evaluation at 2^width preserves
-    whatever the width, and the caps drop whole keys.  Only reading a value
-    back, comparing it, or taking an empty series for zero, needs every
-    coefficient below 2^(width-1) in absolute value.  ``bound[j]`` is the
+    whatever the width, and the cut at ``qcap`` drops whole keys.  Only
+    reading a value back, comparing it, or taking an empty series for zero,
+    needs every coefficient below 2^(width-1) in absolute value.  ``bound[j]`` is the
     majorant that vouches for it: at least the sum of the absolute
     coefficients of row j, kept in lockstep with every step, and every read
     checks it.  An operation writes its majorant first, then :meth:`_widen`
@@ -213,19 +207,20 @@ class TriSeries:
     :meth:`_copy`, or on a fresh series inside a build.  Inside a sum a
     series may carry a pending monomial factor, ``offset = (q, y, z,
     coeff)``: it then stands for coeff q^q y^y z^z times its rows, and
-    ``qcap``, ``zcap`` are the caps of the rows, the series' caps less the
-    offset's exponents.  Binomial steps commute with the factor, so they run
-    over the rows under those caps alone; :meth:`_add` applies it.
+    ``qcap`` and ``zcap`` are the room of the rows in q and in z: the
+    q-order less the offset's exponents.  Binomial steps commute with the
+    factor, so they run over the rows in that room alone; :meth:`_add`
+    applies it.  Outside a sum ``zcap`` is ``qcap``.
     """
 
     __slots__ = ("qcap", "zcap", "width", "rows", "bound", "offset", "_decoded")
 
-    def __init__(self, qcap: int, zcap: int | None = None, width: int | None = None,
+    def __init__(self, qcap: int, width: int | None = None,
                  rows: list | None = None, bound: list | None = None):
-        zcap = _check_caps(qcap, zcap)
+        _check_qcap(qcap)
         if rows is None:
             rows, bound = [{} for _ in range(qcap + 1)], [0] * (qcap + 1)
-        self.qcap, self.zcap = qcap, zcap
+        self.qcap = self.zcap = qcap
         self.width = _START_WIDTH if width is None else width
         self.rows, self.bound = rows, bound
         self.offset = _NO_OFFSET
@@ -248,24 +243,24 @@ class TriSeries:
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def one(cls, qcap: int, zcap: int | None = None) -> "TriSeries":
-        return cls.from_terms([(0, 0, 0, 1)], qcap, zcap)
+    def one(cls, qcap: int) -> "TriSeries":
+        return cls.from_terms([(0, 0, 0, 1)], qcap)
 
     @classmethod
-    def from_terms(cls, terms, qcap: int, zcap: int | None = None) -> "TriSeries":
+    def from_terms(cls, terms, qcap: int) -> "TriSeries":
         """Build from an iterable of (q_exp, y_exp, z_exp, coeff) tuples.
 
-        ``zcap = None`` means the q-cap.  Every term must make a valid
-        :class:`Monomial`, also one beyond the caps; such terms are dropped,
-        and repeated exponent triples are accumulated.  Inverse of
+        Every term must make a valid :class:`Monomial`, also one with a q- or
+        z-exponent above ``qcap``; such terms are dropped, and repeated
+        exponent triples are accumulated.  Inverse of
         :meth:`terms`.  The rows are packed at the narrowest
         width from the kernel's start up that the terms fit.
         """
-        zcap = _check_caps(qcap, zcap)
+        _check_qcap(qcap)
         layers = [{} for _ in range(qcap + 1)]
         for j, e, f, c in terms:
             Monomial(c, j, e, f)
-            if j > qcap or f > zcap or c == 0:
+            if j > qcap or f > qcap or c == 0:
                 continue
             key = (e, f)
             v = layers[j].get(key, 0) + c
@@ -275,7 +270,7 @@ class TriSeries:
                 del layers[j][key]
         bound = [sum(map(abs, layer.values())) for layer in layers]
         width = _slot_width(max(bound).bit_length())
-        return cls(qcap, zcap, width, [_encode(layer, width) for layer in layers], bound)
+        return cls(qcap, width, [_encode(layer, width) for layer in layers], bound)
 
     # ------------------------------------------------------------- inspect
 
@@ -316,32 +311,29 @@ class TriSeries:
         return True
 
     def __repr__(self):
-        return f"TriSeries(qcap={self.qcap}, zcap={self.zcap}, terms={self._nterms})"
+        return f"TriSeries(qcap={self.qcap}, terms={self._nterms})"
 
     def __eq__(self, other):
         if not isinstance(other, TriSeries):
             return NotImplemented
-        return (
-            self.qcap == other.qcap
-            and self.zcap == other.zcap
-            and _first_difference(self, other) is None
-        )
+        return self.qcap == other.qcap and _first_difference(self, other) is None
 
     __hash__ = None
 
     # ----------------------------------------------------------- arithmetic
 
-    def _merged_caps(self, other):
+    def _shared_qcap(self, other) -> int:
+        """The q-order of two series, which must share it."""
         if self.qcap != other.qcap:
             raise ValueError(
                 f"mismatched q-caps: {self.qcap} vs {other.qcap}"
             )
-        return self.qcap, min(self.zcap, other.zcap)
+        return self.qcap
 
     def _sum(self, other, sign: Monomial) -> "TriSeries":
         """self + sign*other."""
-        _, zcap = self._merged_caps(other)
-        total, term = self._copy(zcap=zcap), other._copy(zcap=zcap)
+        self._shared_qcap(other)
+        total, term = self._copy(), other._copy()
         term._shift(sign)
         total._add(term)
         return total
@@ -353,20 +345,20 @@ class TriSeries:
         return self._sum(other, _MINUS_ONE)
 
     def __mul__(self, other):
-        """Cauchy product, truncated at the (merged) caps.
+        """Cauchy product, truncated at the q-order.
 
         Row j of the product sums row j1 of self times row j - j1 of other,
         and its majorant is the same Cauchy sum of the majorants.
         """
-        qcap, zcap = self._merged_caps(other)
+        qcap = self._shared_qcap(other)
         bound = [sum(self.bound[i] * other.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)]
         width = _slot_width(max(bound).bit_length(), max(self.width, other.width))
-        a, b = self._copy(width, zcap), other._copy(width, zcap)
-        product = TriSeries(qcap, zcap, width, [{} for _ in bound], bound)
+        a, b = self._copy(width), other._copy(width)
+        product = TriSeries(qcap, width, [{} for _ in bound], bound)
         for j1, ra in enumerate(a.rows):
             if ra:
                 for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
-                    _row_mul(product.rows[j1 + j2], ra, rb, zcap)
+                    _row_mul(product.rows[j1 + j2], ra, rb, qcap)
         return product
 
     def times_one_minus(self, m: Monomial) -> "TriSeries":
@@ -374,13 +366,13 @@ class TriSeries:
         return _pochhammer_apply(self, m, 0, 1)
 
     def invert(self) -> "TriSeries":
-        """Multiplicative inverse under the caps, of a series whose q^0 row
+        """Multiplicative inverse under the q-order, of a series whose q^0 row
         is exactly 1, as every divisor of the engine's identities is.
 
         Row j of the inverse is c_j = -sum_{i=1..j} A_i c_{j-i}, and the
         majorants follow the same recursion.
         """
-        qcap, zcap = self.qcap, self.zcap
+        qcap = self.qcap
         self._check()
         if self.rows[0] != {0: 1}:
             raise ValueError("not a formal unit under these caps")
@@ -395,9 +387,9 @@ class TriSeries:
             acc = {}
             for i in range(1, j + 1):
                 if rows[i]:
-                    _row_mul(acc, rows[i], out[j - i], zcap)
+                    _row_mul(acc, rows[i], out[j - i], qcap)
             out.append({f: -v for f, v in acc.items()})
-        return TriSeries(qcap, zcap, width, out, out_bound)
+        return TriSeries(qcap, width, out, out_bound)
 
     # -------------------------------------------------------- substitution
 
@@ -425,7 +417,7 @@ class TriSeries:
                     if d and s + j * e <= qcap:
                         moved[s + j * e].setdefault(f, {})[e] = d
         rows = [{f: _join(slots, width) for f, slots in row.items()} for row in moved]
-        return TriSeries(qcap, self.zcap, width, rows, bound)
+        return TriSeries(qcap, width, rows, bound)
 
     def set_y(self, sign: int) -> "TriSeries":
         """Substitute y = sign, 1 or -1.
@@ -446,23 +438,22 @@ class TriSeries:
                 if c:
                     out[f] = c
             rows.append(out)
-        return TriSeries(self.qcap, self.zcap, self.width, rows, list(self.bound))
+        return TriSeries(self.qcap, self.width, rows, list(self.bound))
 
     def set_z(self, sign: int) -> "TriSeries":
         """Substitute z = sign, 1 or -1: each row's ints, negated at odd
         z-exponents when sign is -1, sum to one int of the same width under
         the same majorant.
 
-        The result keeps this series' z-cap.  It sums only the retained
-        z-range, which is all of it for a series whose z-exponent never
-        exceeds its q-exponent.
+        It sums the z-exponents up to the q-order, which are all of them for
+        a series whose z-exponent never exceeds its q-exponent.
         """
         _check_sign(sign)
         rows = []
         for row in self.rows:
             v = sum(x * sign**f for f, x in row.items())
             rows.append({0: v} if v else {})
-        return TriSeries(self.qcap, self.zcap, self.width, rows, list(self.bound))
+        return TriSeries(self.qcap, self.width, rows, list(self.bound))
 
     # ------------------------------------------------------ in-place kernel
 
@@ -471,14 +462,11 @@ class TriSeries:
         if max(self.bound, default=0).bit_length() >= self.width:
             raise OverflowError(f"packed slots outgrow their width {self.width}")
 
-    def _copy(self, width: int = 0, zcap: int | None = None) -> "TriSeries":
-        """A private copy of the rows without keys above ``zcap`` (None:
-        this series' z-cap), at this width or at their own, whichever is
-        wider."""
+    def _copy(self, width: int = 0) -> "TriSeries":
+        """A private copy of the rows, at this width or at their own,
+        whichever is wider."""
         self._check()
-        zcap = self.zcap if zcap is None else zcap
-        rows = [{f: v for f, v in row.items() if f <= zcap} for row in self.rows]
-        s = TriSeries(self.qcap, zcap, self.width, rows, list(self.bound))
+        s = TriSeries(self.qcap, self.width, [dict(row) for row in self.rows], list(self.bound))
         s._widen(width)
         return s
 
@@ -524,7 +512,7 @@ class TriSeries:
 
     def _shift(self, m: Monomial):
         """self *= m, held as a pending offset: the rows stay as they are,
-        and only those that m pushes past the caps are dropped."""
+        and only the keys that m pushes past the q-order are dropped."""
         q, y, z, coeff = self.offset
         self.offset = (q + m.q, y + m.y, z + m.z, coeff * m.coeff)
         self.qcap = self.qcap - m.q if m.coeff else -1
@@ -657,8 +645,9 @@ def _encode(layer: dict, width: int) -> dict:
 
 
 def _first_difference(a: TriSeries, b: TriSeries):
-    """The least (q, y, z) at which a and b differ under their merged caps,
-    as ``(q, y, z, coefficient in a, coefficient in b)``; None if they agree.
+    """The least (q, y, z) at which a and b, two series of one q-order,
+    differ, as ``(q, y, z, coefficient in a, coefficient in b)``; None if
+    they agree.
 
     Both sides are read at the wider width W of the two, and rows are
     compared as ints.  Every slot of either side then lies below 2^(W-1) in
@@ -666,16 +655,13 @@ def _first_difference(a: TriSeries, b: TriSeries):
     nonzero difference cannot vanish at y = 2^W: equal ints are a proof.
     Only the first row that differs is decoded.
     """
-    _, zcap = a._merged_caps(b)
+    a._shared_qcap(b)
     width = max(a.width, b.width)
-    rows = (s._copy(width, zcap).rows for s in (a, b))
+    rows = (s._copy(width).rows for s in (a, b))
     for j, (x, y) in enumerate(zip(*rows)):
         if x != y:
             la, lb = a._decode(a.rows[j]), b._decode(b.rows[j])
-            e, f = min(
-                key for key in la.keys() | lb.keys()
-                if key[1] <= zcap and la.get(key, 0) != lb.get(key, 0)
-            )
+            e, f = min(key for key in la.keys() | lb.keys() if la.get(key, 0) != lb.get(key, 0))
             return j, e, f, la.get((e, f), 0), lb.get((e, f), 0)
     return None
 
@@ -690,25 +676,23 @@ def _pochhammer_apply(
     factor (1 - a*q^{h*i}) at a time, on one copy of s.
 
     ``n = None`` takes every factor under the q-cap and needs h >= 1.
-    Factors that reduce to 1 under the caps are skipped; if all do, s
+    Factors that reduce to 1 under the q-order are skipped; if all do, s
     itself is returned.
     """
-    if a.coeff == 0 or n == 0 or a.q > s.qcap or a.z > s.zcap:
+    if a.coeff == 0 or n == 0 or max(a.q, a.z) > s.qcap:
         return s
     p = s._copy()
     p._pochhammer(a, h, n, divide)
     return p
 
 
-def pochhammer_finite(
-    a: Monomial, h: int, n: int, qcap: int, zcap: int | None = None
-) -> TriSeries:
+def pochhammer_finite(a: Monomial, h: int, n: int, qcap: int) -> TriSeries:
     """The finite product prod_{i=0}^{n-1} (1 - a*q^{h*i}), truncated.
 
     Step ``h = 1`` gives the classical (a;q)_n; general h gives (a;q^h)_n.
     ``h = 0`` is legal and yields the binomial power (1-a)^n.  Factors whose
-    q-exponent exceeds qcap (or whose z-exponent exceeds zcap, by default
-    the q-cap) reduce to 1 under truncation and are skipped.
+    q- or z-exponent exceeds qcap reduce to 1 under truncation and are
+    skipped.
     """
     if type(h) is not int or type(n) is not int:
         raise TypeError(f"pochhammer step {h!r} and length {n!r} must be ints")
@@ -716,12 +700,10 @@ def pochhammer_finite(
         raise ValueError("pochhammer step must be nonnegative")
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    return _pochhammer_apply(TriSeries.one(qcap, zcap), a, h, n)
+    return _pochhammer_apply(TriSeries.one(qcap), a, h, n)
 
 
-def pochhammer_infinite(
-    a: Monomial, h: int, qcap: int, zcap: int | None = None
-) -> TriSeries:
+def pochhammer_infinite(a: Monomial, h: int, qcap: int) -> TriSeries:
     """The infinite product prod_{i>=0} (1 - a*q^{h*i}), truncated.
 
     Requires h >= 1: with h = 0 the product repeats one factor forever.
@@ -733,7 +715,7 @@ def pochhammer_infinite(
         raise ValueError("divergent infinite product")
     if a.coeff != 0 and a.q == 0 and a.y == 0 and a.z == 0:
         raise ValueError("divergent infinite product")
-    return _pochhammer_apply(TriSeries.one(qcap, zcap), a, h)
+    return _pochhammer_apply(TriSeries.one(qcap), a, h)
 
 
 # ------------------------------------------------------------------ sums
@@ -744,21 +726,22 @@ def pochhammer_infinite(
 Form = namedtuple("Form", "ratio step ups downs prefactors", defaults=((), (), ()))
 
 
-def _qsum(qcap, zcap, form) -> TriSeries:
+def _qsum(qcap, form) -> TriSeries:
     """prod_{(a,h,divide) in prefactors} (a;q^h)_inf^(-1 if divide else 1)
-    * sum_{n>=0} T_n under the caps, where T_0 = 1 and
+    * sum_{n>=0} T_n under the q-order, where T_0 = 1 and
 
         T_{n+1} = T_n * ratio q^{step n} * prod_{(a,h,L) in ups} (a q^{hLn};q^h)_L
                                         / prod_{(a,h,L) in downs} (a q^{hLn};q^h)_L
 
     so that each (a;q^h) in ``ups`` contributes (a;q^h)_{Ln} to T_n and each
     one in ``downs`` divides by it.  Every later summand is a multiple of
-    T_n, so the first T_n that vanishes under the caps ends the sum exactly.
-    A summand holds its monomial factors as a pending offset, so its steps
-    run only over the rows under the shifted caps.  The sum and its
+    T_n, so the first T_n that vanishes under the q-order ends the sum
+    exactly.  A summand holds its monomial factors as a pending offset, so
+    its steps run only over the rows in the room that offset leaves in q
+    and z.  The sum and its
     prefactors stay packed, and each step widens them in place when it must.
     """
-    term = TriSeries.one(qcap, zcap)
+    term = TriSeries.one(qcap)
     total = term._copy()
     n = 0
     while True:

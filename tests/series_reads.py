@@ -8,12 +8,10 @@ as references that do not go through the kernel's private copies.
 from kmeasure.series import TriSeries
 
 
-def truncated(s: TriSeries, qcap: int | None = None, zcap: int | None = None) -> TriSeries:
-    """s under tighter caps; a cap of None keeps the current one."""
-    qcap = s.qcap if qcap is None else qcap
-    zcap = s.zcap if zcap is None else zcap
-    assert qcap <= s.qcap and zcap <= s.zcap, "the dropped terms are unknown"
-    return TriSeries.from_terms(s.terms(), qcap, zcap)
+def truncated(s: TriSeries, qcap: int) -> TriSeries:
+    """s at a q-order no higher than its own, cut in q and z there."""
+    assert qcap <= s.qcap, "the dropped terms are unknown"
+    return TriSeries.from_terms(s.terms(), qcap)
 
 
 def coefficients(s: TriSeries) -> dict:

@@ -173,6 +173,16 @@ def test_table_matches_its_record_byte_for_byte(capsys, pair, fmt):
     assert out == (CLI_RECORDS / f"table-{pair}.{fmt}").read_text()
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_verify_matches_its_record_byte_for_byte(capsys, fmt):
+    # the ZCAP column names the q-order for the checks that the cut in z
+    # truncates, and "-" for the others
+    code, out, _ = run(capsys, "verify", "--qcap", "6", "--k", "1,2,3,4,5,6,7",
+                       "--jobs", "1", "--format", fmt)
+    assert code == 0
+    assert out == (CLI_RECORDS / f"verify-q6.{fmt}").read_text()
+
+
 def test_stats_rejects_increasing_parts(capsys):
     code, _, err = run(capsys, "stats", "1,3")
     assert code == 2

@@ -109,32 +109,32 @@ def test_sum_forms_reject_bad_k():
 
 
 def test_partition_product_form_cross_check():
-    got = partition_measure_gf_product(2, 3, 3)
-    want = truncated(partition_measure_gf_sum(2, 3), zcap=3)
+    got = partition_measure_gf_product(2, 3)
+    want = truncated(partition_measure_gf_sum(2, 3), 3)
     assert got == want
 
 
 def test_partition_product_form_order_zero():
-    assert partition_measure_gf_product(2, 0, 0) == TriSeries.one(0, 0)
+    assert partition_measure_gf_product(2, 0) == TriSeries.one(0)
 
 
 def test_partition_product_form_z_cannot_exceed_q():
     # the statistic is at most the size, so assembled coefficients with
     # z-exponent above the q-exponent must have cancelled
-    s = partition_measure_gf_product(3, 6, 6)
+    s = partition_measure_gf_product(3, 6)
     assert all(f <= j for (j, e, f, c) in s.terms())
 
 
 def test_partition_product_form_rejects_k1():
     with pytest.raises(ValueError, match="degenerate base q\\^0"):
-        partition_measure_gf_product(1, 5, 5)
+        partition_measure_gf_product(1, 5)
 
 
 def test_distinct_product_form_cross_checks():
-    got = distinct_measure_gf_product(1, 4, 4)
-    assert got == truncated(distinct_measure_gf_sum(1, 4), zcap=4)
-    got = distinct_measure_gf_product(3, 5, 5)
-    assert got == truncated(measure_gf(5, 3, "distinct"), zcap=5)
+    got = distinct_measure_gf_product(1, 4)
+    assert got == truncated(distinct_measure_gf_sum(1, 4), 4)
+    got = distinct_measure_gf_product(3, 5)
+    assert got == truncated(measure_gf(5, 3, "distinct"), 5)
 
 
 # ------------------------------------------------------------- durfee
@@ -161,8 +161,8 @@ def test_durfee_closed_form_matches_enumeration():
 # factor is a one-term series, multiplied in by the Cauchy product.
 
 
-def _one_term(m, qcap, zcap=None):
-    return TriSeries.from_terms([(m.q, m.y, m.z, m.coeff)], qcap, zcap)
+def _one_term(m, qcap):
+    return TriSeries.from_terms([(m.q, m.y, m.z, m.coeff)], qcap)
 
 
 def _reference_partition_sum(k, qcap):
@@ -176,15 +176,15 @@ def _reference_partition_sum(k, qcap):
     return total * pochhammer_infinite(YQ, 1, qcap).invert()
 
 
-def _reference_partition_product(k, qcap, zcap):
+def _reference_partition_product(k, qcap):
     base = Monomial(1, q=k - 1)
-    total = TriSeries(qcap, zcap)
-    for n in range(zcap + 1):
-        term = TriSeries.from_terms([(0, 0, n, 1)], qcap, zcap)
-        term = term * pochhammer_finite(base, k - 1, n, qcap, zcap).invert()
-        term = term * pochhammer_finite(YQ, 1, (k - 1) * n, qcap, zcap).invert()
+    total = TriSeries(qcap)
+    for n in range(qcap + 1):
+        term = TriSeries.from_terms([(0, 0, n, 1)], qcap)
+        term = term * pochhammer_finite(base, k - 1, n, qcap).invert()
+        term = term * pochhammer_finite(YQ, 1, (k - 1) * n, qcap).invert()
         total = total + term
-    return total * pochhammer_infinite(Z, k - 1, qcap, zcap)
+    return total * pochhammer_infinite(Z, k - 1, qcap)
 
 
 def _reference_distinct_sum(k, qcap):
@@ -196,23 +196,23 @@ def _reference_distinct_sum(k, qcap):
     return total * pochhammer_infinite(Monomial(-1, q=1, y=1), 1, qcap)
 
 
-def _reference_distinct_product(k, qcap, zcap):
-    total = TriSeries(qcap, zcap)
-    for n in range(zcap + 1):
-        term = pochhammer_finite(Monomial(-1, q=1, y=1), 1, k * n, qcap, zcap)
-        term = term * _one_term(Monomial(1, z=n), qcap, zcap)
-        term = term * pochhammer_finite(Monomial(1, q=k), k, n, qcap, zcap).invert()
+def _reference_distinct_product(k, qcap):
+    total = TriSeries(qcap)
+    for n in range(qcap + 1):
+        term = pochhammer_finite(Monomial(-1, q=1, y=1), 1, k * n, qcap)
+        term = term * _one_term(Monomial(1, z=n), qcap)
+        term = term * pochhammer_finite(Monomial(1, q=k), k, n, qcap).invert()
         total = total + term
-    return total * pochhammer_infinite(Z, k, qcap, zcap)
+    return total * pochhammer_infinite(Z, k, qcap)
 
 
-def _reference_durfee(qcap, zcap):
-    total = TriSeries(qcap, zcap)
+def _reference_durfee(qcap):
+    total = TriSeries(qcap)
     n = 0
     while n * n <= qcap:
-        term = TriSeries.from_terms([(n * n, n, n, 1)], qcap, zcap)
-        term = term * pochhammer_finite(YQ, 1, n, qcap, zcap).invert()
-        total = total + term * pochhammer_finite(Q, 1, n, qcap, zcap).invert()
+        term = TriSeries.from_terms([(n * n, n, n, 1)], qcap)
+        term = term * pochhammer_finite(YQ, 1, n, qcap).invert()
+        total = total + term * pochhammer_finite(Q, 1, n, qcap).invert()
         n += 1
     return total
 
@@ -222,24 +222,20 @@ def test_closed_forms_match_summands_built_from_scratch(k):
     for qcap in range(13):
         assert partition_measure_gf_sum(k, qcap) == _reference_partition_sum(k, qcap)
         assert distinct_measure_gf_sum(k, qcap) == _reference_distinct_sum(k, qcap)
-        for zcap in range(13):
-            if k >= 2:
-                got = partition_measure_gf_product(k, qcap, zcap)
-                assert got == _reference_partition_product(k, qcap, zcap)
-            got = distinct_measure_gf_product(k, qcap, zcap)
-            assert got == _reference_distinct_product(k, qcap, zcap)
+        if k >= 2:
+            got = partition_measure_gf_product(k, qcap)
+            assert got == _reference_partition_product(k, qcap)
+        assert distinct_measure_gf_product(k, qcap) == _reference_distinct_product(k, qcap)
 
 
 def test_durfee_closed_form_matches_summands_built_from_scratch():
     for qcap in range(13):
-        for zcap in (None, *range(13)):
-            assert durfee_gf_closed(qcap, zcap) == _reference_durfee(qcap, zcap)
+        assert durfee_gf_closed(qcap) == _reference_durfee(qcap)
 
 
-def _series_built_at_the_default_zcap(qcap):
-    """(name, series) for the series the engine builds without a z-cap of
-    its own; a builder that takes a z-cap gets one far above the q-cap."""
-    loose = 2 * qcap + 2
+def _series_whose_z_never_passes_q(qcap):
+    """(name, series) for the counted series, and the closed forms whose
+    summands carry no more z than q."""
     for family in ORACLE_FAMILIES:
         for k in range(1, 8):
             yield f"measure_gf({family}, {k})", measure_gf(qcap, k, family)
@@ -248,10 +244,10 @@ def _series_built_at_the_default_zcap(qcap):
     for k in range(1, 8):
         yield f"partition_measure_gf_sum({k})", partition_measure_gf_sum(k, qcap)
         yield f"distinct_measure_gf_sum({k})", distinct_measure_gf_sum(k, qcap)
-    yield "durfee_gf_closed", durfee_gf_closed(qcap, loose)
+    yield "durfee_gf_closed", durfee_gf_closed(qcap)
     for t in (Q, YQ):
         for sides in (euler_first_sides, bailey_daum_sides):
-            lhs, rhs = sides(t, qcap, loose)
+            lhs, rhs = sides(t, qcap)
             yield f"{sides.__name__}({t}) lhs", lhs
             yield f"{sides.__name__}({t}) rhs", rhs
 
@@ -259,9 +255,10 @@ def _series_built_at_the_default_zcap(qcap):
 def test_default_zcap_drops_nothing():
     # a k-measure, a Durfee side or a number of runs never exceeds the
     # length, nor the length the size: every term q^j z^f has f <= j, so
-    # the default z-cap (the q-cap) drops no term of these series
+    # the cut in z at the q-order drops no term of these series.  A term
+    # with j < f <= 16 would show at q-order 16 as one with f > j.
     for qcap in range(17):
-        for name, series in _series_built_at_the_default_zcap(qcap):
+        for name, series in _series_whose_z_never_passes_q(qcap):
             assert all(f <= j for j, _, f, _ in series.terms()), (qcap, name)
 
 
@@ -291,8 +288,7 @@ def test_family_checks_reject_bad_family(monkeypatch, key):
     for fname in ("measure_gf", "partition_measure_gf_sum", "partition_measure_gf_product",
                   "distinct_measure_gf_sum", "distinct_measure_gf_product"):
         monkeypatch.setattr(identities, fname, no_build)
-    zcap = dict(zcap=5) if key == "product-form" else {}
-    report = _run(key, k=2, qcap=5, family="weird", **zcap)
+    report = _run(key, k=2, qcap=5, family="weird")
     assert report.error == "ValueError: unknown family 'weird'"
 
 
@@ -317,10 +313,11 @@ def test_sum_form_checks_pass():
 
 
 def test_product_form_checks_pass():
-    assert _passes("product-form", dict(k=2, qcap=8, zcap=8, family="all"),
-                   dict(k=1, qcap=8, zcap=8, family="distinct"))
-    report = _run("product-form", k=2, qcap=8, zcap=5, family="all")
-    assert (report.k, report.qcap, report.zcap) == (2, 8, 5)
+    assert _passes("product-form", dict(k=2, qcap=8, family="all"),
+                   dict(k=1, qcap=8, family="distinct"))
+    # its report names the cut in z, which is the q-order
+    report = _run("product-form", k=2, qcap=8, family="all")
+    assert (report.k, report.qcap, report.zcap) == (2, 8, 8)
 
 
 def test_qdiff_check_pass():
@@ -394,7 +391,7 @@ def test_failing_sylvester_reports_as_the_histogram_scan(monkeypatch, side, term
 
 
 def test_euler_first_parameters():
-    assert _passes("euler-first", *(dict(t=t, qcap=8, zcap=8) for t in EULER_FIRST_PARAMS))
+    assert _passes("euler-first", *(dict(t=t, qcap=8) for t in EULER_FIRST_PARAMS))
 
 
 def test_euler_first_partition_series():
@@ -404,13 +401,13 @@ def test_euler_first_partition_series():
 
 def test_euler_first_rejects_constant():
     with pytest.raises(ValueError):
-        euler_first_sides(Monomial(1), 8, 8)
+        euler_first_sides(Monomial(1), 8)
     with pytest.raises(ValueError):
-        euler_first_sides(Z, 8, None)  # z parameter without a q-exponent
+        euler_first_sides(Z, 8)  # z parameter without a q-exponent
 
 
 def test_euler_second_parameters():
-    assert _passes("euler-second", *(dict(t=t, qcap=10, zcap=6) for t in EULER_SECOND_PARAMS))
+    assert _passes("euler-second", *(dict(t=t, qcap=10) for t in EULER_SECOND_PARAMS))
 
 
 def test_euler_second_pentagonal_layers():
@@ -433,26 +430,26 @@ def test_bailey_daum_parameters():
 
 
 def test_heine_limit_passes():
-    assert _passes("heine-limit", dict(qcap=12, zcap=12))
+    assert _passes("heine-limit", dict(qcap=12))
 
 
 def test_generalized_heine_parameters():
-    assert _passes("heine-general", *(dict(qcap=10, zcap=10, **params)
+    assert _passes("heine-general", *(dict(qcap=10, **params)
                                       for _, params in HEINE_GENERAL_PARAMS))
 
 
 def test_generalized_heine_rejects_bad_ratio():
     with pytest.raises(ValueError, match="parameter specialization unsupported"):
         generalized_heine_sides(
-            a=Q, b=Monomial(1, q=2), c=Q, t=Q, h=1, qcap=8, zcap=8
+            a=Q, b=Monomial(1, q=2), c=Q, t=Q, h=1, qcap=8
         )
 
 
 def test_generalized_heine_rejects_degenerate_params():
     with pytest.raises(ValueError):
-        generalized_heine_sides(a=Q, b=Q, c=Q, t=Q, h=0, qcap=8, zcap=8)
+        generalized_heine_sides(a=Q, b=Q, c=Q, t=Q, h=0, qcap=8)
     with pytest.raises(ValueError):
-        generalized_heine_sides(a=Q, b=Q, c=Monomial(1, q=2), t=Z, h=1, qcap=8, zcap=8)
+        generalized_heine_sides(a=Q, b=Q, c=Monomial(1, q=2), t=Z, h=1, qcap=8)
 
 
 HEINE_H1 = dict(a=YQ, c=Monomial(1, q=2), t=Monomial(1, q=1, z=1), h=1, qcap=4)
@@ -483,7 +480,7 @@ def test_each_refusal_names_its_reason(call, error, message):
 def test_generalized_heine_rational_coefficients():
     # c/b = 2q: coefficients other than 1 keep the ring integral; c/b =
     # 3/2 q is no integer monomial, and the check reports it unsupported
-    params = dict(a=YQ, b=Monomial(2, q=1), t=Monomial(1, q=1), h=1, qcap=8, zcap=8)
+    params = dict(a=YQ, b=Monomial(2, q=1), t=Monomial(1, q=1), h=1, qcap=8)
     assert _passes("heine-general", dict(params, c=Monomial(4, q=2)))
     report = _run("heine-general", **dict(params, c=Monomial(3, q=2)))
     assert not report.passed
@@ -493,18 +490,18 @@ def test_generalized_heine_rational_coefficients():
 def test_failing_building_block_reports_its_first_difference(monkeypatch):
     # a right side off by q^3 y: the check reports the pair's first difference
     qcap = 8
-    lhs, rhs = euler_second_sides(YQ, qcap, 4)
-    extra = TriSeries.from_terms([(3, 1, 0, 1)], qcap, 4)
+    lhs, rhs = euler_second_sides(YQ, qcap)
+    extra = TriSeries.from_terms([(3, 1, 0, 1)], qcap)
     a, b = coefficients(lhs).get((3, 1, 0), 0), coefficients(rhs).get((3, 1, 0), 0)
     expected = Mismatch(3, 1, 0, a, b + 1)
     real = identities.pochhammer_infinite
     monkeypatch.setattr(
         identities, "pochhammer_infinite", lambda *args: real(*args) + extra
     )
-    report = _run("euler-second", t=YQ, qcap=qcap, zcap=4)
+    report = _run("euler-second", t=YQ, qcap=qcap)
     assert not report.passed and report.error is None
     assert report.first_failure == expected
-    assert (report.k, report.qcap, report.zcap) == (None, qcap, 4)
+    assert (report.k, report.qcap, report.zcap) == (None, qcap, qcap)
 
 
 def test_statistic_bounds_in_closed_forms():
@@ -698,9 +695,9 @@ def test_suite_builds_each_shared_series_once_per_unit(monkeypatch):
     # sum form of the unit at k + 1
     assert max(counts("partition_measure_gf_sum").values()) <= 2
     # heine-limit reads the ("all", 2) unit's product form and Durfee closed
-    # form, which durfee-closed-form reads at z-cap qcap too
-    assert counts("durfee_gf_closed") == {(8, 8): 1}
-    assert counts("partition_measure_gf_product") == {(2, 8, 8): 1, (3, 8, 8): 1}
+    # form, which durfee-closed-form reads too
+    assert counts("durfee_gf_closed") == {(8,): 1}
+    assert counts("partition_measure_gf_product") == {(2, 8): 1, (3, 8): 1}
     assert set(counts("distinct_measure_gf_product").values()) == {1}
 
 
@@ -710,8 +707,8 @@ def test_heine_limit_builds_its_product_form_in_the_durfee_unit(monkeypatch):
     tasks = default_tasks(8, [3])
     assert not any(task[2].get("k") == 2 for task in tasks)
     assert all(r.passed for r in run_suite(tasks, jobs=1))
-    assert counts("partition_measure_gf_product") == {(2, 8, 8): 1, (3, 8, 8): 1}
-    assert counts("durfee_gf_closed") == {(8, 8): 1}
+    assert counts("partition_measure_gf_product") == {(2, 8): 1, (3, 8): 1}
+    assert counts("durfee_gf_closed") == {(8,): 1}
     (unit,) = {identities._unit_key(i, task) for i, task in enumerate(tasks)
                if task[1] in ("heine-limit", "durfee-closed-form")}
     assert unit == ("all", 2)

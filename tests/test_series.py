@@ -25,8 +25,8 @@ from series_reads import coefficients, truncated
 Y = Monomial(1, y=1)
 
 
-def S(terms, qcap, zcap=None):
-    return TriSeries.from_terms(terms, qcap, zcap)
+def S(terms, qcap):
+    return TriSeries.from_terms(terms, qcap)
 
 
 def test_from_monomial_identity():
@@ -43,7 +43,7 @@ def test_from_monomial_negative_yq():
 def test_from_monomial_truncates_to_zero():
     s = S([(12, 0, 0, 3)], 10)
     assert s.is_zero()
-    s = S([(0, 0, 4, 1)], 10, zcap=3)
+    s = S([(0, 0, 11, 1)], 10)
     assert s.is_zero()
 
 
@@ -67,14 +67,6 @@ def test_add_cancellation():
 def test_add_qcap_mismatch():
     with pytest.raises(ValueError, match="q-caps"):
         TriSeries.one(4) + TriSeries.one(5)
-
-
-def test_add_takes_tighter_zcap():
-    a = S([(0, 0, 3, 1)], 4, zcap=3)
-    b = TriSeries.one(4, zcap=2)
-    out = a + b
-    assert out.zcap == 2
-    assert out.terms() == [(0, 0, 0, 1)]
 
 
 def test_mul_q_binomials():
@@ -121,10 +113,10 @@ def test_invert_round_trip():
     for s in [
         pochhammer_infinite(YQ, 1, 8),
         pochhammer_finite(Q, 1, 3, 8),
-        pochhammer_infinite(Monomial(1, q=1, z=1), 1, 6, 4),
+        pochhammer_infinite(Monomial(1, q=1, z=1), 1, 6),
         pochhammer_finite(Monomial(2, q=1, y=2), 1, 2, 8),
     ]:
-        assert s * s.invert() == TriSeries.one(s.qcap, s.zcap)
+        assert s * s.invert() == TriSeries.one(s.qcap)
 
 
 def test_invert_rejects_non_unit_constant():
@@ -137,19 +129,18 @@ def test_invert_rejects_non_unit_constant():
 
 def test_invert_rejects_pure_y_constant_layer():
     # q^0 layer 1 - y has no terminating geometric inverse
-    s = TriSeries.one(4, zcap=4).times_one_minus(Y)
+    s = TriSeries.one(4).times_one_minus(Y)
     with pytest.raises(ValueError, match="not a formal unit"):
         s.invert()
 
 
 def test_invert_rejects_z_in_the_constant_layer():
-    # 1 - z has a geometric inverse under a z-cap, but invert takes only a
-    # q^0 row of exactly 1, under either cap
-    for zcap in (None, 3):
-        for m in (Z, Monomial(1, y=1, z=1), Monomial(-2, z=2)):
-            s = TriSeries.one(4, zcap).times_one_minus(m)
-            with pytest.raises(ValueError, match="not a formal unit"):
-                s.invert()
+    # 1 - z has a geometric inverse under the cut in z, but invert takes
+    # only a q^0 row of exactly 1
+    for m in (Z, Monomial(1, y=1, z=1), Monomial(-2, z=2)):
+        s = TriSeries.one(4).times_one_minus(m)
+        with pytest.raises(ValueError, match="not a formal unit"):
+            s.invert()
 
 
 def _divide_one_minus(s, m):
@@ -164,18 +155,18 @@ def test_divide_one_minus_geometric():
 
 
 def test_divide_one_minus_trivial_factor_is_identity():
-    s = pochhammer_finite(YQ, 1, 3, 4, 2)
+    s = pochhammer_finite(YQ, 1, 3, 4)
     assert _divide_one_minus(s, Monomial(0, q=1)) is s
     assert _divide_one_minus(s, Monomial(1, q=5)) is s
-    assert _divide_one_minus(s, Monomial(1, q=1, z=3)) is s
+    assert _divide_one_minus(s, Monomial(1, q=1, z=5)) is s
 
 
 def test_divide_one_minus_rejects_q_order_zero():
     for m in (Z, Y):
         with pytest.raises(ValueError, match="positive q-exponent"):
-            _divide_one_minus(TriSeries.one(4, 2), m)
+            _divide_one_minus(TriSeries.one(4), m)
         with pytest.raises(ValueError, match="positive q-exponent"):
-            _pochhammer_apply(TriSeries.one(4, 2), m, 1, 2, divide=True)
+            _pochhammer_apply(TriSeries.one(4), m, 1, 2, divide=True)
 
 
 # ----------------------------------------------------------- packed kernel
@@ -184,13 +175,13 @@ def test_divide_one_minus_rejects_q_order_zero():
 def test_step_widens_past_wide_input():
     # a majorant past 2^100 needs 104-bit slots; times (1 - 256 y z q) it
     # needs 112
-    big = S([(0, 0, 0, 2**100), (1, 1, 0, 1 - 2**90), (2, 3, 1, 3 * 2**70)], 4, 3)
+    big = S([(0, 0, 0, 2**100), (1, 1, 0, 1 - 2**90), (2, 3, 1, 3 * 2**70)], 4)
     p = big._copy()
     assert p.width == 104
     p._step(256, 1, 1, 1, divide=False)
     assert p.width == 112 and max(p.bound).bit_length() < p.width
     shifted = [(j + 1, e + 1, f + 1, -256 * c) for j, e, f, c in big.terms()]
-    assert p == S(big.terms() + shifted, 4, 3)
+    assert p == S(big.terms() + shifted, 4)
 
 
 def test_packed_slots_at_the_width_edge_round_trip():
@@ -204,7 +195,7 @@ def test_packed_slots_at_the_width_edge_round_trip():
         [(0, 1, 0, 2**63)],
         [(0, 1, 0, -(2**63)), (1, 0, 1, 2**63 - 1)],
     ):
-        s = S(terms, 2, 2)
+        s = S(terms, 2)
         assert s.terms() == sorted(terms)
         for width in (0, 72, 128):
             wide = s._copy(width)
@@ -216,15 +207,15 @@ def test_qsum_trusts_an_empty_summand_only_under_the_majorant():
     # 2^64 - y evaluates to 0 at y = 2^64, so at 64-bit slots only the
     # majorant tells an empty summand from a zero one; no integer summand
     # of _qsum can end there, so the empty rows are built by hand
-    empty = TriSeries(0, None, 64, [{}], [2**64])
+    empty = TriSeries(0, 64, [{}], [2**64])
     with pytest.raises(OverflowError):
         empty.is_zero()
 
 
 def test_qsum_ends_at_a_summand_that_cancels():
-    # T_1 = T_0 q (1 - 1) vanishes by cancellation, under no cap
-    assert _qsum(6, None, Form(Q, 0, ups=((Monomial(1), 1, 1),))) == TriSeries.one(6)
-    assert _qsum(6, 3, Form(YQ, 0, ups=((Monomial(1), 0, 2),))) == TriSeries.one(6, 3)
+    # T_1 = T_0 q (1 - 1) vanishes by cancellation, under no cut
+    assert _qsum(6, Form(Q, 0, ups=((Monomial(1), 1, 1),))) == TriSeries.one(6)
+    assert _qsum(6, Form(YQ, 0, ups=((Monomial(1), 0, 2),))) == TriSeries.one(6)
 
 
 def test_pochhammer_finite_z_two_factors():
@@ -260,8 +251,8 @@ def test_pochhammer_infinite_distinct_odd_parts():
 
 
 def test_pochhammer_infinite_z_under_caps():
-    got = pochhammer_infinite(Z, 1, 2, 2)
-    want = TriSeries.one(2, 2)
+    got = pochhammer_infinite(Z, 1, 2)
+    want = TriSeries.one(2)
     for j in range(3):
         want = want.times_one_minus(Monomial(1, q=j, z=1))
     assert got == want
@@ -327,22 +318,20 @@ def test_terms_golden_pochhammer():
 
 
 def test_truncate_matches_direct_computation():
-    # a series keeps its z-cap when only its q-cap shrinks, so the direct
-    # computation is made at the same z-cap
+    # a series cut to a lower q-order is cut in z there too, as the direct
+    # computation is
     a = pochhammer_infinite(YQ, 1, 10)
-    assert truncated(a, 6) == pochhammer_infinite(YQ, 1, 6, 10)
-    assert truncated(a, 6, 6) == pochhammer_infinite(YQ, 1, 6)
-    prod = truncated(a * a.invert(), 4, 4)
+    assert truncated(a, 6) == pochhammer_infinite(YQ, 1, 6)
+    prod = truncated(a * a.invert(), 4)
     assert prod == TriSeries.one(4)
-    z10 = pochhammer_infinite(Z, 1, 8, 8)
-    assert truncated(z10, zcap=3) == pochhammer_infinite(Z, 1, 8, 3)
+    z8 = pochhammer_infinite(Z, 1, 8)
+    assert truncated(z8, 3) == pochhammer_infinite(Z, 1, 3)
 
 
 def test_default_zcap_is_the_qcap():
     assert TriSeries(4).zcap == 4
     assert TriSeries.one(4).zcap == 4
-    assert TriSeries(4) == TriSeries(4, 4)
-    # a term at z = qcap + 1 is past the default cap
+    # a term at z = qcap + 1 is past the cut
     s = S([(0, 0, 4, 1), (1, 0, 5, 1)], 4)
     assert s.zcap == 4 and s.terms() == [(0, 0, 4, 1)]
 
@@ -398,7 +387,7 @@ def test_non_integers_are_refused():
             with pytest.raises(TypeError):
                 Monomial(1, *exponents)
             with pytest.raises(TypeError):
-                S([(*exponents, 1)], 3, 2)
+                S([(*exponents, 1)], 3)
         with pytest.raises(TypeError):
             pochhammer_finite(Monomial(-1, q=1), value, 2, 4)
         with pytest.raises(TypeError):
@@ -413,24 +402,22 @@ def test_non_integers_are_refused():
 
 
 def test_truncate_refuses_negative_caps():
-    # the caps are fixed when a series is built, and checked there
+    # the q-order is fixed when a series is built, and checked there
     with pytest.raises(ValueError, match="qcap must be nonnegative"):
         TriSeries.one(-1)
-    with pytest.raises(ValueError, match="zcap must be nonnegative"):
-        TriSeries.one(4, zcap=-1)
-    with pytest.raises(ValueError, match="zcap must be nonnegative"):
-        S([], 4, -1)
+    with pytest.raises(ValueError, match="qcap must be nonnegative"):
+        S([], -1)
 
 
 def test_from_terms_checks_terms_the_caps_drop():
-    # a term past the q-cap or the z-cap is checked like any other
+    # a term past the cut in q or in z is checked like any other
     for term in ((0, -1, 0, 1), (5, -1, 0, 1), (1, -1, 9, 1)):
         with pytest.raises(ValueError, match="nonnegative"):
-            S([term], 3, 2)
+            S([term], 3)
     for term in ((5, 0, 0, 0.5), (0, 0, 2.5, 1), (4.5, 0, 0, 1)):
         with pytest.raises(TypeError):
-            S([term], 3, 2)
-    assert S([(5, 0, 0, 1), (1, 0, 9, 1)], 3, 2).is_zero()
+            S([term], 3)
+    assert S([(5, 0, 0, 1), (1, 0, 4, 1)], 3).is_zero()
 
 
 def _substitute_with_fractions(s, value, which):
@@ -454,8 +441,8 @@ def test_substitution_matches_the_fraction_loop(value):
     def typed(layers):
         return [{key: (type(c), c) for key, c in layer.items()} for layer in layers]
 
-    # a counted series and a z-capped closed form
-    for s in (measure_gf(8, 2), partition_measure_gf_product(2, 8, 3)):
+    # a counted series and a closed form that the cut in z truncates
+    for s in (measure_gf(8, 2), partition_measure_gf_product(2, 8)):
         for which, substitute in (("y", s.set_y), ("z", s.set_z)):
             got = substitute(value)
             assert typed(got._layers) == typed(_substitute_with_fractions(s, value, which))
