@@ -88,7 +88,8 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"),
                         default="plain")
     verify.add_argument("--jobs", type=positive, default=None,
-                        help="forked worker processes, at most one per unit of checks "
+                        help="forked worker processes, at most one per unit of checks, "
+                             "each pinned to a CPU of its own while there are enough "
                              "(default: the CPUs it may run on)")
 
     stats = sub.add_parser("stats", help="statistics of one partition")

@@ -15,6 +15,22 @@ the parent always knows which.  Units are handed out in plan order, so the
 units the caller puts first start first.  With no unit left, the parent
 closes the worker's task pipe, and the worker exits.  The parent polls
 every result pipe, so no worker waits on a pipe the parent is not reading.
+A worker closes every pipe end it does not own: the write end of each task
+pipe and the read end of each result pipe, its own included.  So if the
+parent is gone, even killed by SIGKILL, a worker reads the end of its task
+pipe, or its write fails, also within a record larger than a pipe buffer,
+and it exits.
+
+Where the platform has ``os.sched_setaffinity``, each worker pins itself to
+one CPU of the parent's affinity set, ``sorted(os.sched_getaffinity(0))``.
+A new worker takes the CPU that the fewest live workers run on, the lowest
+of those.  So while no more workers run than there are CPUs, no two live
+workers share a CPU, and a replacement takes the CPU of the worker that
+died.  Unpinned, the pipe wake-ups of the
+hand-out kept pulling each worker back to the parent's CPU, and the workers
+took turns on it.  The parent's own affinity is left as it is, and a pin
+that fails is ignored: the worker then runs its units wherever the parent
+may run.
 
 A worker that dies (say, killed for memory) loses only the unit it held:
 that unit's results are made by the caller's ``lost`` function from the
@@ -51,19 +67,25 @@ import sys
 _INDEX = 4  # bytes of a unit index
 
 
-def _worker(run_unit, plan, task_r, result_w, inherited, mask):
+def _worker(run_unit, plan, task_r, result_w, inherited, mask, cpu):
     """Body of a forked worker: run each unit whose index it reads from its
     task pipe and send back the unit's results, until the pipe ends.  It
     leaves only through ``os._exit``, whatever a unit or a signal does, so
     it never flushes the buffers it inherited or returns into the parent's
     caller.  It starts with SIGINT and SIGTERM blocked, closes the
-    ``inherited`` fds, and only then restores the signal ``mask``."""
+    ``inherited`` fds, pins itself to ``cpu`` (None: no pin), and only then
+    restores the signal ``mask``."""
     status = 1
     try:
         # a worker that gets SIGTERM itself ends by it, as its status says
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         for fd in inherited:
             os.close(fd)
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:  # an unpinned worker runs the same units
+                pass
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = os.fdopen(result_w, "wb")
         while index := os.read(task_r, _INDEX):
@@ -83,11 +105,12 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
     results = [None] * len(plan)
     handed = 0  # units handed out so far, in plan order
     # result pipe -> [pid, the open ends of its task pipe, index of the unit
-    # held, the reader of the result pipe].  The parent keeps the task pipe's
-    # read end too, so writing to a worker that has just died cannot fail; its
-    # result pipe ends, and the unit is lost.
+    # held, the reader of the result pipe, its CPU].  The parent keeps the
+    # task pipe's read end too, so writing to a worker that has just died
+    # cannot fail; its result pipe ends, and the unit is lost.
     live = {}
     poller = select.poll()
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
 
     def end_task(worker):  # a worker holds a unit exactly while its task pipe is open
         for fd in worker[1]:
@@ -105,6 +128,8 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
 
     def fork_worker():
         """Start a worker and hand it a unit; True if it cannot start."""
+        # the CPU the fewest live workers run on, the lowest of those
+        cpu = min(cpus, key=[worker[4] for worker in live.values()].count)
         pipes = []
         # SIGINT and SIGTERM wait until the worker is inside _worker's try,
         # and until the parent holds it in ``live``
@@ -122,11 +147,15 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
             return True
         task, (result_r, result_w) = pipes
         if pid == 0:
-            # a task pipe ends only once every copy of its write end is closed
-            inherited = [task[1]] + [fd for _, ends, *_ in live.values() for fd in ends]
-            _worker(run_unit, plan, task[0], result_w, inherited, mask)
+            # A pipe ends only once every copy of its other end is closed: a
+            # task pipe at its write ends, and a result pipe at its read ends,
+            # so that a worker whose parent is gone is not left blocked in a
+            # write.
+            inherited = [task[1], result_r, *live]
+            inherited += [fd for _, ends, *_ in live.values() for fd in ends]
+            _worker(run_unit, plan, task[0], result_w, inherited, mask, cpu)
         os.close(result_w)
-        live[result_r] = worker = [pid, task, None, os.fdopen(result_r, "rb")]
+        live[result_r] = worker = [pid, task, None, os.fdopen(result_r, "rb"), cpu]
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         poller.register(result_r, select.POLLIN)
         hand_out(worker)
@@ -147,7 +176,7 @@ def run_forked(run_unit, lost, plan, workers: int) -> list:
                     results[worker[2]] = marshal.load(worker[3])
                 except EOFError:  # the pipe ended, maybe within a record: the worker has exited
                     poller.unregister(fd)
-                    pid, _, held, reader = live.pop(fd)
+                    pid, _, held, reader, _ = live.pop(fd)
                     reader.close()
                     end_task(worker)
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

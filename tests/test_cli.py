@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -497,6 +498,57 @@ def test_sigterm_exits_143_and_leaves_no_worker():
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc to read process states from")
+def test_workers_of_a_killed_parent_exit_within_a_large_record():
+    # Each worker sends a record larger than a pipe buffer to a parent that
+    # never reads it, and the parent is killed with SIGKILL, so it cannot stop
+    # them.  A worker that held a read end of any result pipe would stay
+    # blocked in its write forever.
+    script = (
+        "import os, select, time\n"
+        "from kmeasure import forked\n"
+        "class Deaf:\n"
+        "    def register(self, fd, events):\n"
+        "        pass\n"
+        "    def poll(self):\n"
+        "        time.sleep(600)\n"
+        "select.poll = Deaf\n"
+        "def run_unit(unit):\n"
+        "    os.write(1, b'%d\\n' % os.getpid())\n"
+        "    return b'x' * 2**20\n"
+        "forked.run_forked(run_unit, None, [0, 1], 2)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=src_env(), stdout=subprocess.PIPE,
+        start_new_session=True,
+    )
+    workers = []
+    try:
+        workers = [int(proc.stdout.readline()) for _ in range(2)]
+        proc.kill()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        proc.stdout.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_interrupt_while_the_engine_loads_exits_130_in_one_line():

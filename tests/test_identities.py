@@ -849,6 +849,122 @@ def test_dead_worker_fails_only_its_unit(monkeypatch, dying):
     _assert_no_child_left()
 
 
+_AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+
+
+def _log_cpus(monkeypatch, path):
+    """Make every run of a unit, in any process, append its pid, unit name
+    and the CPUs the process may run on to ``path``; return a function that
+    reads them back as ``{pid: CPUs}`` and the pid that ran each unit."""
+    run_unit = identities._run_unit
+
+    def logged(unit):
+        with open(path, "a") as log:  # appends from several processes land whole
+            cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+            log.write(f"{os.getpid()} {_unit_name(unit)} {cpus}\n")
+        return run_unit(unit)
+
+    def read():
+        rows = [line.split() for line in path.read_text().splitlines()]
+        cpus = {(int(pid), frozenset(map(int, cpus.split(",")))) for pid, _, cpus in rows}
+        assert len(cpus) == len(dict(cpus)), cpus  # a worker stays where it starts
+        return dict(cpus), {unit: int(pid) for pid, unit, _ in rows}
+
+    monkeypatch.setattr(identities, "_run_unit", logged)
+    return read
+
+
+@pytest.mark.skipif(len(_AFFINITY) < 2, reason="needs two CPUs to place two workers on")
+def test_each_worker_runs_on_a_cpu_of_its_own(monkeypatch, tmp_path):
+    tasks = default_tasks(6, [1, 2])
+    expected = _without_elapsed(run_suite(tasks, jobs=1))
+    runs = _log_cpus(monkeypatch, tmp_path / "runs")
+    assert _without_elapsed(run_suite(tasks, jobs=2)) == expected
+    cpus, _ = runs()
+    assert len(cpus) == 2 and all(len(cpu) == 1 for cpu in cpus.values())
+    first, second = cpus.values()
+    assert first != second and first | second <= _AFFINITY
+    assert os.sched_getaffinity(0) == _AFFINITY
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not _AFFINITY, reason="no CPU affinity on this platform")
+def test_workers_share_the_one_cpu_of_the_parent(monkeypatch, tmp_path):
+    tasks = default_tasks(6, [1, 2])
+    expected = _without_elapsed(run_suite(tasks, jobs=1))
+    runs = _log_cpus(monkeypatch, tmp_path / "runs")
+    cpu = min(_AFFINITY)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        reports = _without_elapsed(run_suite(tasks, jobs=2))
+        assert os.sched_getaffinity(0) == {cpu}
+    finally:
+        os.sched_setaffinity(0, _AFFINITY)
+    assert reports == expected
+    cpus, _ = runs()
+    assert len(cpus) == 2 and set(cpus.values()) == {frozenset({cpu})}
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(len(_AFFINITY) < 2, reason="needs two CPUs to place two workers on")
+def test_a_replacement_worker_takes_the_cpu_of_the_dead_one(monkeypatch, tmp_path):
+    # The worker that holds the ("all", 2) unit dies in durfee-closed-form.
+    # Every unit the plan puts after that one waits for the death, so the
+    # other worker cannot run out of units before it, and a replacement starts.
+    tasks = default_tasks(6, [1, 2])
+    plan = list(_unit_names(tasks).values())
+    later = plan[plan.index(_unit_names(tasks)["heine-limit@None"]) + 1:]
+    gate = os.pipe()
+
+    def dies(memo, **kwargs):
+        _refuse_the_parent()
+        os.write(gate[1], b"x")
+        os._exit(3)
+
+    monkeypatch.setitem(identities._CHECK_FUNCS, "durfee-closed-form", dies)
+    runs = _log_cpus(monkeypatch, tmp_path / "runs")
+    logged = identities._run_unit
+
+    def gated(unit):
+        if unit in later:
+            select.select([gate[0]], [], [], 60)
+        return logged(unit)
+
+    monkeypatch.setattr(identities, "_run_unit", gated)
+    try:
+        reports = run_suite(tasks, jobs=2)
+    finally:
+        os.close(gate[0])
+        os.close(gate[1])
+    assert sum(not r.passed for r in reports) == 8  # every check of the lost unit
+    cpus, pids = runs()
+    dead = cpus[pids["heine-limit@None"]]
+    assert len(cpus) == 3 and all(len(cpu) == 1 for cpu in cpus.values())
+    assert list(cpus.values()).count(dead) == 2 and len(set(cpus.values())) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not _AFFINITY, reason="no CPU affinity on this platform")
+def test_a_failed_pin_loses_nothing(monkeypatch, capsys, tmp_path):
+    tasks = default_tasks(6, [1, 2])
+    expected = _without_elapsed(run_suite(tasks, jobs=1))
+    tried = tmp_path / "tried"
+
+    def refuse(pid, cpus):
+        with open(tried, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    runs = _log_cpus(monkeypatch, tmp_path / "runs")
+    assert _without_elapsed(run_suite(tasks, jobs=2)) == expected
+    assert capsys.readouterr().err == ""
+    cpus, _ = runs()
+    assert sorted(cpus) == sorted(map(int, tried.read_text().split()))
+    assert set(cpus.values()) == {frozenset(_AFFINITY)}  # each worker runs where the parent may
+    _assert_no_child_left()
+
+
 def test_lost_unit_carries_the_status_of_its_own_worker(monkeypatch):
     # The worker that takes plan unit 0 dies (status 5) before it runs a
     # check, and later workers die in the euler-first units (status 4).
