@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .series import TriSeries, _slot_width
+from .series import TriSeries, _check_qcap, _slot_width
 
 # family -> (distinct, odd): whether its parts are distinct, and odd
 ORACLE_FAMILIES = {"all": (False, False), "distinct": (True, False),
@@ -205,8 +205,7 @@ def _partition_counts(qcap) -> tuple[list[int], int]:
     Every counted series starts here, so this is where a negative q-order
     is refused, before any other argument is looked at.
     """
-    if qcap < 0:
-        raise ValueError("qcap must be nonnegative")
+    _check_qcap(qcap)
     counts = [1] + [0] * qcap
     for v in range(1, qcap + 1):
         for j in range(v, qcap + 1):

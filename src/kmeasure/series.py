@@ -27,10 +27,12 @@ Gathen and Gerhard, *Modern Computer Algebra*, sec. 8.4).  One class holds
 it: a :class:`TriSeries` is a list over q of ``{z_exp: int}`` rows, each int
 being the y-polynomial of that (q, z) key evaluated at y = 2^W, plus the
 majorant below.  Every operation iterates q-rows, so truncation is a cheap
-index bound rather than a filter.  Public operations return new series (or
-the operand itself when it is unchanged), leave their operands as they
-were, and are safe to run concurrently; the in-place steps of a build are
-private methods that act only on a private copy or a fresh series.
+index bound rather than a filter.  A series never changes once built:
+public operations return new series (or the operand itself when it is
+unchanged), leave their operands as they were, and are safe to run
+concurrently.  The in-place steps of a build are methods of one private
+record, :class:`_Build`, a writable copy of a series that never leaves
+this module.
 
 Sums, products, inverses and binomial steps (1 - c y^a z^b q^d), and so
 Pochhammer products, work on these ints directly: a binomial step costs
@@ -45,8 +47,8 @@ per pair of keys.  Three facts make them exact:
   int per q-row, bounding the sum of the absolute coefficients there)
   shows that every coefficient lies below 2^(W-1) in absolute value.
   Every operation writes its majorant before its rows, and widens the
-  slots in place first when the majorant asks for it, so a series always
-  fits its width, and W follows from the input and is no setting.
+  slots first when the majorant asks for it, so a series always fits its
+  width, and W follows from the input and is no setting.
 
 ``scale_y`` reads the W-bit slots of each int.  Substitutions take y, z =
 1 or -1 only, the values at which the paper specializes its identities:
@@ -65,10 +67,10 @@ summand n to summand n+1, and its infinite prefactors, and :func:`_qsum`
 builds it (Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1-3).
 Since each summand is a multiple of the one before it, the sum stops
 exactly at the first summand that vanishes under the q-order; no builder
-needs a truncation bound of its own.  A summand holds its monomial as a
-pending offset, and the prefactors are applied one binomial factor at a
-time, on the same packed rows as the sum.  So every in-place step of a
-build, and the offset it carries, runs in this module.
+needs a truncation bound of its own.  A summand is a build record that
+holds its monomial as a pending offset, and the prefactors are applied one
+binomial factor at a time, on the same packed rows as the sum.  So every
+in-place step of a build, and the offset it carries, runs in this module.
 """
 
 from __future__ import annotations
@@ -196,34 +198,25 @@ class TriSeries:
     needs every coefficient below 2^(width-1) in absolute value.  ``bound[j]`` is the
     majorant that vouches for it: at least the sum of the absolute
     coefficients of row j, kept in lockstep with every step, and every read
-    checks it.  An operation writes its majorant first, then :meth:`_widen`
-    re-encodes the rows at the width that majorant asks for, and only then
-    does it write rows.  ``_layers`` is the dict view of the rows, decoded
-    on first read.
+    checks it.  An operation writes its majorant first, then re-encodes the
+    rows at the width that majorant asks for, and only then does it write
+    rows.  ``_layers`` is the dict view of the rows, decoded on first read.
 
-    Public operations return new series and leave their operands as they
-    were.  The private in-place methods (:meth:`_widen`, :meth:`_add`,
-    :meth:`_shift`, :meth:`_step`, :meth:`_pochhammer`) run only on a
-    :meth:`_copy`, or on a fresh series inside a build.  Inside a sum a
-    series may carry a pending monomial factor, ``offset = (q, y, z,
-    coeff)``: it then stands for coeff q^q y^y z^z times its rows, and
-    ``qcap`` and ``zcap`` are the room of the rows in q and in z: the
-    q-order less the offset's exponents.  Binomial steps commute with the
-    factor, so they run over the rows in that room alone; :meth:`_add`
-    applies it.  Outside a sum ``zcap`` is ``qcap``.
+    A series has no in-place method: public operations return new series
+    and leave their operands as they were.  A build writes into a
+    :class:`_Build`, and hands back a series over its rows.
     """
 
-    __slots__ = ("qcap", "zcap", "width", "rows", "bound", "offset", "_decoded")
+    __slots__ = ("qcap", "width", "rows", "bound", "_decoded")
 
     def __init__(self, qcap: int, width: int | None = None,
                  rows: list | None = None, bound: list | None = None):
         _check_qcap(qcap)
         if rows is None:
             rows, bound = [{} for _ in range(qcap + 1)], [0] * (qcap + 1)
-        self.qcap = self.zcap = qcap
+        self.qcap = qcap
         self.width = _START_WIDTH if width is None else width
         self.rows, self.bound = rows, bound
-        self.offset = _NO_OFFSET
         self._decoded = None
 
     @property
@@ -333,10 +326,10 @@ class TriSeries:
     def _sum(self, other, sign: Monomial) -> "TriSeries":
         """self + sign*other."""
         self._shared_qcap(other)
-        total, term = self._copy(), other._copy()
+        total, term = _Build(self), _Build(other)
         term._shift(sign)
         total._add(term)
-        return total
+        return total._series()
 
     def __add__(self, other):
         return self._sum(other, ONE)
@@ -353,7 +346,7 @@ class TriSeries:
         qcap = self._shared_qcap(other)
         bound = [sum(self.bound[i] * other.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)]
         width = _slot_width(max(bound).bit_length(), max(self.width, other.width))
-        a, b = self._copy(width), other._copy(width)
+        a, b = _Build(self, width), _Build(other, width)
         product = TriSeries(qcap, width, [{} for _ in bound], bound)
         for j1, ra in enumerate(a.rows):
             if ra:
@@ -381,7 +374,7 @@ class TriSeries:
         for j in range(1, qcap + 1):
             out_bound.append(sum(bound[i] * out_bound[j - i] for i in range(1, j + 1)))
         width = _slot_width(max(out_bound).bit_length(), self.width)
-        rows = self._copy(width).rows
+        rows = _Build(self, width).rows
         out = [{0: 1}]
         for j in range(1, qcap + 1):
             acc = {}
@@ -455,20 +448,12 @@ class TriSeries:
             rows.append({0: v} if v else {})
         return TriSeries(self.qcap, self.width, rows, list(self.bound))
 
-    # ------------------------------------------------------ in-place kernel
+    # --------------------------------------------------------- packed rows
 
     def _check(self):
         """Refuse to read rows whose majorant does not fit their width."""
         if max(self.bound, default=0).bit_length() >= self.width:
             raise OverflowError(f"packed slots outgrow their width {self.width}")
-
-    def _copy(self, width: int = 0) -> "TriSeries":
-        """A private copy of the rows, at this width or at their own,
-        whichever is wider."""
-        self._check()
-        s = TriSeries(self.qcap, self.width, [dict(row) for row in self.rows], list(self.bound))
-        s._widen(width)
-        return s
 
     def _decode(self, row: dict) -> dict:
         """One row as a ``{(y_exp, z_exp): c}`` layer; the caller has
@@ -477,6 +462,33 @@ class TriSeries:
         for f, v in row.items():
             layer.update({(e, f): c for e, c in enumerate(_split(v, self.width)) if c})
         return layer
+
+
+class _Build(TriSeries):
+    """A private, writable copy of a series, which a build steps in place.
+
+    ``_Build(s, width)`` copies the rows of s at ``width``, or at their own
+    width, whichever is wider; :meth:`_series` hands the rows back as a
+    plain series once the build is done.  A summand inside :func:`_qsum`
+    also carries a pending monomial factor, ``offset = (q, y, z, coeff)``:
+    it then stands for coeff q^q y^y z^z times its rows, and ``qcap`` and
+    ``zcap`` are the room of the rows in q and in z, the q-order less the
+    offset's exponents.  Binomial steps commute with the factor, so they
+    run over the rows in that room alone; :meth:`_add` applies it.  With
+    no offset ``zcap`` is ``qcap``.
+    """
+
+    __slots__ = ("zcap", "offset")
+
+    def __init__(self, s: TriSeries, width: int = 0):
+        s._check()
+        super().__init__(s.qcap, s.width, [dict(row) for row in s.rows], list(s.bound))
+        self.zcap, self.offset = s.qcap, (0, 0, 0, 1)
+        self._widen(width)
+
+    def _series(self) -> TriSeries:
+        """The rows as a plain series that shares them; the build ends."""
+        return TriSeries(self.qcap, self.width, self.rows, self.bound)
 
     def _widen(self, width: int = 0):
         """Re-encode the rows in place at ``width``, or at the width the
@@ -492,7 +504,7 @@ class TriSeries:
                 for f, v in row.items():
                     row[f] = _widened(v, old, width)
 
-    def _add(self, other: "TriSeries"):
+    def _add(self, other: "_Build"):
         """self += other, applying other's pending offset; self carries
         none.  Both end at the wider of their widths and the one the sum's
         majorant asks for."""
@@ -576,7 +588,6 @@ class TriSeries:
 
 # The narrowest slot width; the majorant widens it when it must.
 _START_WIDTH = 64
-_NO_OFFSET = (0, 0, 0, 1)
 
 
 def _slot_width(bits: int, width: int = 0) -> int:
@@ -657,7 +668,7 @@ def _first_difference(a: TriSeries, b: TriSeries):
     """
     a._shared_qcap(b)
     width = max(a.width, b.width)
-    rows = (s._copy(width).rows for s in (a, b))
+    rows = (_Build(s, width).rows for s in (a, b))
     for j, (x, y) in enumerate(zip(*rows)):
         if x != y:
             la, lb = a._decode(a.rows[j]), b._decode(b.rows[j])
@@ -681,9 +692,9 @@ def _pochhammer_apply(
     """
     if a.coeff == 0 or n == 0 or max(a.q, a.z) > s.qcap:
         return s
-    p = s._copy()
+    p = _Build(s)
     p._pochhammer(a, h, n, divide)
-    return p
+    return p._series()
 
 
 def pochhammer_finite(a: Monomial, h: int, n: int, qcap: int) -> TriSeries:
@@ -741,8 +752,8 @@ def _qsum(qcap, form) -> TriSeries:
     and z.  The sum and its
     prefactors stay packed, and each step widens them in place when it must.
     """
-    term = TriSeries.one(qcap)
-    total = term._copy()
+    term = _Build(TriSeries.one(qcap))
+    total = _Build(term)
     n = 0
     while True:
         term._shift(form.ratio.shift_q(form.step * n))
@@ -755,4 +766,4 @@ def _qsum(qcap, form) -> TriSeries:
         n += 1
     for a, h, divide in form.prefactors:
         total._pochhammer(a, h, None, divide)
-    return total
+    return total._series()

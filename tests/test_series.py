@@ -14,6 +14,7 @@ from kmeasure.series import (
     TriSeries,
     YQ,
     Z,
+    _Build,
     _pochhammer_apply,
     _qsum,
     pochhammer_finite,
@@ -176,7 +177,7 @@ def test_step_widens_past_wide_input():
     # a majorant past 2^100 needs 104-bit slots; times (1 - 256 y z q) it
     # needs 112
     big = S([(0, 0, 0, 2**100), (1, 1, 0, 1 - 2**90), (2, 3, 1, 3 * 2**70)], 4)
-    p = big._copy()
+    p = _Build(big)
     assert p.width == 104
     p._step(256, 1, 1, 1, divide=False)
     assert p.width == 112 and max(p.bound).bit_length() < p.width
@@ -198,7 +199,7 @@ def test_packed_slots_at_the_width_edge_round_trip():
         s = S(terms, 2)
         assert s.terms() == sorted(terms)
         for width in (0, 72, 128):
-            wide = s._copy(width)
+            wide = _Build(s, width)
             assert wide.width == max(width, s.width)
             assert wide == s and wide.terms() == s.terms()
 
@@ -216,6 +217,17 @@ def test_qsum_ends_at_a_summand_that_cancels():
     # T_1 = T_0 q (1 - 1) vanishes by cancellation, under no cut
     assert _qsum(6, Form(Q, 0, ups=((Monomial(1), 1, 1),))) == TriSeries.one(6)
     assert _qsum(6, Form(YQ, 0, ups=((Monomial(1), 0, 2),))) == TriSeries.one(6)
+
+
+def test_qsum_steps_a_summand_only_in_its_room_in_z():
+    # sum_n q^n z^(2n) (z^3 q; q)_n: summand n has 8 - 2n room in z but
+    # 8 - n in q, so a step cut at the room in q keeps keys past z = 8
+    form = Form(Monomial(1, q=1, z=2), 0, ups=((Monomial(1, q=1, z=3), 1, 1),))
+    expected = TriSeries(8)
+    for n in range(9):
+        summand = S([(n, 0, 2 * n, 1)], 8) * pochhammer_finite(Monomial(1, q=1, z=3), 1, n, 8)
+        expected = expected + summand
+    assert _qsum(8, form) == expected
 
 
 def test_pochhammer_finite_z_two_factors():
@@ -329,11 +341,18 @@ def test_truncate_matches_direct_computation():
 
 
 def test_default_zcap_is_the_qcap():
-    assert TriSeries(4).zcap == 4
-    assert TriSeries.one(4).zcap == 4
     # a term at z = qcap + 1 is past the cut
     s = S([(0, 0, 4, 1), (1, 0, 5, 1)], 4)
-    assert s.zcap == 4 and s.terms() == [(0, 0, 4, 1)]
+    assert s.terms() == [(0, 0, 4, 1)]
+    # the z-room and the pending offset live only on a build record
+    built = (
+        TriSeries(4), TriSeries.one(4), s, s + s, s * s, pochhammer_finite(Z, 1, 2, 4),
+        pochhammer_infinite(YQ, 1, 4), pochhammer_infinite(Q, 1, 4).invert(),
+        _qsum(4, Form(Z.shift_q(1), 1, downs=((Q, 1, 1),), prefactors=((YQ, 1, True),))),
+    )
+    for b in built:
+        assert type(b) is TriSeries
+        assert not hasattr(b, "zcap") and not hasattr(b, "offset")
 
 
 def test_set_z_at_one_collapses_z():
@@ -446,7 +465,6 @@ def test_substitution_matches_the_fraction_loop(value):
         for which, substitute in (("y", s.set_y), ("z", s.set_z)):
             got = substitute(value)
             assert typed(got._layers) == typed(_substitute_with_fractions(s, value, which))
-            assert got.zcap == s.zcap
 
 
 @pytest.mark.parametrize("value", [0, 2, -2])
