@@ -455,26 +455,13 @@ def default_tasks(qcap: int, ks) -> list[tuple[str, str, dict]]:
     tasks.append(("heine-limit", "heine-limit", dict(qcap=qcap)))
     for k in dict.fromkeys(ks):
         for family in CLOSED_FORM_FAMILIES:
-            tasks.append(
-                (f"sum-form[{family}]", "sum-form",
-                 dict(k=k, qcap=qcap, family=family))
-            )
-            if family == "distinct" or k >= 2:
-                tasks.append(
-                    (f"product-form[{family}]", "product-form",
-                     dict(k=k, qcap=qcap, family=family))
-                )
-            tasks.append(
-                (f"qdiff[{family}]", "qdiff", dict(k=k, qcap=qcap, family=family))
-            )
-            tasks.append(
-                (f"nonnegative[{family}]", "nonnegative",
-                 dict(k=k, qcap=qcap, family=family))
-            )
-    tasks.append(("durfee-equidistribution", "durfee-equidistribution", dict(qcap=qcap)))
-    tasks.append(("durfee-closed-form", "durfee-closed-form", dict(qcap=qcap)))
-    tasks.append(("parity-distinct-odd", "parity-distinct-odd", dict(qcap=qcap)))
-    tasks.append(("sylvester-runs", "sylvester-runs", dict(qcap=qcap)))
+            for key in ("sum-form", "product-form", "qdiff", "nonnegative"):
+                # the all family's product form has no k = 1 case
+                if key != "product-form" or family == "distinct" or k >= 2:
+                    tasks.append((f"{key}[{family}]", key, dict(k=k, qcap=qcap, family=family)))
+    for key in ("durfee-equidistribution", "durfee-closed-form", "parity-distinct-odd",
+                "sylvester-runs"):
+        tasks.append((key, key, dict(qcap=qcap)))
     for t in EULER_SECOND_PARAMS:
         tasks.append((f"euler-second[t={t}]", "euler-second", dict(t=t, qcap=qcap)))
     for a in BAILEY_DAUM_PARAMS:

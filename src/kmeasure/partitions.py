@@ -11,18 +11,22 @@ The generating functions built here, sums of y^length z^statistic q^size
 over every partition of n <= qcap, are the oracles for the closed-form
 series in :mod:`kmeasure.identities`.  They count partitions by a
 transfer-matrix scan over part values, in time polynomial in qcap and with
-no algebra on closed forms involved.  Sylvester's two sides are such
-series too: the odd family's 1-measure series at y = 1, and the
-distinct-part series by number of runs.  Exhaustive, deterministic
-enumeration, :func:`enumerate_partitions`, has no caller in the engine: it
-is the reference the tests check those series against, and a name that the
-``perfbench`` tracer wraps.  :func:`partition_stats` reads the statistics
-off the partition it is given.
+no algebra on closed forms involved.  Every scan in ascending order is one
+interpreter, :func:`_scan`, reading a transfer record: the greedy rule of
+the k-measure is one, and the number of runs of consecutive parts another.
+The Durfee series keeps a descending scan of its own.  Sylvester's two
+sides are such series too, neither tracking length: the odd family by
+1-measure, and the distinct-part series by number of runs.  Exhaustive,
+deterministic enumeration, :func:`enumerate_partitions`, has no caller in
+the engine: it is the reference the tests check those series against, and
+a name that the ``perfbench`` tracer wraps.  :func:`partition_stats` reads
+the statistics off the partition it is given.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import reduce
 
 from .series import TriSeries, _check_qcap, _slot_width
 
@@ -189,13 +193,16 @@ def format_partition(parts) -> str:
 # and a state is a layered series, list index the size, with
 # {statistic: count} layers.  Each count is a polynomial in y, the length,
 # packed into one int evaluated at y = 2^W (the rows of
-# :class:`kmeasure.series.TriSeries`), so a part's y is a shift by W.  Every
-# count of size j is a number of partitions of j, at most p(j), so it fits a
-# W-bit slot with W from p(qcap), and the counted series keeps its rows with
-# p(j) as the majorant of row j.  Each value is absent or present with some
-# multiplicity, so a partition is counted once, by the path of its
-# multiplicities.  The cost is polynomial in qcap, not proportional to the
-# number of partitions.
+# :class:`kmeasure.series.TriSeries`), so a part's y is a shift by W, or by
+# 0 where length is summed out.  Every count of size j is a number of
+# partitions of j, at most p(j), so it fits a W-bit slot with W from
+# p(qcap), and the counted series keeps its rows with p(j) as the majorant
+# of row j.  Each value is absent or present with some multiplicity, so a
+# partition is counted once, by the path of its multiplicities.  A
+# statistic read off that present/absent word by a finite automaton is a
+# transfer record, one (absent, present, dz) triple per state, and
+# :func:`_scan` reads every such record.  The cost is polynomial in qcap,
+# not proportional to the number of partitions.
 
 
 def _partition_counts(qcap) -> tuple[list[int], int]:
@@ -230,10 +237,12 @@ def _accumulate(tgt, layer, shift=0, dz=0):
 def _add_into(target, layers):
     for tgt, layer in zip(target, layers):
         _accumulate(tgt, layer)
+    return target
 
 
-def _times_value(layers, v, once, width):
-    """Multiply by 1 + y q^v (once) or 1/(1 - y q^v) in place.
+def _times_value(layers, v, once, shift):
+    """Multiply by 1 + y q^v (once) or 1/(1 - y q^v) in place, y a shift
+    by ``shift`` bits.
 
     One pass of layers[j] += y * layers[j - v]: descending j reads each
     layer before it is updated, ascending j reads it after, which adds the
@@ -241,42 +250,66 @@ def _times_value(layers, v, once, width):
     """
     n = len(layers)
     for j in range(n - 1, v - 1, -1) if once else range(v, n):
-        _accumulate(layers[j], layers[j - v], width)
+        _accumulate(layers[j], layers[j - v], shift)
 
 
-def _measure_series(qcap, k, family, counts, width):
-    """Sum y^length z^{k-measure} q^size by counting over part values.
+def _scan(qcap, record, family, length):
+    """Sum y^length z^statistic q^size over the partitions of n <= qcap in
+    a family, the statistic counted by a transfer record.  A part shifts
+    its count by the slot width W; with ``length`` false it shifts it by 0
+    bits, so length is summed out and every count sits in slot 0.
 
-    Values are scanned in ascending order, following the greedy rule of
-    :func:`kmeasure`.  The state is one layered series per gap since the
-    last value the greedy took, capped at k; gap k also means nothing taken
-    yet.  A present value at gap k is taken (measure + 1, gap back to 1);
-    at a smaller gap it only adds to the length, so absent and present
-    together multiply that state by one factor, in place.  ``counts`` and
-    ``width`` come from :func:`_partition_counts`.
+    Values are scanned in ascending order.  ``record`` holds one
+    ``(absent, present, dz)`` triple per state: a value that is absent
+    moves the state to ``absent``, and one that is present, once in the
+    distinct families and any number of times in the others, moves it to
+    ``present`` and raises the statistic by dz.  In the odd families an
+    even value is always absent.  State 0 holds the empty partition, and
+    the series is the sum of every state.  A state whose two moves agree
+    and add nothing is multiplied by one factor in place; only a real
+    choice builds a taken state, and a target state adopts, uncopied, the
+    first layers that reach it.
     """
+    counts, width = _partition_counts(qcap)
     distinct, odd = ORACLE_FAMILIES[family]
-    # a gap between parts of at most qcap stays below qcap, so a larger k acts as qcap + 1
-    gaps = [[{} for _ in range(qcap + 1)] for _ in range(min(k, qcap + 1) - 1)] + [_unit(qcap)]
+    shift = width if length else 0
+    states = [_unit(qcap)] + [[{} for _ in range(qcap + 1)] for _ in record[1:]]
     for v in range(1, qcap + 1):
-        *lower, top = gaps
-        taken = [{} for _ in range(qcap + 1)]
-        if not (odd and v % 2 == 0):
-            # taken[j] = z y top[j - v] + y taken[j - v], or its first term alone
-            for j in range(v, qcap + 1):
-                _accumulate(taken[j], top[j - v], width, 1)
+        reached, absent_only = [None] * len(record), odd and v % 2 == 0
+        for layers, (absent, present, dz) in zip(states, record):
+            taken = None
+            if absent_only:
+                pass
+            elif absent == present and not dz:
+                _times_value(layers, v, distinct, shift)
+            else:
+                # taken = z^dz y q^v layers, then times 1/(1 - y q^v) for any
+                # number of copies; one copy adds straight to a state reached
+                taken = distinct and reached[present] or [{} for _ in range(qcap + 1)]
+                for j in range(v, qcap + 1):
+                    _accumulate(taken[j], layers[j - v], shift, dz)
                 if not distinct:
-                    _accumulate(taken[j], taken[j - v], width)
-            for layers in lower:
-                _times_value(layers, v, distinct, width)
-        # gap g becomes g + 1, the taken state gap 1, and gap k - 1 (the
-        # taken state itself, at k = 1) joins gap k
-        gaps = [taken] + lower + [top]
-        _add_into(top, gaps.pop(-2))
-    total = gaps.pop()
-    for layers in gaps:
-        _add_into(total, layers)
-    return TriSeries(qcap, width, total, list(counts))  # each series owns its majorant
+                    _times_value(taken, v, False, shift)
+            reached[absent] = layers if reached[absent] is None else _add_into(reached[absent], layers)
+            if taken is not None and taken is not reached[present]:
+                reached[present] = taken if reached[present] is None else _add_into(reached[present], taken)
+        states = [[{} for _ in range(qcap + 1)] if s is None else s for s in reached]
+    return TriSeries(qcap, width, reduce(_add_into, states), counts)
+
+
+def _measure_record(k, qcap):
+    """The greedy rule of :func:`kmeasure` as a transfer record.
+
+    State g, 0 < g < k, is the gap since the last value the greedy took,
+    and state 0 a gap of k or more, or nothing taken yet.  A present value
+    at state 0 is taken (measure + 1, gap 1); at a gap it only adds to the
+    length, and the gap grows by one either way, back to state 0 at k.  A
+    gap between parts of at most qcap stays below qcap, so a larger k acts
+    as qcap + 1.
+    """
+    low = min(k, qcap + 1)
+    after = [g + 1 if g + 1 < low else 0 for g in range(max(low, 1))]
+    return ((0, after[0], 1),) + tuple((a, a, 0) for a in after[1:])
 
 
 def measure_gfs(qcap: int, ks, family: str = "all") -> dict[int, TriSeries]:
@@ -286,14 +319,14 @@ def measure_gfs(qcap: int, ks, family: str = "all") -> dict[int, TriSeries]:
     term, to summing over :func:`enumerate_partitions`.  Raises ValueError
     for a negative qcap, then for an unknown family, then for a k < 1.
     """
-    counts, width = _partition_counts(qcap)
+    _check_qcap(qcap)
     if family not in ORACLE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     ks = list(ks)
     for k in ks:
         if k <= 0:
             raise ValueError("k must be positive")
-    return {k: _measure_series(qcap, k, family, counts, width) for k in ks}
+    return {k: _scan(qcap, _measure_record(k, qcap), family, True) for k in ks}
 
 
 def measure_gf(qcap: int, k: int, family: str = "all") -> TriSeries:
@@ -330,30 +363,20 @@ def runs_gf(qcap: int) -> TriSeries:
     """Sum z^{runs} q^size over all partitions into distinct parts of
     n <= qcap, runs as in :func:`consecutive_runs`.
 
-    Values are scanned in ascending order, with one state for partitions
-    that have v - 1 as a part, to which a part v adds no new run, and one
-    for the rest, to which it adds one.  Length is not tracked, so every
-    count sits in slot 0.
+    The record has one state for partitions that do not have v - 1 as a
+    part, to which a part v adds a run, and one for those that do, to
+    which it adds none.  Length is not tracked, so every count sits in
+    slot 0.
     """
-    counts, width = _partition_counts(qcap)
-    rest, ends = _unit(qcap), [{} for _ in range(qcap + 1)]  # ends: v - 1 is a part
-    for v in range(1, qcap + 1):
-        new_ends = [{} for _ in range(qcap + 1)]
-        for j in range(v, qcap + 1):
-            _accumulate(new_ends[j], rest[j - v], 0, 1)
-            _accumulate(new_ends[j], ends[j - v])
-        _add_into(rest, ends)
-        ends = new_ends
-    _add_into(rest, ends)
-    return TriSeries(qcap, width, rest, counts)
+    return _scan(qcap, ((0, 1, 1), (0, 1, 0)), "distinct", False)
 
 
 def sylvester_gfs(n_max: int) -> tuple[TriSeries, TriSeries]:
     """The two sides of Sylvester's theorem for every n <= n_max: the
     odd-part partitions by number of distinct values (their 1-measure) and
     the distinct-part partitions by number of maximal runs, each as z^value
-    q^n."""
-    return measure_gf(n_max, 1, "odd").set_y(1), runs_gf(n_max)
+    q^n.  Neither side tracks length."""
+    return _scan(n_max, _measure_record(1, n_max), "odd", False), runs_gf(n_max)
 
 
 def _histograms(series: TriSeries, n_max: int) -> list[Counter]:

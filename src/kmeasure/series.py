@@ -346,11 +346,11 @@ class TriSeries:
         qcap = self._shared_qcap(other)
         bound = [sum(self.bound[i] * other.bound[j - i] for i in range(j + 1)) for j in range(qcap + 1)]
         width = _slot_width(max(bound).bit_length(), max(self.width, other.width))
-        a, b = _Build(self, width), _Build(other, width)
+        a, b = self._rows_at(width), other._rows_at(width)
         product = TriSeries(qcap, width, [{} for _ in bound], bound)
-        for j1, ra in enumerate(a.rows):
+        for j1, ra in enumerate(a):
             if ra:
-                for j2, rb in enumerate(b.rows[: qcap + 1 - j1]):
+                for j2, rb in enumerate(b[: qcap + 1 - j1]):
                     _row_mul(product.rows[j1 + j2], ra, rb, qcap)
         return product
 
@@ -374,7 +374,7 @@ class TriSeries:
         for j in range(1, qcap + 1):
             out_bound.append(sum(bound[i] * out_bound[j - i] for i in range(1, j + 1)))
         width = _slot_width(max(out_bound).bit_length(), self.width)
-        rows = _Build(self, width).rows
+        rows = self._rows_at(width)
         out = [{0: 1}]
         for j in range(1, qcap + 1):
             acc = {}
@@ -454,6 +454,12 @@ class TriSeries:
         """Refuse to read rows whose majorant does not fit their width."""
         if max(self.bound, default=0).bit_length() >= self.width:
             raise OverflowError(f"packed slots outgrow their width {self.width}")
+
+    def _rows_at(self, width: int) -> list:
+        """The rows, to be read at a width no narrower than theirs: in
+        place at their own width, else a copy at the wider one."""
+        self._check()
+        return self.rows if width == self.width else _Build(self, width).rows
 
     def _decode(self, row: dict) -> dict:
         """One row as a ``{(y_exp, z_exp): c}`` layer; the caller has
@@ -668,7 +674,7 @@ def _first_difference(a: TriSeries, b: TriSeries):
     """
     a._shared_qcap(b)
     width = max(a.width, b.width)
-    rows = (_Build(s, width).rows for s in (a, b))
+    rows = (s._rows_at(width) for s in (a, b))
     for j, (x, y) in enumerate(zip(*rows)):
         if x != y:
             la, lb = a._decode(a.rows[j]), b._decode(b.rows[j])

@@ -17,6 +17,7 @@ from kmeasure.identities import (
     IdentityReport,
     Mismatch,
     _Artifacts,
+    _family,
     _qdiff_residual,
     bailey_daum_sides,
     default_tasks,
@@ -36,6 +37,7 @@ from kmeasure.identities import (
 from kmeasure.partitions import (
     ORACLE_FAMILIES,
     _histograms,
+    _measure_record,
     durfee_gf,
     enumerate_partitions,
     kmeasure,
@@ -277,6 +279,23 @@ def test_qdiff_residual_zero_order():
 
 def test_qdiff_residual_distinct_k4():
     assert _qdiff_residual(measure_gf(12, 4, "distinct"), 4, "distinct").is_zero()
+
+
+def test_the_counted_fe_follows_the_measure_record():
+    # A value that state 0 takes starts a chain of forced moves (absent and
+    # present alike, no rise in the measure) that ends back at state 0.
+    # Each link is one factor applied in place, and the chain's length L is
+    # the FE's Pochhammer: 1/(yq;q)_L for the all family, (-yq^2;q)_{L-1}
+    # for the distinct one.
+    for k in range(1, 13):
+        record = _measure_record(k, 20)
+        state, length = record[0][1], 1
+        while state != 0:
+            absent, present, dz = record[state]
+            assert (absent, dz) == (present, 0) and length < len(record), k
+            state, length = present, length + 1
+        assert _family("all", k).fe == (YQ, length, True), k
+        assert _family("distinct", k).fe == (Monomial(-1, q=2, y=1), length - 1, False), k
 
 
 @pytest.mark.parametrize("key", ["sum-form", "product-form", "qdiff", "nonnegative"])

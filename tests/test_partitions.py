@@ -290,6 +290,15 @@ def test_sylvester_gfs_match_enumeration():
         assert sylvester_counts(n) == (by_distinct, by_runs), n
 
 
+@pytest.mark.parametrize("n", [0, 1, 30, 80])
+def test_sylvester_odd_side_is_the_odd_measure_series_at_y_one(n):
+    # counted without length, it is the 1-measure series with length summed
+    # out, slot for slot, at the same width and under the same majorant
+    odd, _ = sylvester_gfs(n)
+    summed = measure_gf(n, 1, "odd").set_y(1)
+    assert (odd.rows, odd.width, odd.bound) == (summed.rows, summed.width, summed.bound)
+
+
 def test_sylvester_histograms_agree_medium():
     for n in range(26):
         by_distinct, by_runs = sylvester_counts(n)

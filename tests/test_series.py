@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kmeasure import series
 from kmeasure.identities import partition_measure_gf_product
 from kmeasure.partitions import enumerate_partitions, measure_gf
 from kmeasure.series import (
@@ -202,6 +203,32 @@ def test_packed_slots_at_the_width_edge_round_trip():
             wide = _Build(s, width)
             assert wide.width == max(width, s.width)
             assert wide == s and wide.terms() == s.terms()
+
+
+def test_a_compare_at_one_width_copies_no_side(monkeypatch):
+    # two equal series at one width are read as they sit; only a side at a
+    # narrower width is copied wider, and every side read is checked first
+    built = []
+
+    class Counted(_Build):
+        __slots__ = ()
+
+        def __init__(self, s, width=0):
+            built.append(s.width)
+            super().__init__(s, width)
+
+    a, b = partition_measure_gf_product(2, 30), measure_gf(30, 2)
+    wide = _Build(a, a.width + 8)._series()
+    assert a.width == b.width
+    monkeypatch.setattr(series, "_Build", Counted)
+    assert a == b
+    assert built == []
+    assert wide == b
+    assert built == [b.width]
+    outgrown = TriSeries(0, 64, [{}], [2**64])
+    for x, y in ((outgrown, TriSeries(0)), (TriSeries(0), outgrown)):
+        with pytest.raises(OverflowError):
+            x == y
 
 
 def test_qsum_trusts_an_empty_summand_only_under_the_majorant():
