@@ -50,13 +50,15 @@ per pair of keys.  Three facts make them exact:
   slots first when the majorant asks for it, so a series always fits its
   width, and W follows from the input and is no setting.
 
-``scale_y`` reads the W-bit slots of each int.  Substitutions take y, z =
-1 or -1 only, the values at which the paper specializes its identities:
-``set_y`` takes each key's balanced residue modulo 2^W - 1 or 2^W + 1, and
-``set_z`` adds or subtracts the ints of a row.  ``invert`` takes only a
-series whose q^0 row is exactly 1.  Equality and the checks of
-:mod:`kmeasure.identities` compare rows as ints, which is a proof under the
-majorant (:func:`_first_difference`).
+Slots are written by shifts and adds, and read back by ``_split``:
+``scale_y`` adds each slot it reads into its target int, shifted to its
+place.  Only ``_widened`` re-encodes a whole int, at a wider width.
+Substitutions take y, z = 1 or -1 only, the values at which the paper
+specializes its identities: ``set_y`` takes each key's balanced residue
+modulo 2^W - 1 or 2^W + 1, and ``set_z`` adds or subtracts the ints of a
+row.  ``invert`` takes only a series whose q^0 row is exactly 1.  Equality
+and the checks of :mod:`kmeasure.identities` compare rows as ints, which is
+a proof under the majorant (:func:`_first_difference`).
 The ``{(y_exp, z_exp): coefficient}`` dict layers of a series are only a
 view, decoded once when something reads coefficients back: ``terms``, or
 a failure report.
@@ -391,7 +393,11 @@ class TriSeries:
 
         Exact on the retained range since the q-exponent only grows.  Slot
         e of row s moves to row s + j*e, so the majorant of row r is the
-        sum of those of rows r - j*e.
+        sum of those of rows r - j*e.  Each int is read once by
+        :func:`_split`; the slots past the q-order, e > (qcap - s) // j, are
+        dropped first, and each kept slot d adds d << (width*e) into its
+        target key at the new width.  No two slots land in one place, so no
+        key sums to zero.
         """
         if j < 0:
             raise ValueError("scale_y exponent must be nonnegative")
@@ -403,13 +409,14 @@ class TriSeries:
         for r in range(j, qcap + 1):
             bound[r] += bound[r - j]
         width = _slot_width(max(bound).bit_length(), self.width)
-        moved = [{} for _ in range(qcap + 1)]  # row -> z_exp -> {y_exp: slot}
+        rows = [{} for _ in range(qcap + 1)]
         for s, row in enumerate(self.rows):
+            kept = (qcap - s) // j + 1  # slots e < kept stay under the q-order
             for f, v in row.items():
-                for e, d in enumerate(_split(v, self.width)):
-                    if d and s + j * e <= qcap:
-                        moved[s + j * e].setdefault(f, {})[e] = d
-        rows = [{f: _join(slots, width) for f, slots in row.items()} for row in moved]
+                for e, d in enumerate(_split(v, self.width)[:kept]):
+                    if d:
+                        tgt = rows[s + j * e]
+                        tgt[f] = tgt.get(f, 0) + (d << (width * e))
         return TriSeries(qcap, width, rows, bound)
 
     def set_y(self, sign: int) -> "TriSeries":
@@ -627,17 +634,6 @@ def _split(v: int, width: int) -> list[int]:
     return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
 
 
-def _join(slots: dict, width: int) -> int:
-    """The packed int of ``{y_exp: c}``, each |c| below 2^(width-1)."""
-    size, half = width // 8, 1 << (width - 1)
-    count = max(slots) + 1
-    high = _high_bits(count, width)
-    raw = bytearray(high.to_bytes(count * size, "little"))
-    for e, c in slots.items():
-        raw[e * size:(e + 1) * size] = (c + half).to_bytes(size, "little")
-    return int.from_bytes(raw, "little") - high
-
-
 def _widened(v: int, old: int, width: int) -> int:
     """The packed int v with its ``old``-bit slots moved to ``width`` bits.
     Each balanced slot plus 2^(old-1) is a nonnegative digit, whose bytes
@@ -654,11 +650,12 @@ def _widened(v: int, old: int, width: int) -> int:
 
 def _encode(layer: dict, width: int) -> dict:
     """A layer's ``{(y_exp, z_exp): c}`` as ``{z_exp: int}``, each y-polynomial
-    evaluated at y = 2^width; every |c| must be below 2^(width-1)."""
-    by_z = {}
+    evaluated at y = 2^width: c adds c << (width*e) into its key's int.
+    Every |c| must be below 2^(width-1)."""
+    row = {}
     for (e, f), c in layer.items():
-        by_z.setdefault(f, {})[e] = c
-    return {f: _join(slots, width) for f, slots in by_z.items()}
+        row[f] = row.get(f, 0) + (c << (width * e))
+    return row
 
 
 def _first_difference(a: TriSeries, b: TriSeries):

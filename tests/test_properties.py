@@ -10,7 +10,6 @@ from kmeasure.series import (
     TriSeries,
     _encode,
     _first_difference,
-    _join,
     _pochhammer_apply,
     _slot_width,
     _split,
@@ -401,8 +400,8 @@ def held_as(s, width):
     """s as packed rows at ``width``, or at the width its majorant asks for
     if that is wider; unlike the kernel, this may narrow a series."""
     held = _slot_width(max(s.bound).bit_length(), width)
-    rows = [{f: _join(dict(enumerate(_split(v, s.width))), held) for f, v in row.items()}
-            for row in s.rows]
+    rows = [{f: sum(c << (held * e) for e, c in enumerate(_split(v, s.width)))
+             for f, v in row.items()} for row in s.rows]
     return TriSeries(s.qcap, held, rows, list(s.bound))
 
 
